@@ -90,10 +90,8 @@ from .scenarios import (
     bloch_of,
     chained_coefficients,
     chained_family,
-    chained_operator,
     chsh_coefficients,
     chsh_family,
-    chsh_operator,
     coefficient_tensor,
     from_bloch_table,
     ghz_state,

@@ -33,6 +33,7 @@ __all__ = [
     "AVDecomposition",
     "CorrelatorSplit",
     "av_decompose",
+    "split_image",
     "reconstruction_residual",
     "correlator_split",
     "pearson",
@@ -96,7 +97,15 @@ def av_decompose(op: np.ndarray, state: np.ndarray) -> AVDecomposition:
         raise ValueError(
             f"dimension mismatch: operator {op.shape} on state of length {state.shape[0]}"
         )
-    image = op @ state
+    return split_image(op @ state, state)
+
+
+def split_image(image: np.ndarray, state: np.ndarray) -> AVDecomposition:
+    """Split an image ``A|state>`` of a Hermitian ``A`` into mean and fluctuation.
+
+    Raises ``ArithmeticError`` when the mean ``<state|image>`` has an
+    imaginary part above 1e-10 (a non-Hermitian operator slipped through).
+    """
     raw_mean = complex(np.vdot(state, image))
     if abs(raw_mean.imag) > _IMAG_ATOL:
         raise ArithmeticError(f"mean has imaginary part {raw_mean.imag:.3e}")

@@ -1,28 +1,40 @@
 """Bell reports: raw value, local part, and variance-based bounds.
 
-Every report follows the same pattern.  The raw Bell value is compared
-against a *statistical* bound assembled from nothing but single-observable
-means and spreads plus fluctuation-direction overlaps::
+Every report rests on one picture.  The parties split into two blocks A
+and B whose observables commute, and for each pair of settings the
+correlator splits exactly into a product of means plus a fluctuation
+overlap::
+
+    <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
+
+One kernel, ``_two_block``, computes the images ``A_x|psi>`` and
+``B_y|psi>`` by reshaping the state into a ``(dim_A, dim_B)`` matrix,
+splits each image into mean, spread and fluctuation direction, and sums
+the Bell value ``sum_xy c_xy <A_x B_y>`` and its local part
+``sum_xy c_xy <A_x><B_y>`` under the expression's coefficient matrix.
+The families differ only in which operators form the blocks and in the
+budget that bounds the fluctuation term::
 
     bell_value - local_part <= bound_statistical
 
-where ``local_part`` replaces every correlator by the product of means.
 The reported ``slack = bound_statistical + local_part - bell_value`` is
 non-negative for quantum states up to rounding, and zero exactly at the
 saturating configurations.
 
 Family specifics:
 
-* CHSH: ``bound_statistical = sqrt(2) * rms_a * rms_b`` with
-  ``rms = sqrt(dX0^2 + dX1^2)`` per side; Tsirelson bound ``2 sqrt(2)``.
+* CHSH: the blocks are the two parties; ``bound_statistical = sqrt(2) *
+  rms_a * rms_b`` with ``rms = sqrt(dX0^2 + dX1^2)`` per side; Tsirelson
+  bound ``2 sqrt(2)``.  The saturation flags and the Pearson variant read
+  the same images and fluctuation directions.
 * chained(n): the cross terms pick up the overlap angles of consecutive
   fluctuation directions (``cos_lambda``), with the wrap-around term
   sign-flipped; a looser variant replaces every ``cos_lambda`` by 1.  The
   Tsirelson value ``2n cos(pi/2n)`` is attached as a reference value, the
   statistical route does not derive it for n > 2.
-* mk(n): the two-block split of the MK recursion plays the role of the
-  two parties; ``rms_a``/``rms_b`` hold the block aggregates
-  ``sqrt(dB^2 + dB'^2)``.
+* mk(n): the blocks are the two halves of the top-level MK recursion,
+  carrying the block operator pairs with the CHSH coefficients;
+  ``rms_a``/``rms_b`` hold the block aggregates ``sqrt(dB^2 + dB'^2)``.
 """
 
 from __future__ import annotations
@@ -31,19 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avdecomp import (
-    SPREAD_EPS,
-    DegenerateSpreadError,
-    av_decompose,
-    rms_spread,
-)
-from .linalg import ID2, expectation, inner_product, tensor_product
+from .avdecomp import AVDecomposition, DegenerateSpreadError, rms_spread, split_image
+from .linalg import inner_product
 from .scenarios import (
     FamilySpec,
     Scenario,
     check_family_scenario,
-    chained_coefficients,
     chsh_coefficients,
+    coefficient_tensor,
     mk_coefficient_pair,
     operator_from_tensor,
 )
@@ -74,6 +81,8 @@ SATURATION_ATOL = 1e-8
 SLACK_FLOOR = -1e-9
 
 TSIRELSON_CHSH = 2.0 * np.sqrt(2.0)
+
+_CHSH = FamilySpec(name="chsh", n=2)
 
 
 @dataclass(frozen=True)
@@ -158,61 +167,108 @@ class PearsonChshReport:
     bound_tsirelson: float
 
 
-def _lift_two_party(scenario: Scenario) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    a_ops = [tensor_product(op, ID2) for op in scenario.observables[0]]
-    b_ops = [tensor_product(ID2, op) for op in scenario.observables[1]]
-    return a_ops, b_ops
+@dataclass(frozen=True)
+class _TwoBlock:
+    """What every report reads off a two-block split of the state.
+
+    ``a_img[x]`` and ``b_img[y]`` are the flattened images
+    ``(A_x x I)|psi>`` and ``(I x B_y)|psi>``; ``a_dec``/``b_dec`` hold
+    their mean/spread/perp splits; ``bell`` and ``local`` are the
+    expression and its product-of-means counterpart under ``coeff``.
+    """
+
+    a_img: list[np.ndarray]
+    b_img: list[np.ndarray]
+    a_dec: list[AVDecomposition]
+    b_dec: list[AVDecomposition]
+    bell: float
+    local: float
 
 
-def _check_state_dim(scenario: Scenario, state: np.ndarray) -> None:
-    dim = 2**scenario.n_parties
-    if state.shape != (dim,):
+def _two_block(
+    family: FamilySpec,
+    scenario: Scenario,
+    state: np.ndarray,
+    a_ops,
+    b_ops,
+    coeff: np.ndarray,
+) -> _TwoBlock:
+    """Images, splits, Bell value and local part of ``sum_xy coeff[x, y] A_x B_y``.
+
+    ``a_ops`` act on the leading tensor factors and ``b_ops`` on the
+    rest.  The state is reshaped into the matrix ``Psi`` of shape
+    ``(dim_A, dim_B)``, so the images are ``A_x Psi`` and ``Psi B_y^T``
+    and no operator on the joint space is ever formed.
+    """
+    check_family_scenario(family, scenario)
+    if state.shape != (2**scenario.n_parties,):
         raise ValueError(
             f"state of length {state.shape[0]} does not fit {scenario.n_parties} qubit parties"
         )
+    psi = state.reshape(a_ops[0].shape[0], -1)
+    a_img = [(op @ psi).ravel() for op in a_ops]
+    b_img = [(psi @ op.T).ravel() for op in b_ops]
+    a_dec = [split_image(img, state) for img in a_img]
+    b_dec = [split_image(img, state) for img in b_img]
+    bell = 0.0
+    local = 0.0
+    for x, y in zip(*np.nonzero(coeff)):
+        c = float(coeff[x, y])
+        bell += c * float(np.vdot(a_img[x], b_img[y]).real)
+        local += c * a_dec[x].mean * b_dec[y].mean
+    return _TwoBlock(a_img, b_img, a_dec, b_dec, bell, local)
+
+
+def _report(
+    family: FamilySpec,
+    blocks: _TwoBlock,
+    rms_a: float,
+    rms_b: float,
+    bound: float,
+    bound_tsirelson: float,
+    bound_lhv: float,
+    **extra,
+) -> BellReport:
+    """Assemble a report from the kernel's sums and a family's fluctuation budget."""
+    return BellReport(
+        family=family,
+        bell_value=blocks.bell,
+        local_part=blocks.local,
+        nonlocal_amount=blocks.bell - blocks.local,
+        rms_a=rms_a,
+        rms_b=rms_b,
+        bound_statistical=bound,
+        bound_tsirelson=bound_tsirelson,
+        bound_lhv=bound_lhv,
+        slack=bound + blocks.local - blocks.bell,
+        **extra,
+    )
+
+
+def _chsh_budget_report(
+    family: FamilySpec, blocks: _TwoBlock, bound_tsirelson: float, bound_lhv: float
+) -> BellReport:
+    """Report under the CHSH budget ``sqrt(2) * rms_a * rms_b`` of two 2-setting blocks."""
+    rms_a = float(np.hypot(*(d.spread for d in blocks.a_dec)))
+    rms_b = float(np.hypot(*(d.spread for d in blocks.b_dec)))
+    bound = float(np.sqrt(2.0)) * rms_a * rms_b
+    return _report(family, blocks, rms_a, rms_b, bound, bound_tsirelson, bound_lhv)
+
+
+def _party_blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> _TwoBlock:
+    """Kernel with the first and the last party as the blocks (two-party families).
+
+    The kernel rejects any scenario without exactly two parties before
+    the rows are used.
+    """
+    obs = scenario.observables
+    return _two_block(family, scenario, state, obs[0], obs[-1], coefficient_tensor(family))
 
 
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
     """CHSH value, local part, and the sqrt(2)*rms_a*rms_b bound."""
-    family = FamilySpec(name="chsh", n=2)
-    check_family_scenario(family, scenario)
-    _check_state_dim(scenario, state)
-    a_ops, b_ops = _lift_two_party(scenario)
-    a_img = [op @ state for op in a_ops]
-    b_img = [op @ state for op in b_ops]
-    a_mean = [float(np.vdot(state, img).real) for img in a_img]
-    b_mean = [float(np.vdot(state, img).real) for img in b_img]
-    a_spread = [
-        float(np.sqrt(max(np.vdot(img, img).real - m * m, 0.0)))
-        for img, m in zip(a_img, a_mean)
-    ]
-    b_spread = [
-        float(np.sqrt(max(np.vdot(img, img).real - m * m, 0.0)))
-        for img, m in zip(b_img, b_mean)
-    ]
-    coeff = chsh_coefficients()
-    bell = 0.0
-    local = 0.0
-    for x in range(2):
-        for y in range(2):
-            c = float(coeff[x, y])
-            bell += c * float(np.vdot(a_img[x], b_img[y]).real)
-            local += c * a_mean[x] * b_mean[y]
-    rms_a = float(np.hypot(a_spread[0], a_spread[1]))
-    rms_b = float(np.hypot(b_spread[0], b_spread[1]))
-    bound = float(np.sqrt(2.0)) * rms_a * rms_b
-    return BellReport(
-        family=family,
-        bell_value=bell,
-        local_part=local,
-        nonlocal_amount=bell - local,
-        rms_a=rms_a,
-        rms_b=rms_b,
-        bound_statistical=bound,
-        bound_tsirelson=TSIRELSON_CHSH,
-        bound_lhv=2.0,
-        slack=bound + local - bell,
-    )
+    blocks = _party_blocks(_CHSH, scenario, state)
+    return _chsh_budget_report(_CHSH, blocks, TSIRELSON_CHSH, 2.0)
 
 
 def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshReport:
@@ -221,12 +277,8 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     Raises ``DegenerateSpreadError`` when any of the four settings has
     zero spread in the state (the Pearson correlator is undefined there).
     """
-    family = FamilySpec(name="chsh", n=2)
-    check_family_scenario(family, scenario)
-    _check_state_dim(scenario, state)
-    a_ops, b_ops = _lift_two_party(scenario)
-    a_dec = [av_decompose(op, state) for op in a_ops]
-    b_dec = [av_decompose(op, state) for op in b_ops]
+    blocks = _party_blocks(_CHSH, scenario, state)
+    a_dec, b_dec = blocks.a_dec, blocks.b_dec
     if any(d.degenerate for d in a_dec + b_dec):
         raise DegenerateSpreadError("Pearson CHSH undefined: a setting has zero spread")
     r = [
@@ -266,12 +318,9 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     * ``overlap_orthogonal``: the B-side fluctuation directions are
       orthogonal (needs both B spreads).
     """
-    family = FamilySpec(name="chsh", n=2)
-    check_family_scenario(family, scenario)
-    _check_state_dim(scenario, state)
-    a_ops, b_ops = _lift_two_party(scenario)
-    a_dec = [av_decompose(op, state) for op in a_ops]
-    b_dec = [av_decompose(op, state) for op in b_ops]
+    blocks = _party_blocks(_CHSH, scenario, state)
+    a_img, b_img = blocks.a_img, blocks.b_img
+    a_dec, b_dec = blocks.a_dec, blocks.b_dec
     a_ok = not any(d.degenerate for d in a_dec)
     b_ok = not any(d.degenerate for d in b_dec)
 
@@ -282,9 +331,8 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     overlap_orthogonal: bool | None = None
 
     if b_ok:
-        anti = complex(np.vdot(state, (b_ops[0] @ (b_ops[1] @ state)))) + complex(
-            np.vdot(state, (b_ops[1] @ (b_ops[0] @ state)))
-        )
+        # <psi|B0 B1 + B1 B0|psi> = 2 Re <B0 psi|B1 psi> for Hermitian B's.
+        anti = 2.0 * float(np.vdot(b_img[0], b_img[1]).real)
         anticommutator_zero = bool(abs(anti) <= SATURATION_ATOL)
         overlap = inner_product(b_dec[0].perp, b_dec[1].perp)
         overlap_orthogonal = bool(abs(overlap) <= SATURATION_ATOL)
@@ -305,12 +353,7 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
         )
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         rel = [
-            float(
-                np.linalg.norm(
-                    a_ops[x] @ state
-                    - inv_sqrt2 * ((b_ops[0] @ state) + (-1.0) ** x * (b_ops[1] @ state))
-                )
-            )
+            float(np.linalg.norm(a_img[x] - inv_sqrt2 * (b_img[0] + (-1.0) ** x * b_img[1])))
             for x in range(2)
         ]
         operator_relation = bool(max(rel) <= SATURATION_ATOL)
@@ -338,23 +381,9 @@ def chained_report(
     if n < 2:
         raise ValueError(f"chained report needs n >= 2, got {n}")
     family = FamilySpec(name="chained", n=n)
-    check_family_scenario(family, scenario)
-    _check_state_dim(scenario, state)
-    a_ops, b_ops = _lift_two_party(scenario)
-    a_dec = [av_decompose(op, state) for op in a_ops]
-    b_dec = [av_decompose(op, state) for op in b_ops]
-    coeff = chained_coefficients(n)
-    bell = 0.0
-    local = 0.0
-    for x in range(n):
-        for y in range(n):
-            c = coeff[x, y]
-            if c == 0:
-                continue
-            corr = float(np.vdot(a_ops[x] @ state, b_ops[y] @ state).real)
-            bell += float(c) * corr
-            local += float(c) * a_dec[x].mean * b_dec[y].mean
-    rms_a = rms_spread([d.spread for d in a_dec])
+    blocks = _party_blocks(family, scenario, state)
+    b_dec = blocks.b_dec
+    rms_a = rms_spread([d.spread for d in blocks.a_dec])
     rms_b = rms_spread([d.spread for d in b_dec])
 
     cos_lambda = []
@@ -373,17 +402,14 @@ def chained_report(
     cross_loose = sum(b_dec[j].spread * b_dec[(j + 1) % n].spread for j in range(n))
     bound = float(np.sqrt(2.0) * rms_a * np.sqrt(max(rms_b**2 + cross, 0.0)))
     bound_loose = float(np.sqrt(2.0) * rms_a * np.sqrt(max(rms_b**2 + cross_loose, 0.0)))
-    report = BellReport(
-        family=family,
-        bell_value=bell,
-        local_part=local,
-        nonlocal_amount=bell - local,
-        rms_a=rms_a,
-        rms_b=rms_b,
-        bound_statistical=bound,
-        bound_tsirelson=float(2.0 * n * np.cos(np.pi / (2 * n))),
-        bound_lhv=float(2 * n - 2),
-        slack=bound + local - bell,
+    report = _report(
+        family,
+        blocks,
+        rms_a,
+        rms_b,
+        bound,
+        float(2.0 * n * np.cos(np.pi / (2 * n))),
+        float(2 * n - 2),
         bound_statistical_loose=bound_loose,
         tsirelson_is_reference=True,
     )
@@ -396,58 +422,25 @@ def mk_report(
     """MK report built from the top-level block split.
 
     The recursion's two blocks (sites 0..k-1 and k..n-1) take the roles
-    of the two parties: the local part applies the recursion to the four
-    block means, and the bound multiplies the block fluctuation
-    aggregates ``sqrt(dB^2 + dB'^2)``.
+    of the two parties: their operator pairs ``(B_k, B_k')`` and
+    ``(B_{n-k}, B_{n-k}')`` enter the kernel with the CHSH coefficients,
+    which is ``B_n`` by the recursion.  The local part is the recursion
+    applied to the four block means, and the bound multiplies the block
+    fluctuation aggregates ``sqrt(dB^2 + dB'^2)``.
     """
     family = FamilySpec(name="mk", n=n, split_k=split_k)
+    # The blocks are built from the scenario, so its shape is checked first.
     check_family_scenario(family, scenario)
-    _check_state_dim(scenario, state)
-    k, m = split_k, n - split_k
-    head_obs = scenario.observables[:k]
-    tail_obs = scenario.observables[k:]
 
-    def _block_ops(n_sites, obs_rows):
-        if n_sites == 1:
-            return obs_rows[0][0], obs_rows[0][1]
-        t, t_prime = mk_coefficient_pair(n_sites, 1)
-        return (
-            operator_from_tensor(t, obs_rows),
-            operator_from_tensor(t_prime, obs_rows),
-        )
+    def block_pair(rows):
+        if len(rows) == 1:
+            return rows[0]
+        return [operator_from_tensor(t, rows) for t in mk_coefficient_pair(len(rows), 1)]
 
-    head, head_prime = _block_ops(k, head_obs)
-    tail, tail_prime = _block_ops(m, tail_obs)
-    id_head = np.eye(2**k, dtype=complex)
-    id_tail = np.eye(2**m, dtype=complex)
-    lifted = {
-        "head": tensor_product(head, id_tail),
-        "head_prime": tensor_product(head_prime, id_tail),
-        "tail": tensor_product(id_head, tail),
-        "tail_prime": tensor_product(id_head, tail_prime),
-    }
-    dec = {name: av_decompose(op, state) for name, op in lifted.items()}
-
-    t_full, _ = mk_coefficient_pair(n, split_k)
-    bell = expectation(operator_from_tensor(t_full, scenario.observables), state)
-    local = dec["head"].mean * (dec["tail"].mean + dec["tail_prime"].mean) + dec[
-        "head_prime"
-    ].mean * (dec["tail"].mean - dec["tail_prime"].mean)
-    rms_a = float(np.hypot(dec["head"].spread, dec["head_prime"].spread))
-    rms_b = float(np.hypot(dec["tail"].spread, dec["tail_prime"].spread))
-    bound = float(np.sqrt(2.0)) * rms_a * rms_b
-    return BellReport(
-        family=family,
-        bell_value=bell,
-        local_part=local,
-        nonlocal_amount=bell - local,
-        rms_a=rms_a,
-        rms_b=rms_b,
-        bound_statistical=bound,
-        bound_tsirelson=float(2.0 ** (1.5 * (n - 1))),
-        bound_lhv=float(2 ** (n - 1)),
-        slack=bound + local - bell,
-    )
+    head = block_pair(scenario.observables[:split_k])
+    tail = block_pair(scenario.observables[split_k:])
+    blocks = _two_block(family, scenario, state, head, tail, chsh_coefficients())
+    return _chsh_budget_report(family, blocks, float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1)))
 
 
 def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> BellReport:

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: decompose, report, optimize, scan, sample, lhv.  A human
-readable table always goes to stdout; pass ``--format json|csv`` together
-with ``--out PATH`` to also write a machine readable file (every format
+readable table always goes to stdout; ``--out PATH`` also writes a
+machine readable file, canonical JSON by default.  ``report``, ``scan``
+and ``sample`` take ``--format csv`` for a CSV file instead (every format
 carries a schema_version field, CSV as a leading comment line).
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
@@ -13,12 +14,14 @@ error.
 State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
 a list of ``[re, im]`` amplitude pairs, or an inline comma-separated list
-of real amplitudes.  Explicit amplitudes are normalized.
+of real amplitudes.  Explicit amplitudes must be finite and are
+normalized.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -35,7 +38,7 @@ from .bounds import (
     report_to_json_dict,
     saturation_check,
 )
-from .linalg import DIM_CAP, as_ket, embed_local
+from .linalg import as_ket, embed_local
 from .montecarlo import batch_to_csv, empirical_check, estimate, estimates_to_json_dict, simulate_rounds
 from .optimize import random_scan, seesaw_max
 from .presets import PRESET_NAMES, preset
@@ -58,18 +61,25 @@ class InputError(ValueError):
     """Unreadable or malformed user input (exit code 2)."""
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
+
+
+def _emit(args, rows: list[tuple[str, str]], doc: dict, csv_text: str | None = None) -> int:
+    """Print the table; with ``--out``, write ``csv_text`` or else ``doc`` as canonical JSON."""
+    print(_table(rows))
+    if args.out:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if csv_text is None else csv_text
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
+
+
+def _csv_text(keys: list[str], records) -> str:
+    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(keys)]
+    lines.extend(",".join(repr(v) for v in rec) for rec in records)
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -125,6 +135,8 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
             vec = np.array([complex(float(part), 0.0) for part in spec.split(",")])
         except ValueError as exc:
             raise InputError(f"cannot parse state spec {spec!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise InputError("state amplitudes must be finite")
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise InputError("state amplitudes are all zero")
@@ -194,30 +206,20 @@ def _cmd_decompose(args) -> int:
                 f"residual {residual:.2e}" + ("  (degenerate)" if dec.degenerate else "")
             )
             rows.append((label, detail))
-    print(_table(rows))
-    if args.out:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": scenario_to_json_dict(scenario),
-            "state": [[float(a.real), float(a.imag)] for a in state],
-            "decompositions": entries,
-        }
-        _write_out(args.out, _json_text(doc))
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "scenario": scenario_to_json_dict(scenario),
+        "state": [[float(a.real), float(a.imag)] for a in state],
+        "decompositions": entries,
+    }
+    return _emit(args, rows, doc)
 
 
 def _report_document(family, scenario, state) -> dict:
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if family.name == "chsh":
         report = chsh_report(scenario, state)
-        flags = saturation_check(scenario, state)
-        doc["saturation"] = {
-            "perp_alignment": flags.perp_alignment,
-            "ratio_condition": flags.ratio_condition,
-            "anticommutator_zero": flags.anticommutator_zero,
-            "operator_relation": flags.operator_relation,
-            "overlap_orthogonal": flags.overlap_orthogonal,
-        }
+        doc["saturation"] = dataclasses.asdict(saturation_check(scenario, state))
         try:
             pr = pearson_chsh_report(scenario, state)
             doc["pearson"] = {
@@ -271,17 +273,11 @@ def _cmd_report(args) -> int:
         rows.append(("pearson bound", _fmt(doc["pearson"]["bound_geometric"])))
     if "cos_lambda" in doc:
         rows.append(("cos_lambda", " ".join(_fmt(c) for c in doc["cos_lambda"])))
-    print(_table(rows))
-    if args.out:
-        if args.format == "csv":
-            keys = [k for k in report if k not in ("family", "schema_version")]
-            lines = [f"# schema_version: {SCHEMA_VERSION}"]
-            lines.append(",".join(keys))
-            lines.append(",".join(repr(report[k]) for k in keys))
-            _write_out(args.out, "\n".join(lines) + "\n")
-        else:
-            _write_out(args.out, _json_text(doc))
-    return 0
+    csv_text = None
+    if args.format == "csv":
+        keys = [k for k in report if k not in ("family", "schema_version")]
+        csv_text = _csv_text(keys, [[report[k] for k in keys]])
+    return _emit(args, rows, doc, csv_text)
 
 
 def _cmd_optimize(args) -> int:
@@ -301,30 +297,27 @@ def _cmd_optimize(args) -> int:
             )
         )
     rows.append(("best", f"seed {best.seed}  value {_fmt(best.value)}"))
-    print(_table(rows))
-    if args.out:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "family": family_to_json_dict(family),
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "value": r.value,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                }
-                for r in results
-            ],
-            "best": {
-                "seed": best.seed,
-                "value": best.value,
-                "history": list(best.history),
-                "scenario": scenario_to_json_dict(best.scenario, family),
-                "state": [[float(a.real), float(a.imag)] for a in best.state],
-            },
-        }
-        _write_out(args.out, _json_text(doc))
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family_to_json_dict(family),
+        "runs": [
+            {
+                "seed": r.seed,
+                "value": r.value,
+                "iterations": r.iterations,
+                "converged": r.converged,
+            }
+            for r in results
+        ],
+        "best": {
+            "seed": best.seed,
+            "value": best.value,
+            "history": list(best.history),
+            "scenario": scenario_to_json_dict(best.scenario, family),
+            "state": [[float(a.real), float(a.imag)] for a in best.state],
+        },
+    }
+    return _emit(args, rows, doc)
 
 
 def _cmd_scan(args) -> int:
@@ -342,39 +335,21 @@ def _cmd_scan(args) -> int:
         ),
         ("violations", str(summary.violations)),
     ]
-    print(_table(rows))
-    if args.out:
-        if args.format == "csv":
-            lines = [f"# schema_version: {SCHEMA_VERSION}"]
-            lines.append("index,bell_value,local_part,rms_a,rms_b,bound_statistical,slack")
-            for row in summary.rows or ():
-                lines.append(
-                    ",".join(
-                        repr(row[k])
-                        for k in (
-                            "index",
-                            "bell_value",
-                            "local_part",
-                            "rms_a",
-                            "rms_b",
-                            "bound_statistical",
-                            "slack",
-                        )
-                    )
-                )
-            _write_out(args.out, "\n".join(lines) + "\n")
-        else:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "family": family_to_json_dict(family),
-                "n_samples": summary.n_samples,
-                "min_slack": summary.min_slack,
-                "mean_slack": summary.mean_slack,
-                "violations": summary.violations,
-                "seed": summary.seed,
-            }
-            _write_out(args.out, _json_text(doc))
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family_to_json_dict(family),
+        "n_samples": summary.n_samples,
+        "min_slack": summary.min_slack,
+        "mean_slack": summary.mean_slack,
+        "violations": summary.violations,
+        "seed": summary.seed,
+    }
+    csv_text = None
+    if want_rows:
+        keys = ["index", "bell_value", "local_part", "rms_a", "rms_b"]
+        keys += ["bound_statistical", "slack"]
+        csv_text = _csv_text(keys, [[row[k] for k in keys] for row in summary.rows])
+    return _emit(args, rows, doc, csv_text)
 
 
 def _cmd_sample(args) -> int:
@@ -399,31 +374,18 @@ def _cmd_sample(args) -> int:
                 f"z {check.z}",
             )
         )
-    print(_table(rows))
-    if args.out:
-        if args.format == "csv":
-            _write_out(args.out, batch_to_csv(batch))
-        else:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "family": family_to_json_dict(family),
-                "rounds": batch.rounds,
-                "seed": batch.seed,
-                "counts": batch.counts.tolist(),
-                "estimates": estimates_to_json_dict(est),
-            }
-            if check is not None:
-                doc["empirical_check"] = {
-                    "passed": check.passed,
-                    "margin": check.margin,
-                    "bell_value_hat": check.bell_value_hat,
-                    "local_part_hat": check.local_part_hat,
-                    "bound_hat": check.bound_hat,
-                    "se_margin": check.se_margin,
-                    "z": check.z,
-                }
-            _write_out(args.out, _json_text(doc))
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family_to_json_dict(family),
+        "rounds": batch.rounds,
+        "seed": batch.seed,
+        "counts": batch.counts.tolist(),
+        "estimates": estimates_to_json_dict(est),
+    }
+    if check is not None:
+        doc["empirical_check"] = dataclasses.asdict(check)
+    csv_text = batch_to_csv(batch) if args.out and args.format == "csv" else None
+    return _emit(args, rows, doc, csv_text)
 
 
 def _cmd_lhv(args) -> int:
@@ -433,15 +395,12 @@ def _cmd_lhv(args) -> int:
         ("family", f"{family.name} (n={family.n})"),
         ("lhv_max", _fmt(value)),
     ]
-    print(_table(rows))
-    if args.out:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "family": family_to_json_dict(family),
-            "lhv_max": value,
-        }
-        _write_out(args.out, _json_text(doc))
-    return 0
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family_to_json_dict(family),
+        "lhv_max": value,
+    }
+    return _emit(args, rows, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +414,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, preset_ok=False, scenario_ok=False):
+    def add_common(p, preset_ok=False, scenario_ok=False, format_ok=False):
         p.add_argument("--family", choices=["chsh", "chained", "mk"], default=None)
         p.add_argument("--n", type=int, default=None, help="settings (chained) or parties (mk)")
         p.add_argument("--split-k", type=int, default=1, dest="split_k")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if format_ok:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write machine output here")
         if preset_ok:
             p.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
@@ -473,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("report", help="Bell value, local part and bounds")
-    add_common(p, preset_ok=True, scenario_ok=True)
+    add_common(p, preset_ok=True, scenario_ok=True, format_ok=True)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("optimize", help="see-saw maximization over seeds")
@@ -483,12 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("scan", help="slack statistics over random instances")
-    add_common(p)
+    add_common(p, format_ok=True)
     p.add_argument("--samples", type=int, required=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("sample", help="Born-rule rounds, estimates, bound check")
-    add_common(p, preset_ok=True, scenario_ok=True)
+    add_common(p, preset_ok=True, scenario_ok=True, format_ok=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--z", type=float, default=5.0)
     p.set_defaults(func=_cmd_sample)

@@ -60,7 +60,8 @@ def as_ket(amplitudes) -> np.ndarray:
     """Validate and return a state vector as a complex array.
 
     The vector must be 1-d, of power-of-two length up to ``DIM_CAP``, and
-    normalized to unit norm within 1e-12.
+    normalized to unit norm within 1e-12.  NaN or infinite amplitudes
+    fail the norm test.
     """
     vec = np.asarray(amplitudes, dtype=complex)
     if vec.ndim != 1:
@@ -71,13 +72,16 @@ def as_ket(amplitudes) -> np.ndarray:
     if dim > DIM_CAP:
         raise ValueError(f"ket dimension {dim} exceeds cap {DIM_CAP}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > _NORM_ATOL:
+    if not abs(norm - 1.0) <= _NORM_ATOL:
         raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return vec
 
 
 def as_hermitian(entries) -> np.ndarray:
-    """Validate and return an operator as a complex Hermitian matrix."""
+    """Validate and return an operator as a complex Hermitian matrix.
+
+    NaN or infinite entries fail the Hermiticity test.
+    """
     op = np.asarray(entries, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator must be square, got shape {op.shape}")
@@ -87,7 +91,7 @@ def as_hermitian(entries) -> np.ndarray:
     if dim > DIM_CAP:
         raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
     dev = np.max(np.abs(op - op.conj().T))
-    if dev > _HERM_ATOL:
+    if not dev <= _HERM_ATOL:
         raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
     return op
 

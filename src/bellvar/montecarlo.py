@@ -42,7 +42,6 @@ from .scenarios import (
     Scenario,
     check_family_scenario,
     coefficient_tensor,
-    family_from_json_dict,
     family_to_json_dict,
 )
 
@@ -374,11 +373,3 @@ def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:
         "se_bell_value": estimates.se_bell_value,
         "rms_hats": [float(v) for v in estimates.rms_hats],
     }
-
-
-def estimates_from_json_dict(node: dict) -> dict:
-    """Light validation read-back of an estimates document (as plain dict)."""
-    if node.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {node.get('schema_version')!r}")
-    family_from_json_dict(node["family"])
-    return node

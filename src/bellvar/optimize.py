@@ -41,6 +41,7 @@ from .scenarios import (
     chsh_coefficients,
     coefficient_tensor,
     from_bloch_table,
+    operator_from_tensor,
     random_scenario,
 )
 
@@ -146,12 +147,6 @@ def _environment_operator(
     return out
 
 
-def _operator(coeff: np.ndarray, observables) -> np.ndarray:
-    from .scenarios import operator_from_tensor
-
-    return operator_from_tensor(coeff, observables)
-
-
 def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> OptimizationResult:
     """Alternating state/setting maximization from a seeded random start.
 
@@ -180,7 +175,7 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     converged = False
     for _ in range(max_iters):
         iterations += 1
-        _, state = top_eigenpair(_operator(coeff, observables))
+        _, state = top_eigenpair(operator_from_tensor(coeff, observables))
         sigma_images = [[op @ state for op in row] for row in lifted_sigmas]
         for p in range(n_parties):
             for s in range(len(observables[p])):
@@ -193,7 +188,7 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
                 if norm < _GRADIENT_EPS:
                     continue
                 observables[p][s] = bloch_observable(g / norm)
-        value = expectation(_operator(coeff, observables), state)
+        value = expectation(operator_from_tensor(coeff, observables), state)
         history.append(value)
         if value - prev < CONVERGENCE_EPS:
             stall += 1

@@ -29,7 +29,6 @@ import numpy as np
 
 from .linalg import (
     DIM_CAP,
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -57,8 +56,6 @@ __all__ = [
     "coefficient_tensor",
     "operator_from_tensor",
     "bell_operator",
-    "chsh_operator",
-    "chained_operator",
     "mk_operators",
     "lhv_max",
     "uniform_bloch",
@@ -90,7 +87,7 @@ def bloch_observable(vec) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _BLOCH_NORM_ATOL:
+    if not abs(norm - 1.0) <= _BLOCH_NORM_ATOL:
         raise ValueError(f"Bloch vector is not unit length: |v| = {norm!r}")
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
@@ -310,20 +307,6 @@ def bell_operator(family: FamilySpec, scenario: Scenario) -> np.ndarray:
     """Full-space operator of the family's expression (B_n for mk)."""
     check_family_scenario(family, scenario)
     return operator_from_tensor(coefficient_tensor(family), scenario.observables)
-
-
-def chsh_operator(a0, a1, b0, b1) -> np.ndarray:
-    """CHSH operator ``A0 B0 + A0 B1 + A1 B0 - A1 B1`` on two qubits."""
-    scen = Scenario(observables=((a0, a1), (b0, b1)))
-    return operator_from_tensor(chsh_coefficients(), scen.observables)
-
-
-def chained_operator(n: int, a_list, b_list) -> np.ndarray:
-    """Cyclic n-setting two-party operator; reduces to CHSH at n = 2 under B1 -> -B1."""
-    if len(a_list) != n or len(b_list) != n:
-        raise ValueError(f"need exactly {n} observables per party")
-    scen = Scenario(observables=(tuple(a_list), tuple(b_list)))
-    return operator_from_tensor(chained_coefficients(n), scen.observables)
 
 
 @dataclass(frozen=True)

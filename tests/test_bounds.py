@@ -6,6 +6,8 @@ come from the closed-form marginals of that configuration; the product
 state cases were evaluated by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,19 @@ from bellvar.bounds import (
     report_to_json_dict,
     saturation_check,
 )
-from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_random_ket, top_eigenpair
+from bellvar.linalg import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    expectation,
+    haar_random_ket,
+    top_eigenpair,
+)
 from bellvar.scenarios import (
+    FamilySpec,
     Scenario,
+    bell_operator,
     bell_state,
     bloch_observable,
     chained_family,
@@ -332,6 +344,40 @@ def test_mk_report_agrees_with_operator_expectation():
     scen = Scenario(observables=tuple(pairs))
     rep = mk_report(3, scen, psi)
     assert rep.bell_value == pytest.approx(want, abs=1e-9)
+
+
+# The full-space operator is the reference route: no report builds it.
+REFERENCE_FAMILIES = (
+    [FamilySpec(name="chsh")]
+    + [FamilySpec(name="chained", n=n) for n in range(2, 6)]
+    + [FamilySpec(name="mk", n=n, split_k=k) for n in range(2, 7) for k in range(1, n)]
+)
+
+
+@pytest.mark.parametrize(
+    "family", REFERENCE_FAMILIES, ids=lambda f: f"{f.name}-n{f.n}-k{f.split_k}"
+)
+def test_report_bell_value_matches_full_operator(family):
+    rng = np.random.default_rng([family.n, family.split_k, len(family.name)])
+    for _ in range(5):
+        scen = random_scenario(family, rng)
+        psi = haar_random_ket(2**family.n_parties, rng)
+        rep = report_for(family, scen, psi)
+        want = expectation(bell_operator(family, scen), psi)
+        assert abs(rep.bell_value - want) <= 1e-10
+
+
+def test_mk2_report_equals_chsh_report():
+    # at split 1, mk(2) carries exactly the CHSH coefficients
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        scen = random_scenario(chsh_family(), rng)
+        psi = haar_random_ket(4, rng)
+        mk = dataclasses.asdict(mk_report(2, scen, psi))
+        chsh = dataclasses.asdict(chsh_report(scen, psi))
+        assert mk.pop("family") == {"name": "mk", "n": 2, "split_k": 1}
+        chsh.pop("family")
+        assert mk == chsh
 
 
 def test_report_for_dispatch():

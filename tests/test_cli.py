@@ -144,6 +144,15 @@ def test_report_bad_state_spec(scenario_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_report_rejects_nonfinite_state(scenario_file, tmp_path, capsys, bad):
+    out_path = tmp_path / "report.json"
+    argv = ["report", "--scenario", str(scenario_file), "--state", f"1,{bad},0,0"]
+    assert main(argv + ["--out", str(out_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_report_state_file(scenario_file, tmp_path, capsys):
     state_path = tmp_path / "state.json"
     state_path.write_text(
@@ -341,6 +350,21 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["report", "--preset", "unknown-preset"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhv", "--family", "chsh"],
+        ["optimize", "--family", "chsh"],
+        ["decompose", "--scenario", "scenario.json"],
+    ],
+)
+def test_format_only_on_report_scan_sample(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    assert main(argv + ["--format", "csv", "--out", str(out_path)]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_module_entry_point():

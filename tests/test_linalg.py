@@ -58,6 +58,15 @@ def test_as_ket_rejects_bad_input():
         as_ket(np.zeros(4))
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_as_ket_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        as_ket([bad, 0.0, 0.0, 0.0])
+
+
 def test_as_ket_rejects_oversized_vectors():
     n = DIM_CAP * 2
     v = np.zeros(n)
@@ -71,6 +80,16 @@ def test_as_hermitian_rejects_non_hermitian():
         as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         as_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_as_hermitian_rejects_nonfinite(bad, entry):
+    op = np.eye(2, dtype=complex)
+    op[entry] = bad
+    op[entry[::-1]] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+        as_hermitian(op)
 
 
 def test_tensor_product_matches_kron_order():

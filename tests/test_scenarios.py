@@ -19,11 +19,9 @@ from bellvar.scenarios import (
     bloch_of,
     chained_coefficients,
     chained_family,
-    chained_operator,
     check_family_scenario,
     chsh_coefficients,
     chsh_family,
-    chsh_operator,
     coefficient_tensor,
     family_from_json_dict,
     family_to_json_dict,
@@ -34,6 +32,7 @@ from bellvar.scenarios import (
     mk_coefficient_pair,
     mk_family,
     mk_operators,
+    operator_from_tensor,
     random_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -54,6 +53,12 @@ def test_bloch_observable_requires_unit_vector():
         bloch_observable([0, 0, 0.5])
     with pytest.raises(ValueError):
         bloch_observable([1, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bloch_observable_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="unit length"):
+        bloch_observable([bad, 0.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,13 +134,14 @@ def test_chsh_operator_matches_hand_built_kron():
     want = (
         np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
     )
-    np.testing.assert_allclose(chsh_operator(a0, a1, b0, b1), want, atol=1e-14)
+    op = operator_from_tensor(chsh_coefficients(), ((a0, a1), (b0, b1)))
+    np.testing.assert_allclose(op, want, atol=1e-14)
 
 
 def test_chsh_operator_top_eigenvalue_at_optimal_settings():
     a0 = bloch_observable([INV_SQRT2, 0, INV_SQRT2])
     a1 = bloch_observable([-INV_SQRT2, 0, INV_SQRT2])
-    op = chsh_operator(a0, a1, SIGMA_Z, SIGMA_X)
+    op = operator_from_tensor(chsh_coefficients(), ((a0, a1), (SIGMA_Z, SIGMA_X)))
     top = np.linalg.eigvalsh(op)[-1]
     assert top == pytest.approx(2 * np.sqrt(2.0), abs=1e-12)
 
@@ -148,15 +154,16 @@ def test_chained_operator_planar_top_eigenvalue():
     b_dirs = [j * np.pi / n for j in range(n)]
     a_ops = [bloch_observable([np.sin(t), 0, np.cos(t)]) for t in a_dirs]
     b_ops = [bloch_observable([np.sin(t), 0, np.cos(t)]) for t in b_dirs]
-    op = chained_operator(n, a_ops, b_ops)
+    op = operator_from_tensor(chained_coefficients(n), (a_ops, b_ops))
     top = np.linalg.eigvalsh(op)[-1]
     assert top == pytest.approx(3 * np.sqrt(3.0), abs=1e-9)
 
 
 def test_chained_operator_argument_validation():
+    # a 3-setting coefficient tensor against two settings per party
     ops = [SIGMA_Z, SIGMA_X]
-    with pytest.raises(ValueError):
-        chained_operator(3, ops, ops)
+    with pytest.raises(ValueError, match="coefficient shape"):
+        operator_from_tensor(chained_coefficients(3), (ops, ops))
 
 
 def test_mk_pair_two_sites_matches_expansion():
@@ -232,7 +239,7 @@ def test_coefficient_tensor_dispatch():
 def test_bell_operator_uses_family_shape():
     scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]], [[0, 0, 1], [1, 0, 0]]])
     op = bell_operator(chsh_family(), scen)
-    want = chsh_operator(SIGMA_Z, SIGMA_X, SIGMA_Z, SIGMA_X)
+    want = operator_from_tensor(chsh_coefficients(), ((SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X)))
     np.testing.assert_allclose(op, want, atol=1e-14)
     with pytest.raises(ValueError):
         bell_operator(chained_family(3), scen)
