@@ -222,12 +222,8 @@ def _report_document(family, scenario, state) -> dict:
         doc["saturation"] = dataclasses.asdict(saturation_check(scenario, state))
         try:
             pr = pearson_chsh_report(scenario, state)
-            doc["pearson"] = {
-                "r_values": [list(row) for row in pr.r_values],
-                "r_chsh": pr.r_chsh,
-                "cos_lambda_b": pr.cos_lambda_b,
-                "bound_geometric": pr.bound_geometric,
-            }
+            doc["pearson"] = dataclasses.asdict(pr)
+            del doc["pearson"]["bound_tsirelson"]
         except ValueError:
             doc["pearson"] = None
     elif family.name == "chained":

@@ -5,9 +5,12 @@ The see-saw alternates two exact coordinate maximizations:
 * state step: the state becomes the top eigenvector of the current Bell
   operator;
 * setting step: each single-qubit observable in turn becomes ``g . sigma
-  / |g|``, where ``g_j`` is the expectation of the expression with that
-  observable replaced by ``sigma_j`` (the value is linear in the Bloch
-  vector, so the normalized gradient is the exact argmax).
+  / |g|``.  ``g_j`` is the state's expectation of the terms that contain
+  that setting, with that observable replaced by ``sigma_j``: the operator
+  built from the coefficient slice at that setting, ``np.take(coeff, [s],
+  axis=p)``, and the party's one-entry stack ``[sigma_j]``.  The value is
+  linear in the Bloch vector, so the normalized gradient is the exact
+  argmax.
 
 Both steps can only increase the objective, so the recorded history is
 nondecreasing up to rounding.  All randomness (initial settings, scan
@@ -21,16 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import report_for
+from .bounds import SLACK_FLOOR, report_for
 from .linalg import (
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    embed_local,
     expectation,
     haar_random_ket,
-    tensor_product,
     top_eigenpair,
 )
 from .scenarios import (
@@ -86,10 +86,11 @@ class OptimizationResult:
 class ScanSummary:
     """Slack statistics over random instances of one family.
 
-    ``violations`` counts samples whose slack fell below the rounding
-    floor (-1e-9).  ``min_slack``/``mean_slack`` are None for an empty
-    scan.  ``rows`` optionally keeps one record per instance for CSV
-    export; it is not part of the summary proper.
+    ``violations`` counts samples whose slack is not at or above the
+    rounding floor ``bounds.SLACK_FLOOR``, NaN included; a NaN slack also
+    propagates into ``min_slack``.  ``min_slack``/``mean_slack`` are None
+    for an empty scan.  ``rows`` optionally keeps one record per instance
+    for CSV export; it is not part of the summary proper.
     """
 
     family: FamilySpec
@@ -122,31 +123,6 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _environment_operator(
-    coeff: np.ndarray, observables, party: int, setting: int
-) -> np.ndarray:
-    """Sum of coefficient-weighted partner products, identity at ``party``.
-
-    This is the operator ``E`` with ``value = <psi| X_party E |psi>`` +
-    terms not involving the chosen setting, so the Bloch gradient of the
-    value is ``g_j = <psi| sigma_j^(party) E |psi>``.
-    """
-    n_parties = len(observables)
-    dim = 2**n_parties
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx in np.ndindex(*coeff.shape):
-        if idx[party] != setting:
-            continue
-        c = coeff[idx]
-        if c == 0:
-            continue
-        factors = [
-            ID2 if p == party else observables[p][s] for p, s in enumerate(idx)
-        ]
-        out += float(c) * tensor_product(factors)
-    return out
-
-
 def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> OptimizationResult:
     """Alternating state/setting maximization from a seeded random start.
 
@@ -161,11 +137,6 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     start = random_scenario(family, rng)
     observables = [list(row) for row in start.observables]
     coeff = coefficient_tensor(family)
-    n_parties = family.n_parties
-    lifted_sigmas = [
-        [embed_local(sigma, p, n_parties) for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        for p in range(n_parties)
-    ]
 
     history: list[float] = []
     state = None
@@ -176,13 +147,19 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     for _ in range(max_iters):
         iterations += 1
         _, state = top_eigenpair(operator_from_tensor(coeff, observables))
-        sigma_images = [[op @ state for op in row] for row in lifted_sigmas]
-        for p in range(n_parties):
+        for p in range(family.n_parties):
             for s in range(len(observables[p])):
-                env = _environment_operator(coeff, observables, p, s)
-                image = env @ state
+                terms = np.take(coeff, [s], axis=p)
                 g = np.array(
-                    [float(np.vdot(sig, image).real) for sig in sigma_images[p]]
+                    [
+                        expectation(
+                            operator_from_tensor(
+                                terms, observables[:p] + [[sigma]] + observables[p + 1 :]
+                            ),
+                            state,
+                        )
+                        for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+                    ]
                 )
                 norm = float(np.linalg.norm(g))
                 if norm < _GRADIENT_EPS:
@@ -333,9 +310,9 @@ def random_scan(
         state = haar_random_ket(dim, rng)
         report = report_for(family, scenario, state)
         slack = report.slack
-        min_slack = min(min_slack, slack)
+        min_slack = np.minimum(min_slack, slack)
         total += slack
-        if slack < -1e-9:
+        if not slack >= SLACK_FLOOR:
             violations += 1
         if rows is not None:
             rows.append(

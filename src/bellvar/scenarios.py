@@ -35,7 +35,6 @@ from .linalg import (
     as_hermitian,
     as_ket,
     is_dichotomic,
-    tensor_product,
 )
 
 __all__ = [
@@ -282,25 +281,39 @@ def coefficient_tensor(family: FamilySpec) -> np.ndarray:
 # operators
 
 
+def _contract(coeff: np.ndarray, stacks) -> np.ndarray:
+    """Fold ``coeff`` against one stack per party, taking the parties in order.
+
+    ``stacks[p]`` has party p's setting axis first.  Each step contracts the
+    running tensor's leading (setting) axis and appends the stack's
+    remaining axes, so the result holds those axes party by party.
+    """
+    value = coeff
+    for stack in stacks:
+        value = np.tensordot(value, stack, axes=([0], [0]))
+    return value
+
+
 def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     """Bell operator ``sum_x coeff[x] (X_1 tensor ... tensor X_P)``.
 
     ``observables[p][s]`` supplies party p's operator under setting s;
-    party p is tensor factor p (big-endian site order).
+    party p is tensor factor p (big-endian site order).  The sum is one
+    contraction of ``coeff`` against the per-party ``(S_p, 2, 2)`` stacks;
+    no Kronecker product is formed.
     """
     shape = tuple(len(row) for row in observables)
     if coeff.shape != shape:
         raise ValueError(f"coefficient shape {coeff.shape} does not match scenario {shape}")
-    dim = 2 ** len(shape)
+    n_parties = len(shape)
+    dim = 2**n_parties
     if dim > DIM_CAP:
         raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx in np.ndindex(*coeff.shape):
-        c = coeff[idx]
-        if c == 0:
-            continue
-        out += float(c) * tensor_product([observables[p][s] for p, s in enumerate(idx)])
-    return out
+    stacks = [np.asarray(row, dtype=complex) for row in observables]
+    # axes come out as (row_0, col_0, row_1, col_1, ...); rows first, then columns
+    value = _contract(coeff, stacks)
+    order = list(range(0, 2 * n_parties, 2)) + list(range(1, 2 * n_parties, 2))
+    return value.transpose(order).reshape(dim, dim)
 
 
 def bell_operator(family: FamilySpec, scenario: Scenario) -> np.ndarray:
@@ -355,8 +368,8 @@ def lhv_max(family: FamilySpec) -> float:
     """Exact deterministic-strategy maximum of the family's expression.
 
     Every assignment of +-1 outcomes to every (party, setting) is
-    evaluated; the per-party strategy tables are contracted against the
-    coefficient tensor, which enumerates all ``2**(sum of settings)``
+    evaluated; the per-party ``(S_p, 2**S_p)`` strategy tables are contracted
+    against the coefficient tensor, which enumerates all ``2**(sum of settings)``
     assignments without forming them one at a time.  Integer arithmetic
     throughout, so the result is exact.
     """
@@ -367,12 +380,11 @@ def lhv_max(family: FamilySpec) -> float:
         raise ValueError(
             f"enumeration size 2**{total_bits} exceeds cap 2**{LHV_ENUMERATION_CAP_BITS}"
         )
-    value = coeff
+    stacks = []
     for n_settings in settings:
-        rows = np.arange(2**n_settings)[:, None]
-        strategies = 1 - 2 * ((rows >> np.arange(n_settings)) & 1)
-        value = np.tensordot(value, strategies.astype(np.int64), axes=([0], [1]))
-    return float(value.max())
+        bits = (np.arange(2**n_settings) >> np.arange(n_settings)[:, None]) & 1
+        stacks.append((1 - 2 * bits).astype(np.int64))
+    return float(_contract(coeff, stacks).max())
 
 
 # ---------------------------------------------------------------------------

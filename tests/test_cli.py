@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from bellvar.bounds import pearson_chsh_report
 from bellvar.cli import main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
@@ -59,6 +60,19 @@ def test_report_writes_canonical_json(tmp_path, capsys):
     assert doc["tolerances"] == {"slack_floor": -1e-9, "saturation_atol": 1e-8}
     # the file is canonical: re-serializing reproduces it byte for byte
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+def test_report_pearson_block_matches_library(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    assert main(["report", "--preset", "chsh-optimal", "--out", str(out_path)]) == 0
+    block = json.loads(out_path.read_text(encoding="utf-8"))["pearson"]
+    assert set(block) == {"r_values", "r_chsh", "cos_lambda_b", "bound_geometric"}
+    chosen = preset("chsh-optimal")
+    want = pearson_chsh_report(chosen.scenario, chosen.state)
+    assert block["r_values"] == [list(row) for row in want.r_values]
+    assert block["r_chsh"] == want.r_chsh
+    assert block["cos_lambda_b"] == want.cos_lambda_b
+    assert block["bound_geometric"] == want.bound_geometric
 
 
 def test_report_chained_preset(tmp_path, capsys):

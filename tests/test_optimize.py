@@ -1,8 +1,12 @@
 """See-saw search, closed-form chained settings, surface stationarity, scans."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from bellvar import optimize
 from bellvar.avdecomp import av_decompose
 from bellvar.bounds import chained_report, chsh_report, report_for
 from bellvar.linalg import ID2
@@ -71,6 +75,11 @@ def test_seesaw_chained_three_settings():
 def test_seesaw_mk_three_parties():
     best = max(seesaw_max(mk_family(3), seed=s).value for s in range(3))
     assert best == pytest.approx(8.0, abs=1e-6)
+
+
+def test_seesaw_mk_five_parties():
+    best = max(seesaw_max(mk_family(5), seed=s).value for s in range(3))
+    assert best == pytest.approx(2.0**6, abs=1e-6)
 
 
 def test_seesaw_respects_iteration_budget():
@@ -195,6 +204,16 @@ def test_random_scan_covers_other_families():
         summary = random_scan(family, n_samples=60, seed=5)
         assert summary.violations == 0
         assert summary.min_slack >= -1e-9
+
+
+def test_random_scan_counts_nan_slack(monkeypatch):
+    def nan_slack_report(family, scenario, state):
+        return dataclasses.replace(report_for(family, scenario, state), slack=float("nan"))
+
+    monkeypatch.setattr(optimize, "report_for", nan_slack_report)
+    summary = random_scan(chsh_family(), n_samples=5, seed=3)
+    assert summary.violations == 5
+    assert math.isnan(summary.min_slack)
 
 
 def test_seesaw_value_validated_by_report_dispatch():

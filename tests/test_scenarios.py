@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 from bellvar.scenarios import (
     LHV_ENUMERATION_CAP_BITS,
     MK_MAX_PARTIES,
@@ -40,6 +40,18 @@ from bellvar.scenarios import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _kron_sum_operator(coeff, observables):
+    """Reference Bell operator: one Kronecker chain per nonzero coefficient."""
+    dim = 2 ** len(observables)
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx in np.ndindex(*coeff.shape):
+        c = coeff[idx]
+        if c == 0:
+            continue
+        out += float(c) * tensor_product([observables[p][s] for p, s in enumerate(idx)])
+    return out
 
 
 def test_bloch_observable_axes():
@@ -136,6 +148,34 @@ def test_chsh_operator_matches_hand_built_kron():
     )
     op = operator_from_tensor(chsh_coefficients(), ((a0, a1), (b0, b1)))
     np.testing.assert_allclose(op, want, atol=1e-14)
+
+
+_CONTRACTION_CASES = (
+    [pytest.param(chsh_family(), id="chsh")]
+    + [pytest.param(chained_family(n), id=f"chained-n{n}") for n in range(2, 7)]
+    + [
+        pytest.param(mk_family(n, k), id=f"mk-n{n}-k{k}")
+        for n in range(2, MK_MAX_PARTIES + 1)
+        for k in range(1, n)
+    ]
+)
+
+
+@pytest.mark.parametrize("family", _CONTRACTION_CASES)
+def test_operator_from_tensor_matches_kron_reference(family):
+    if family.name == "mk":
+        tensors = mk_coefficient_pair(family.n, family.split_k)
+    else:
+        tensors = (coefficient_tensor(family),)
+    rng = np.random.default_rng(family.n * 10 + family.split_k)
+    observables = random_scenario(family, rng).observables
+    for coeff in tensors:
+        np.testing.assert_allclose(
+            operator_from_tensor(coeff, observables),
+            _kron_sum_operator(coeff, observables),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def test_chsh_operator_top_eigenvalue_at_optimal_settings():
