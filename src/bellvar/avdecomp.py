@@ -183,6 +183,6 @@ def rms_spread(spreads) -> float:
     arr = np.asarray(spreads, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("rms_spread expects a non-empty 1-d collection of spreads")
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("spreads must be non-negative")
     return float(np.sqrt(np.sum(arr * arr)))

@@ -46,6 +46,7 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _csv_text,
     bell_state,
     family_to_json_dict,
     ghz_state,
@@ -74,12 +75,6 @@ def _emit(args, rows: list[tuple[str, str]], doc: dict, csv_text: str | None = N
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
-
-
-def _csv_text(keys: list[str], records) -> str:
-    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(keys)]
-    lines.extend(",".join(repr(v) for v in rec) for rec in records)
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(x: float) -> str:

@@ -10,11 +10,13 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
    outcome by inverse CDF over the Born distribution of that round's
    setting combination.
 
-Joint outcome probabilities come from products of local spectral
-projectors ``(I +- X)/2`` contracted against the state.  Estimation is
-pure plug-in: outcome averages, ``variance = 1 - mean^2`` (exact for
-+-1 outcomes), per-combination correlators, and the family's
-coefficient tensor assembling the Bell value.  Standard errors are
+Joint outcome probabilities are expectations of products of local
+spectral projectors ``(I +- X)/2``: one contraction of every party's
+projector stack against the state gives the Born distributions of all
+setting combinations at once.  Estimation is pure plug-in: outcome
+averages, ``variance = 1 - mean^2`` (exact for +-1 outcomes),
+per-combination correlators, and the family's coefficient tensor
+assembling the Bell value.  Standard errors are
 ``sqrt(variance / count)`` per estimate.
 
 The empirical bound check propagates errors to first order (delta
@@ -30,7 +32,6 @@ vanishes), and the check passes when ``M + z SE(M) >= 0``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _csv_text,
+    _expectations,
     check_family_scenario,
     coefficient_tensor,
     family_to_json_dict,
@@ -127,37 +130,6 @@ class EmpiricalCheck:
     z: float
 
 
-def _spectral_projectors(op: np.ndarray) -> np.ndarray:
-    """Stack of the two outcome projectors (+1 first) of a dichotomic observable."""
-    return np.stack([(ID2 + op) / 2.0, (ID2 - op) / 2.0])
-
-
-def _joint_distribution(
-    scenario: Scenario, state: np.ndarray, combo: tuple[int, ...]
-) -> np.ndarray:
-    """Born probabilities over joint +-1 outcomes for one setting combination."""
-    n = scenario.n_parties
-    tensor = state.reshape((2,) * n)
-    operands = [tensor.conj(), list(range(n))]
-    for p, s in enumerate(combo):
-        projs = _spectral_projectors(scenario.observables[p][s])
-        # indices: outcome axis, bra axis (site p), ket axis
-        operands.extend([projs, [2 * n + p, p, n + p]])
-    operands.extend([tensor, list(range(n, 2 * n))])
-    probs = np.einsum(*operands, list(range(2 * n, 3 * n))).real.reshape(-1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ArithmeticError(f"Born distribution sums to {total!r}")
-    return np.clip(probs, 0.0, None) / total
-
-
-def _combo_list(settings_per_party: tuple[int, ...]) -> list[tuple[int, ...]]:
-    combos: list[tuple[int, ...]] = [()]
-    for n_settings in settings_per_party:
-        combos = [c + (s,) for c in combos for s in range(n_settings)]
-    return combos
-
-
 def simulate_rounds(
     family: FamilySpec, scenario: Scenario, state: np.ndarray, rounds: int, seed: int
 ) -> SampleBatch:
@@ -175,8 +147,19 @@ def simulate_rounds(
             f"state of length {state.shape[0]} does not fit {n} qubit parties"
         )
     settings = scenario.settings_per_party
-    combos = _combo_list(settings)
-    dists = np.stack([_joint_distribution(scenario, state, c) for c in combos])
+    # party p's stack runs setting-major, then outcome (+1 first)
+    projectors = [
+        np.stack([proj for op in row for proj in ((ID2 + op) / 2.0, (ID2 - op) / 2.0)])
+        for row in scenario.observables
+    ]
+    probs = _expectations(projectors, state).reshape([k for s in settings for k in (s, 2)])
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    dists = probs.transpose(order).reshape(-1, 2**n)
+    totals = dists.sum(axis=1)
+    if not np.all(np.abs(totals - 1.0) <= 1e-9):
+        worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+        raise ArithmeticError(f"Born distribution sums to {worst!r}")
+    dists = np.clip(dists, 0.0, None) / totals[:, None]
     cdfs = np.cumsum(dists, axis=1)
     cdfs[:, -1] = 1.0
 
@@ -185,11 +168,7 @@ def simulate_rounds(
     for p in range(n):
         round_settings[:, p] = rng.integers(0, settings[p], size=rounds, dtype=np.uint8)
     uniforms = rng.random(rounds)
-
-    radix = np.ones(n, dtype=np.int64)
-    for p in range(n - 2, -1, -1):
-        radix[p] = radix[p + 1] * settings[p + 1]
-    combo_idx = round_settings.astype(np.int64) @ radix
+    combo_idx = np.ravel_multi_index(tuple(round_settings.T), settings)
 
     outcome_idx = np.empty(rounds, dtype=np.int64)
     for lo in range(0, rounds, _CHUNK_ROUNDS):
@@ -197,7 +176,7 @@ def simulate_rounds(
         rows = cdfs[combo_idx[lo:hi]]
         outcome_idx[lo:hi] = np.sum(rows < uniforms[lo:hi, None], axis=1)
 
-    counts = np.zeros((len(combos), 2**n), dtype=np.int64)
+    counts = np.zeros((len(dists), 2**n), dtype=np.int64)
     np.add.at(counts, (combo_idx, outcome_idx), 1)
 
     shifts = np.arange(n - 1, -1, -1)
@@ -223,7 +202,7 @@ def estimate(batch: SampleBatch) -> EmpiricalEstimates:
     """
     settings = batch.scenario.settings_per_party
     n = batch.n_parties
-    combos = np.array(_combo_list(settings), dtype=np.int64)
+    combos = np.indices(settings).reshape(n, -1).T
     counts = batch.counts
     combo_totals = counts.sum(axis=1)
     if np.any(combo_totals < 2):
@@ -290,8 +269,8 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
     """
     if estimates.family.name != "chsh":
         raise ValueError("empirical_check is defined for the chsh family only")
-    if z < 0:
-        raise ValueError(f"z must be non-negative, got {z}")
+    if not 0.0 <= z < np.inf:
+        raise ValueError(f"z must be finite and non-negative, got {z}")
     coeff = coefficient_tensor(estimates.family).astype(float)
     m_a = estimates.means[0, :2]
     m_b = estimates.means[1, :2]
@@ -332,20 +311,14 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 def batch_to_csv(batch: SampleBatch) -> str:
     """Flat per-round table: round, one setting and one outcome per party."""
     n = batch.n_parties
-    buf = io.StringIO()
-    buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
-    header = (
-        ["round"]
-        + [f"setting_{p}" for p in range(n)]
-        + [f"outcome_{p}" for p in range(n)]
+    keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
+    columns = (np.arange(batch.rounds), batch.round_settings, batch.round_outcomes)
+    records = (
+        rec
+        for lo in range(0, batch.rounds, _CHUNK_ROUNDS)
+        for rec in np.column_stack([col[lo : lo + _CHUNK_ROUNDS] for col in columns]).tolist()
     )
-    buf.write(",".join(header) + "\n")
-    for r in range(batch.rounds):
-        cells = [str(r)]
-        cells.extend(str(int(s)) for s in batch.round_settings[r])
-        cells.extend(str(int(o)) for o in batch.round_outcomes[r])
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return _csv_text(keys, records)
 
 
 def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:

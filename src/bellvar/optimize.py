@@ -4,13 +4,15 @@ The see-saw alternates two exact coordinate maximizations:
 
 * state step: the state becomes the top eigenvector of the current Bell
   operator;
-* setting step: each single-qubit observable in turn becomes ``g . sigma
-  / |g|``.  ``g_j`` is the state's expectation of the terms that contain
-  that setting, with that observable replaced by ``sigma_j``: the operator
-  built from the coefficient slice at that setting, ``np.take(coeff, [s],
-  axis=p)``, and the party's one-entry stack ``[sigma_j]``.  The value is
-  linear in the Bloch vector, so the normalized gradient is the exact
-  argmax.
+* setting step: party by party, each single-qubit observable becomes
+  ``g . sigma / |g|``.  ``g_j`` is the state's expectation of the terms
+  that contain that setting, with that observable replaced by
+  ``sigma_j``.  One expectation tensor per party, with the stack
+  ``[sigma_x, sigma_y, sigma_z]`` in that party's slot, contracted with
+  the coefficient tensor over the other parties' settings, gives ``g`` for
+  all of the party's settings at once.  No term holds two settings of one
+  party, so updating them together is exact; the value is linear in the
+  Bloch vector, so the normalized gradient is the exact argmax.
 
 Both steps can only increase the objective, so the recorded history is
 nondecreasing up to rounding.  All randomness (initial settings, scan
@@ -29,13 +31,13 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    expectation,
     haar_random_ket,
     top_eigenpair,
 )
 from .scenarios import (
     FamilySpec,
     Scenario,
+    _expectations,
     bloch_observable,
     bloch_of,
     chsh_coefficients,
@@ -61,6 +63,7 @@ __all__ = [
 CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
+_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -148,24 +151,15 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
         iterations += 1
         _, state = top_eigenpair(operator_from_tensor(coeff, observables))
         for p in range(family.n_parties):
-            for s in range(len(observables[p])):
-                terms = np.take(coeff, [s], axis=p)
-                g = np.array(
-                    [
-                        expectation(
-                            operator_from_tensor(
-                                terms, observables[:p] + [[sigma]] + observables[p + 1 :]
-                            ),
-                            state,
-                        )
-                        for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-                    ]
-                )
+            others = [q for q in range(family.n_parties) if q != p]
+            stacks = observables[:p] + [_PAULIS] + observables[p + 1 :]
+            grads = np.tensordot(coeff, _expectations(stacks, state), axes=(others, others))
+            for s, g in enumerate(grads):
                 norm = float(np.linalg.norm(g))
                 if norm < _GRADIENT_EPS:
                     continue
                 observables[p][s] = bloch_observable(g / norm)
-        value = expectation(operator_from_tensor(coeff, observables), state)
+        value = float(np.sum(coeff * _expectations(observables, state)))
         history.append(value)
         if value - prev < CONVERGENCE_EPS:
             stall += 1
@@ -222,7 +216,7 @@ def statistical_chsh_surface(means_a, means_b) -> float:
     b = np.asarray(means_b, dtype=float)
     if a.shape != (2,) or b.shape != (2,):
         raise ValueError("means_a and means_b must each hold two values")
-    if np.any(np.abs(a) > 1.0) or np.any(np.abs(b) > 1.0):
+    if not (np.all(np.abs(a) <= 1.0) and np.all(np.abs(b) <= 1.0)):
         raise ValueError("means must lie in [-1, 1]")
     coeff = chsh_coefficients()
     local = float(sum(coeff[x, y] * a[x] * b[y] for x in range(2) for y in range(2)))

@@ -22,12 +22,14 @@ Families:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    _IMAG_ATOL,
     DIM_CAP,
     SIGMA_X,
     SIGMA_Y,
@@ -74,6 +76,16 @@ LHV_ENUMERATION_CAP_BITS = 24
 
 _DICHOTOMY_ATOL = 1e-10
 _BLOCH_NORM_ATOL = 1e-9
+_CSV_CHUNK_ROWS = 1 << 14
+
+
+def _csv_text(keys: list[str], records) -> str:
+    """CSV: schema_version comment, header, one ``repr`` row per record, in chunks of rows."""
+    rows = iter(records)
+    parts = [f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"]
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        parts.append("".join(",".join(map(repr, rec)) + "\n" for rec in chunk))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +293,35 @@ def coefficient_tensor(family: FamilySpec) -> np.ndarray:
 # operators
 
 
-def _contract(coeff: np.ndarray, stacks) -> np.ndarray:
-    """Fold ``coeff`` against one stack per party, taking the parties in order.
+def _contract(tensor: np.ndarray, stacks) -> np.ndarray:
+    """Fold ``tensor`` against one stack per axis, taking the axes in order.
 
-    ``stacks[p]`` has party p's setting axis first.  Each step contracts the
-    running tensor's leading (setting) axis and appends the stack's
-    remaining axes, so the result holds those axes party by party.
+    ``stacks[p]`` has the axis it shares with ``tensor``'s axis p first.
+    Each step contracts the running tensor's leading axis and appends the
+    stack's remaining axes, so the result holds those axes stack by stack.
     """
-    value = coeff
+    value = tensor
     for stack in stacks:
         value = np.tensordot(value, stack, axes=([0], [0]))
     return value
+
+
+def _expectations(stacks, state: np.ndarray) -> np.ndarray:
+    """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
+
+    Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack.  ``|state><state|``, one axis of size 4
+    per party, is folded against the stacks flattened to ``(4, K_p)``; no operator is built.
+    An imaginary part above 1e-10 raises ``ArithmeticError``.
+    """
+    n_parties = len(stacks)
+    rho = np.multiply.outer(state.conj(), state).reshape((2,) * (2 * n_parties))
+    order = [axis for p in range(n_parties) for axis in (p, n_parties + p)]
+    rho = rho.transpose(order).reshape((4,) * n_parties)
+    flat = [np.asarray(stack, dtype=complex).reshape(-1, 4).T for stack in stacks]
+    values = _contract(rho, flat)
+    if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
+        raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
+    return values.real
 
 
 def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:

@@ -210,6 +210,13 @@ def test_rms_spread_values_and_errors():
         rms_spread([[1.0, 2.0]])
 
 
+def test_rms_spread_rejects_nan():
+    with pytest.raises(ValueError):
+        rms_spread([np.nan, 1.0])
+    with pytest.raises(ValueError):
+        rms_spread([np.nan])
+
+
 def test_spread_epsilon_is_the_published_threshold():
     assert SPREAD_EPS == 1e-9
     # just under threshold: mean 1, tiny off-diagonal mixing

@@ -5,12 +5,15 @@ smoke test goes through the interpreter to cover the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellvar
 from bellvar.bounds import pearson_chsh_report
 from bellvar.cli import main
 from bellvar.montecarlo import estimate, simulate_rounds
@@ -342,6 +345,15 @@ def test_sample_undersampled_is_domain_error(capsys):
     assert "observed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_sample_rejects_nonfinite_z(tmp_path, capsys, z):
+    out_path = tmp_path / "x.json"
+    argv = ["sample", "--preset", "chsh-optimal", "--rounds", "2000", "--out", str(out_path)]
+    assert main(argv + [f"--z={z}"]) == 3
+    assert "z must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_sample_requires_rounds(capsys):
     assert main(["sample", "--preset", "chsh-optimal"]) == 2
     capsys.readouterr()
@@ -382,10 +394,14 @@ def test_format_only_on_report_scan_sample(tmp_path, capsys, argv):
 
 
 def test_module_entry_point():
+    # the child imports bellvar from wherever this process found it
+    src = str(Path(bellvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "bellvar.cli", "lhv", "--family", "chsh"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "lhv_max" in proc.stdout

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bellvar.bounds import chsh_report, mk_report
-from bellvar.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, haar_random_ket
 from bellvar.montecarlo import (
     EmpiricalCheck,
     UndersampledError,
@@ -25,16 +25,33 @@ from bellvar.montecarlo import (
 from bellvar.scenarios import (
     SCHEMA_VERSION,
     Scenario,
+    _expectations,
     bell_state,
     chained_family,
     chsh_family,
     from_bloch_table,
     ghz_state,
     mk_family,
+    operator_from_tensor,
+    random_scenario,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 KET00 = np.array([1, 0, 0, 0], dtype=complex)
+
+
+def _born_reference(scenario, state, combo):
+    """Born probabilities over joint outcomes of one setting combination, by one einsum."""
+    n = scenario.n_parties
+    tensor = state.reshape((2,) * n)
+    operands = [tensor.conj(), list(range(n))]
+    for p, s in enumerate(combo):
+        op = scenario.observables[p][s]
+        projs = np.stack([(ID2 + op) / 2.0, (ID2 - op) / 2.0])
+        # indices: outcome axis, bra axis (site p), ket axis
+        operands.extend([projs, [2 * n + p, p, n + p]])
+    operands.extend([tensor, list(range(n, 2 * n))])
+    return np.einsum(*operands, list(range(2 * n, 3 * n))).real.reshape(-1)
 
 
 def optimal_instance():
@@ -215,3 +232,45 @@ def test_estimates_json_roundtrip():
     assert back["bell_value_hat"] == est.bell_value_hat
     assert back["rounds"] == 5000
     assert np.asarray(back["correlators"]).shape == (2, 2)
+
+
+REFERENCE_FAMILIES = [chsh_family()]
+REFERENCE_FAMILIES += [chained_family(n) for n in (3, 4, 5)]
+REFERENCE_FAMILIES += [mk_family(n) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES, ids=lambda f: f"{f.name}-{f.n}")
+def test_expectations_match_references(family):
+    rng = np.random.Generator(np.random.Philox(100 + family.n))
+    scen = random_scenario(family, rng)
+    state = haar_random_ket(2**family.n_parties, rng)
+
+    # observable stacks, the last party's replaced by the Pauli stack (K = 3)
+    stacks = [np.asarray(row) for row in scen.observables[:-1]]
+    stacks.append(np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+    shape = tuple(len(stack) for stack in stacks)
+    values = _expectations(stacks, state)
+    assert values.shape == shape
+    for idx in np.ndindex(shape):
+        one_hot = np.zeros(shape, dtype=np.int64)
+        one_hot[idx] = 1
+        want = expectation(operator_from_tensor(one_hot, stacks), state)
+        assert abs(values[idx] - want) <= 1e-12
+
+    # projector stacks, setting-major then outcome, against one einsum per combination
+    projectors = [
+        np.stack([proj for op in row for proj in ((ID2 + op) / 2.0, (ID2 - op) / 2.0)])
+        for row in scen.observables
+    ]
+    probs = _expectations(projectors, state)
+    for combo in np.ndindex(family.settings_per_party):
+        block = probs[tuple(slice(2 * s, 2 * s + 2) for s in combo)].reshape(-1)
+        np.testing.assert_allclose(block, _born_reference(scen, state, combo), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+def test_empirical_check_rejects_nonfinite_z(z):
+    scen, psi = optimal_instance()
+    est = estimate(simulate_rounds(chsh_family(), scen, psi, rounds=5000, seed=1))
+    with pytest.raises(ValueError, match="finite"):
+        empirical_check(est, z=z)

@@ -125,6 +125,14 @@ def test_surface_rejects_out_of_range_means():
         statistical_chsh_surface([0, 0, 0], [0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surface_rejects_nonfinite_means(bad):
+    with pytest.raises(ValueError):
+        statistical_chsh_surface([bad, 0], [0, 0])
+    with pytest.raises(ValueError):
+        statistical_chsh_surface([0, 0], [0, bad])
+
+
 def test_surface_dominates_reports():
     # evaluated at a report's own means the surface reproduces
     # bound + local, hence it upper-bounds the Bell value
