@@ -33,7 +33,6 @@ __all__ = [
     "AVDecomposition",
     "CorrelatorSplit",
     "av_decompose",
-    "split_image",
     "reconstruction_residual",
     "correlator_split",
     "pearson",
@@ -91,33 +90,38 @@ def av_decompose(op: np.ndarray, state: np.ndarray) -> AVDecomposition:
 
     ``op`` must be Hermitian on the same space as ``state``; validation is
     the caller's job (scenario constructors and the CLI boundary enforce
-    it), this routine only guards against a non-real mean.
+    it), this routine only guards against a non-real or non-finite mean.
     """
     if op.shape[1] != state.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator {op.shape} on state of length {state.shape[0]}"
         )
-    return split_image(op @ state, state)
+    mean, spread, perp = (v[0, 0] for v in _split((op @ state)[None, None], state[None]))
+    perp = None if spread < SPREAD_EPS else perp
+    return AVDecomposition(mean=float(mean), spread=float(spread), perp=perp)
 
 
-def split_image(image: np.ndarray, state: np.ndarray) -> AVDecomposition:
-    """Split an image ``A|state>`` of a Hermitian ``A`` into mean and fluctuation.
+def _split(images: np.ndarray, states: np.ndarray):
+    """Mean, spread and fluctuation direction of each image ``A_x|psi_i>`` of a Hermitian ``A_x``.
 
-    Raises ``ArithmeticError`` when the mean ``<state|image>`` has an
-    imaginary part above 1e-10 (a non-Hermitian operator slipped through).
+    ``images`` has shape ``(N, S, d)`` and ``states`` shape ``(N, d)``; the
+    results have shapes ``(N, S)``, ``(N, S)`` and ``(N, S, d)``, with
+    ``perp`` zero where ``spread < SPREAD_EPS``.  Raises ``ArithmeticError``
+    unless every mean ``<psi_i|image>`` has an imaginary part of at most
+    1e-10 (a non-Hermitian operator or a non-finite state slipped through).
     """
-    raw_mean = complex(np.vdot(state, image))
-    if abs(raw_mean.imag) > _IMAG_ATOL:
-        raise ArithmeticError(f"mean has imaginary part {raw_mean.imag:.3e}")
+    raw_mean = np.einsum("id,isd->is", states.conj(), images)
+    if not np.all(np.abs(raw_mean.imag) <= _IMAG_ATOL):
+        raise ArithmeticError(f"mean has imaginary part {np.abs(raw_mean.imag).max():.3e}")
     mean = raw_mean.real
     # <A^2> = ||A psi||^2 for Hermitian A.
-    second_moment = float(np.vdot(image, image).real)
-    variance = max(second_moment - mean * mean, 0.0)
-    spread = float(np.sqrt(variance))
-    if spread < SPREAD_EPS:
-        return AVDecomposition(mean=mean, spread=spread, perp=None)
-    perp = (image - mean * state) / spread
-    return AVDecomposition(mean=mean, spread=spread, perp=perp)
+    second_moment = np.einsum("isd,isd->is", images.conj(), images).real
+    spread = np.sqrt(np.maximum(second_moment - mean * mean, 0.0))
+    degenerate = spread < SPREAD_EPS
+    fluct = images - mean[..., None] * states[:, None]
+    perp = fluct / np.where(degenerate, 1.0, spread)[..., None]
+    perp[degenerate] = 0.0
+    return mean, spread, perp
 
 
 def reconstruction_residual(op: np.ndarray, state: np.ndarray, dec: AVDecomposition) -> float:
@@ -140,12 +144,12 @@ def correlator_split(op_a: np.ndarray, op_b: np.ndarray, state: np.ndarray) -> C
     if op_a.shape != op_b.shape:
         raise ValueError(f"operator shapes differ: {op_a.shape} vs {op_b.shape}")
     comm = np.linalg.norm(op_a @ op_b - op_b @ op_a)
-    if comm > _COMMUTATOR_ATOL:
+    if not comm <= _COMMUTATOR_ATOL:
         raise ValueError(f"operators do not commute: commutator norm {comm:.3e}")
     dec_a = av_decompose(op_a, state)
     dec_b = av_decompose(op_b, state)
     raw_joint = complex(np.vdot(op_a @ state, op_b @ state))
-    if abs(raw_joint.imag) > _IMAG_ATOL:
+    if not abs(raw_joint.imag) <= _IMAG_ATOL:
         raise ArithmeticError(f"joint correlator has imaginary part {raw_joint.imag:.3e}")
     if dec_a.degenerate or dec_b.degenerate:
         overlap = 0.0 + 0.0j

@@ -7,19 +7,22 @@ overlap::
 
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
-One kernel, ``_two_block``, computes the images ``A_x|psi>`` and
-``B_y|psi>`` by reshaping the state into a ``(dim_A, dim_B)`` matrix,
-splits each image into mean, spread and fluctuation direction, and sums
-the Bell value ``sum_xy c_xy <A_x B_y>`` and its local part
-``sum_xy c_xy <A_x><B_y>`` under the expression's coefficient matrix.
-The families differ only in which operators form the blocks and in the
-budget that bounds the fluctuation term::
+One kernel, ``_two_block``, works on a stack of N instances: it
+reshapes each state into a ``(dim_A, dim_B)`` matrix, takes the images
+``A_x|psi>`` and ``B_y|psi>`` with one batched matmul per side, splits
+each image into mean, spread and fluctuation direction, and sums the
+Bell value ``sum_xy c_xy <A_x B_y>`` and its local part ``sum_xy c_xy
+<A_x><B_y>`` under the expression's coefficient matrix, one value per
+instance.  One function, ``_columns``, holds every family's budget that
+bounds the fluctuation term::
 
     bell_value - local_part <= bound_statistical
 
 The reported ``slack = bound_statistical + local_part - bell_value`` is
 non-negative for quantum states up to rounding, and zero exactly at the
-saturating configurations.
+saturating configurations.  ``random_scan`` reports whole chunks of
+random instances through ``_columns``; every single report here is the
+stack-of-one case, read off instance 0.
 
 Family specifics:
 
@@ -43,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avdecomp import AVDecomposition, DegenerateSpreadError, rms_spread, split_image
-from .linalg import inner_product
+from .avdecomp import SPREAD_EPS, DegenerateSpreadError, _split
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -169,106 +171,122 @@ class PearsonChshReport:
 
 @dataclass(frozen=True)
 class _TwoBlock:
-    """What every report reads off a two-block split of the state.
+    """What every report reads off a two-block split of a stack of states.
 
-    ``a_img[x]`` and ``b_img[y]`` are the flattened images
-    ``(A_x x I)|psi>`` and ``(I x B_y)|psi>``; ``a_dec``/``b_dec`` hold
-    their mean/spread/perp splits; ``bell`` and ``local`` are the
-    expression and its product-of-means counterpart under ``coeff``.
+    Axis 0 runs over the instances.  ``a_img[i, x]`` and ``b_img[i, y]``
+    are the flattened images ``(A_x x I)|psi_i>`` and ``(I x B_y)|psi_i>``;
+    ``a_split``/``b_split`` hold their ``(mean, spread, perp)`` arrays;
+    ``bell`` and ``local`` are the expression and its product-of-means
+    counterpart under ``coeff``, one value per instance.
     """
 
-    a_img: list[np.ndarray]
-    b_img: list[np.ndarray]
-    a_dec: list[AVDecomposition]
-    b_dec: list[AVDecomposition]
-    bell: float
-    local: float
+    a_img: np.ndarray
+    b_img: np.ndarray
+    a_split: tuple[np.ndarray, np.ndarray, np.ndarray]
+    b_split: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bell: np.ndarray
+    local: np.ndarray
 
 
-def _two_block(
-    family: FamilySpec,
-    scenario: Scenario,
-    state: np.ndarray,
-    a_ops,
-    b_ops,
-    coeff: np.ndarray,
-) -> _TwoBlock:
-    """Images, splits, Bell value and local part of ``sum_xy coeff[x, y] A_x B_y``.
+def _two_block(a_ops, b_ops, states, coeff) -> _TwoBlock:
+    """Images, splits, Bell value and local part of ``sum_xy coeff[x, y] A_x B_y`` per instance.
 
-    ``a_ops`` act on the leading tensor factors and ``b_ops`` on the
-    rest.  The state is reshaped into the matrix ``Psi`` of shape
-    ``(dim_A, dim_B)``, so the images are ``A_x Psi`` and ``Psi B_y^T``
-    and no operator on the joint space is ever formed.
+    ``a_ops`` of shape ``(N, S_a, d_A, d_A)`` act on the leading tensor
+    factors and ``b_ops`` of shape ``(N, S_b, d_B, d_B)`` on the rest;
+    ``states`` has shape ``(N, d_A d_B)``.  Each state is reshaped into the
+    matrix ``Psi`` of shape ``(d_A, d_B)``, so the images are ``A_x Psi``
+    and ``Psi B_y^T``, the correlators ``Re(A_img^* B_img^T)``, and no
+    operator on the joint space is ever formed.
     """
+    n = states.shape[0]
+    psi = states.reshape(n, 1, a_ops.shape[-1], -1)
+    a_img = (a_ops @ psi).reshape(n, a_ops.shape[1], -1)
+    b_img = (psi @ b_ops.swapaxes(-1, -2)).reshape(n, b_ops.shape[1], -1)
+    corr = (a_img.conj() @ b_img.swapaxes(-1, -2)).real
+    a_split = _split(a_img, states)
+    b_split = _split(b_img, states)
+    bell = np.sum(coeff * corr, axis=(1, 2))
+    local = np.einsum("xy,ix,iy->i", coeff, a_split[0], b_split[0])
+    return _TwoBlock(a_img, b_img, a_split, b_split, bell, local)
+
+
+# The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
+_COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
+
+
+def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict:
+    """The kernel and the family's fluctuation budget on a stack of instances.
+
+    ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
+    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.  Returns one
+    length-N array per name in ``_COLUMNS``; chained adds
+    ``bound_statistical_loose`` and the ``(N, n)`` array ``cos_lambda``.
+    """
+    if family.name == "mk":
+
+        def block(sites):
+            if sites.shape[1] == 1:
+                return sites[:, 0]
+            pair = mk_coefficient_pair(sites.shape[1], 1)
+            ops = [operator_from_tensor(t, rows) for rows in sites for t in pair]
+            return np.stack(ops).reshape(len(sites), 2, *ops[0].shape)
+
+        k = family.split_k
+        blocks = _two_block(block(stacks[:, :k]), block(stacks[:, k:]), states, chsh_coefficients())
+    else:
+        blocks = _two_block(stacks[:, 0], stacks[:, -1], states, coefficient_tensor(family))
+    spread_a = blocks.a_split[1]
+    _, spread_b, perp_b = blocks.b_split
+    rms_a = np.sqrt(np.sum(spread_a**2, axis=1))
+    rms_b = np.sqrt(np.sum(spread_b**2, axis=1))
+    cols = {"bell_value": blocks.bell, "local_part": blocks.local, "rms_a": rms_a, "rms_b": rms_b}
+    if family.name == "chained":
+        overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
+        # The closing pair (n-1, 0) enters the expression with the
+        # opposite sign, which flips its effective overlap angle.
+        overlap[:, -1] *= -1.0
+        degenerate = spread_b < SPREAD_EPS
+        cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
+        pairs = spread_b * np.roll(spread_b, -1, axis=1)
+        cross = np.sum(pairs * cos_lambda, axis=1)
+        cross_loose = np.sum(pairs, axis=1)
+        bound = np.sqrt(2.0) * rms_a * np.sqrt(np.maximum(rms_b**2 + cross, 0.0))
+        loose = np.sqrt(2.0) * rms_a * np.sqrt(np.maximum(rms_b**2 + cross_loose, 0.0))
+        cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
+    else:
+        bound = np.sqrt(2.0) * rms_a * rms_b
+    cols["bound_statistical"] = bound
+    cols["slack"] = bound + blocks.local - blocks.bell
+    return cols
+
+
+def _stack_of_one(family: FamilySpec, scenario: Scenario, state: np.ndarray):
+    """The observables and the state as a stack of one instance, after the shape checks."""
     check_family_scenario(family, scenario)
     if state.shape != (2**scenario.n_parties,):
         raise ValueError(
             f"state of length {state.shape[0]} does not fit {scenario.n_parties} qubit parties"
         )
-    psi = state.reshape(a_ops[0].shape[0], -1)
-    a_img = [(op @ psi).ravel() for op in a_ops]
-    b_img = [(psi @ op.T).ravel() for op in b_ops]
-    a_dec = [split_image(img, state) for img in a_img]
-    b_dec = [split_image(img, state) for img in b_img]
-    bell = 0.0
-    local = 0.0
-    for x, y in zip(*np.nonzero(coeff)):
-        c = float(coeff[x, y])
-        bell += c * float(np.vdot(a_img[x], b_img[y]).real)
-        local += c * a_dec[x].mean * b_dec[y].mean
-    return _TwoBlock(a_img, b_img, a_dec, b_dec, bell, local)
+    return np.asarray(scenario.observables)[None], state[None]
 
 
-def _report(
-    family: FamilySpec,
-    blocks: _TwoBlock,
-    rms_a: float,
-    rms_b: float,
-    bound: float,
-    bound_tsirelson: float,
-    bound_lhv: float,
-    **extra,
-) -> BellReport:
-    """Assemble a report from the kernel's sums and a family's fluctuation budget."""
+def _report(family: FamilySpec, cols: dict, bound_tsirelson: float, bound_lhv: float, **extra):
+    """Instance 0 of the kernel columns as a report, next to the family's reference bounds."""
+    values = {name: float(cols[name][0]) for name in _COLUMNS}
     return BellReport(
         family=family,
-        bell_value=blocks.bell,
-        local_part=blocks.local,
-        nonlocal_amount=blocks.bell - blocks.local,
-        rms_a=rms_a,
-        rms_b=rms_b,
-        bound_statistical=bound,
+        nonlocal_amount=values["bell_value"] - values["local_part"],
         bound_tsirelson=bound_tsirelson,
         bound_lhv=bound_lhv,
-        slack=bound + blocks.local - blocks.bell,
+        **values,
         **extra,
     )
 
 
-def _chsh_budget_report(
-    family: FamilySpec, blocks: _TwoBlock, bound_tsirelson: float, bound_lhv: float
-) -> BellReport:
-    """Report under the CHSH budget ``sqrt(2) * rms_a * rms_b`` of two 2-setting blocks."""
-    rms_a = float(np.hypot(*(d.spread for d in blocks.a_dec)))
-    rms_b = float(np.hypot(*(d.spread for d in blocks.b_dec)))
-    bound = float(np.sqrt(2.0)) * rms_a * rms_b
-    return _report(family, blocks, rms_a, rms_b, bound, bound_tsirelson, bound_lhv)
-
-
-def _party_blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> _TwoBlock:
-    """Kernel with the first and the last party as the blocks (two-party families).
-
-    The kernel rejects any scenario without exactly two parties before
-    the rows are used.
-    """
-    obs = scenario.observables
-    return _two_block(family, scenario, state, obs[0], obs[-1], coefficient_tensor(family))
-
-
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
     """CHSH value, local part, and the sqrt(2)*rms_a*rms_b bound."""
-    blocks = _party_blocks(_CHSH, scenario, state)
-    return _chsh_budget_report(_CHSH, blocks, TSIRELSON_CHSH, 2.0)
+    cols = _columns(_CHSH, *_stack_of_one(_CHSH, scenario, state))
+    return _report(_CHSH, cols, TSIRELSON_CHSH, 2.0)
 
 
 def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshReport:
@@ -277,23 +295,20 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     Raises ``DegenerateSpreadError`` when any of the four settings has
     zero spread in the state (the Pearson correlator is undefined there).
     """
-    blocks = _party_blocks(_CHSH, scenario, state)
-    a_dec, b_dec = blocks.a_dec, blocks.b_dec
-    if any(d.degenerate for d in a_dec + b_dec):
+    stacks, states = _stack_of_one(_CHSH, scenario, state)
+    blocks = _two_block(stacks[:, 0], stacks[:, 1], states, chsh_coefficients())
+    _, spread_a, perp_a = (v[0] for v in blocks.a_split)
+    _, spread_b, perp_b = (v[0] for v in blocks.b_split)
+    if not np.all(np.concatenate([spread_a, spread_b]) >= SPREAD_EPS):
         raise DegenerateSpreadError("Pearson CHSH undefined: a setting has zero spread")
-    r = [
-        [float(inner_product(a_dec[x].perp, b_dec[y].perp).real) for y in range(2)]
-        for x in range(2)
-    ]
-    coeff = chsh_coefficients()
-    r_chsh = float(sum(coeff[x, y] * r[x][y] for x in range(2) for y in range(2)))
-    cos_b = float(inner_product(b_dec[0].perp, b_dec[1].perp).real)
+    r = (perp_a.conj() @ perp_b.T).real
+    cos_b = float(np.vdot(perp_b[0], perp_b[1]).real)
     plus = max(2.0 + 2.0 * cos_b, 0.0)
     minus = max(2.0 - 2.0 * cos_b, 0.0)
     bound = float(np.sqrt(plus) + np.sqrt(minus))
     return PearsonChshReport(
-        r_values=((r[0][0], r[0][1]), (r[1][0], r[1][1])),
-        r_chsh=r_chsh,
+        r_values=tuple(map(tuple, r.tolist())),
+        r_chsh=float(np.sum(chsh_coefficients() * r)),
         cos_lambda_b=cos_b,
         bound_geometric=bound,
         bound_tsirelson=TSIRELSON_CHSH,
@@ -318,11 +333,13 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     * ``overlap_orthogonal``: the B-side fluctuation directions are
       orthogonal (needs both B spreads).
     """
-    blocks = _party_blocks(_CHSH, scenario, state)
-    a_img, b_img = blocks.a_img, blocks.b_img
-    a_dec, b_dec = blocks.a_dec, blocks.b_dec
-    a_ok = not any(d.degenerate for d in a_dec)
-    b_ok = not any(d.degenerate for d in b_dec)
+    stacks, states = _stack_of_one(_CHSH, scenario, state)
+    blocks = _two_block(stacks[:, 0], stacks[:, 1], states, chsh_coefficients())
+    a_img, b_img = blocks.a_img[0], blocks.b_img[0]
+    _, spread_a, perp_a = (v[0] for v in blocks.a_split)
+    _, spread_b, perp_b = (v[0] for v in blocks.b_split)
+    a_ok = bool(np.all(spread_a >= SPREAD_EPS))
+    b_ok = bool(np.all(spread_b >= SPREAD_EPS))
 
     perp_alignment: bool | None = None
     ratio_condition: bool | None = None
@@ -334,22 +351,22 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
         # <psi|B0 B1 + B1 B0|psi> = 2 Re <B0 psi|B1 psi> for Hermitian B's.
         anti = 2.0 * float(np.vdot(b_img[0], b_img[1]).real)
         anticommutator_zero = bool(abs(anti) <= SATURATION_ATOL)
-        overlap = inner_product(b_dec[0].perp, b_dec[1].perp)
+        overlap = np.vdot(perp_b[0], perp_b[1])
         overlap_orthogonal = bool(abs(overlap) <= SATURATION_ATOL)
 
     if a_ok and b_ok:
-        weighted = [b_dec[0].spread * b_dec[0].perp, b_dec[1].spread * b_dec[1].perp]
+        weighted = [spread_b[0] * perp_b[0], spread_b[1] * perp_b[1]]
         combo = [weighted[0] + weighted[1], weighted[0] - weighted[1]]
         norms = [float(np.linalg.norm(v)) for v in combo]
         if min(norms) < 1e-12:
             perp_alignment = None
         else:
             residuals = [
-                float(np.linalg.norm(a_dec[x].perp - combo[x] / norms[x])) for x in range(2)
+                float(np.linalg.norm(perp_a[x] - combo[x] / norms[x])) for x in range(2)
             ]
             perp_alignment = bool(max(residuals) <= SATURATION_ATOL)
         ratio_condition = bool(
-            abs(norms[0] / a_dec[0].spread - norms[1] / a_dec[1].spread) <= SATURATION_ATOL
+            abs(norms[0] / spread_a[0] - norms[1] / spread_a[1]) <= SATURATION_ATOL
         )
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         rel = [
@@ -381,39 +398,16 @@ def chained_report(
     if n < 2:
         raise ValueError(f"chained report needs n >= 2, got {n}")
     family = FamilySpec(name="chained", n=n)
-    blocks = _party_blocks(family, scenario, state)
-    b_dec = blocks.b_dec
-    rms_a = rms_spread([d.spread for d in blocks.a_dec])
-    rms_b = rms_spread([d.spread for d in b_dec])
-
-    cos_lambda = []
-    for j in range(n):
-        j_next = (j + 1) % n
-        if b_dec[j].degenerate or b_dec[j_next].degenerate:
-            cos_lambda.append(0.0)
-            continue
-        overlap = inner_product(b_dec[j].perp, b_dec[j_next].perp).real
-        # The closing pair (n-1, 0) enters the expression with the
-        # opposite sign, which flips its effective overlap angle.
-        cos_lambda.append(float(-overlap) if j == n - 1 else float(overlap))
-    cross = sum(
-        b_dec[j].spread * b_dec[(j + 1) % n].spread * cos_lambda[j] for j in range(n)
-    )
-    cross_loose = sum(b_dec[j].spread * b_dec[(j + 1) % n].spread for j in range(n))
-    bound = float(np.sqrt(2.0) * rms_a * np.sqrt(max(rms_b**2 + cross, 0.0)))
-    bound_loose = float(np.sqrt(2.0) * rms_a * np.sqrt(max(rms_b**2 + cross_loose, 0.0)))
+    cols = _columns(family, *_stack_of_one(family, scenario, state))
     report = _report(
         family,
-        blocks,
-        rms_a,
-        rms_b,
-        bound,
+        cols,
         float(2.0 * n * np.cos(np.pi / (2 * n))),
         float(2 * n - 2),
-        bound_statistical_loose=bound_loose,
+        bound_statistical_loose=float(cols["bound_statistical_loose"][0]),
         tsirelson_is_reference=True,
     )
-    return report, ChainGeometry(cos_lambda=tuple(cos_lambda))
+    return report, ChainGeometry(cos_lambda=tuple(cols["cos_lambda"][0].tolist()))
 
 
 def mk_report(
@@ -429,18 +423,8 @@ def mk_report(
     fluctuation aggregates ``sqrt(dB^2 + dB'^2)``.
     """
     family = FamilySpec(name="mk", n=n, split_k=split_k)
-    # The blocks are built from the scenario, so its shape is checked first.
-    check_family_scenario(family, scenario)
-
-    def block_pair(rows):
-        if len(rows) == 1:
-            return rows[0]
-        return [operator_from_tensor(t, rows) for t in mk_coefficient_pair(len(rows), 1)]
-
-    head = block_pair(scenario.observables[:split_k])
-    tail = block_pair(scenario.observables[split_k:])
-    blocks = _two_block(family, scenario, state, head, tail, chsh_coefficients())
-    return _chsh_budget_report(family, blocks, float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1)))
+    cols = _columns(family, *_stack_of_one(family, scenario, state))
+    return _report(family, cols, float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1)))
 
 
 def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> BellReport:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .avdecomp import av_decompose, reconstruction_residual
 from .bounds import (
+    _COLUMNS,
     SATURATION_ATOL,
     SLACK_FLOOR,
     chained_report,
@@ -273,6 +274,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_optimize(args) -> int:
     family = _parse_family(args)
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be positive, got {args.seeds}")
     results = [
         seesaw_max(family, seed, max_iters=args.max_iters)
         for seed in range(args.seed, args.seed + args.seeds)
@@ -337,8 +340,7 @@ def _cmd_scan(args) -> int:
     }
     csv_text = None
     if want_rows:
-        keys = ["index", "bell_value", "local_part", "rms_a", "rms_b"]
-        keys += ["bound_statistical", "slack"]
+        keys = ["index", *_COLUMNS]
         csv_text = _csv_text(keys, [[row[k] for k in keys] for row in summary.rows])
     return _emit(args, rows, doc, csv_text)
 

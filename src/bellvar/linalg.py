@@ -156,7 +156,7 @@ def expectation(op: np.ndarray, ket: np.ndarray) -> float:
     is treated as an internal error.
     """
     val = np.vdot(ket, apply(op, ket))
-    if abs(val.imag) > _IMAG_ATOL:
+    if not abs(val.imag) <= _IMAG_ATOL:
         raise ArithmeticError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 

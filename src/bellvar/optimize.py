@@ -26,15 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SLACK_FLOOR, report_for
-from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    haar_random_ket,
-    top_eigenpair,
-)
+from .bounds import _COLUMNS, SLACK_FLOOR, _columns
+from .linalg import _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
 from .scenarios import (
+    _DICHOTOMY_ATOL,
     FamilySpec,
     Scenario,
     _expectations,
@@ -64,6 +59,8 @@ CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# A scan reports its instances in chunks of at most this many instances x dim^2.
+_SCAN_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -277,9 +274,16 @@ def random_scan(
 ) -> ScanSummary:
     """Slack statistics over Haar states and uniform-Bloch settings.
 
-    Each sample draws a fresh random scenario and state, runs the
-    family's report, and records the slack.  ``keep_rows=True``
-    additionally stores one flat record per instance (for CSV export).
+    Instance i consumes the Philox stream exactly as ``random_scenario``
+    followed by ``haar_random_ket`` would: three normals per setting,
+    party by party, each triple normalized to a Bloch vector, then the
+    real and the imaginary parts of the state.  The instances are drawn
+    and reported a chunk at a time (at most ``_SCAN_CHUNK // dim^2`` of
+    them, at least one) through the stacked report kernel, and only the
+    slacks are kept across chunks.  ``keep_rows=True`` additionally
+    stores one flat record per instance (for CSV export).  A Gaussian
+    triple of norm at most 1e-12, which ``uniform_bloch`` would redraw,
+    raises ``ArithmeticError`` (probability below 1e-36).
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
@@ -294,38 +298,40 @@ def random_scan(
             seed=int(seed),
             rows=() if keep_rows else None,
         )
+    shape = (family.n_parties, family.settings_per_party[0])
+    n_bloch = 3 * shape[0] * shape[1]
     dim = 2**family.n_parties
-    min_slack = np.inf
-    total = 0.0
-    violations = 0
+    chunk = max(1, _SCAN_CHUNK // dim**2)
+    slacks = []
     rows: list[dict] | None = [] if keep_rows else None
-    for index in range(n_samples):
-        scenario = random_scenario(family, rng)
-        state = haar_random_ket(dim, rng)
-        report = report_for(family, scenario, state)
-        slack = report.slack
-        min_slack = np.minimum(min_slack, slack)
-        total += slack
-        if not slack >= SLACK_FLOOR:
-            violations += 1
+    for start in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - start)
+        normals = rng.standard_normal((m, n_bloch + 2 * dim))
+        bloch = normals[:, :n_bloch].reshape(m, *shape, 3)
+        norms = np.linalg.norm(bloch, axis=-1, keepdims=True)
+        if not np.all(norms > 1e-12):
+            raise ArithmeticError("a Gaussian Bloch triple has norm at most 1e-12")
+        bloch = bloch / norms
+        # |v|^2 = 1 is the dichotomy of v . sigma, which is Hermitian for real v.
+        if not np.all(np.abs(np.sum(bloch**2, axis=-1) - 1.0) <= _DICHOTOMY_ATOL):
+            raise ValueError("a drawn observable is not dichotomic")
+        raw = normals[:, n_bloch : n_bloch + dim] + 1j * normals[:, n_bloch + dim :]
+        states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _NORM_ATOL):
+            raise ValueError("a drawn state is not normalized")
+        cols = _columns(family, np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states)
+        slacks.append(cols["slack"])
         if rows is not None:
-            rows.append(
-                {
-                    "index": index,
-                    "bell_value": report.bell_value,
-                    "local_part": report.local_part,
-                    "rms_a": report.rms_a,
-                    "rms_b": report.rms_b,
-                    "bound_statistical": report.bound_statistical,
-                    "slack": slack,
-                }
-            )
+            values = zip(*(cols[name].tolist() for name in _COLUMNS))
+            for index, v in enumerate(values, start):
+                rows.append({"index": index, **dict(zip(_COLUMNS, v))})
+    slack = np.concatenate(slacks)
     return ScanSummary(
         family=family,
         n_samples=n_samples,
-        min_slack=float(min_slack),
-        mean_slack=float(total / n_samples),
-        violations=violations,
+        min_slack=float(np.min(slack)),
+        mean_slack=float(np.mean(slack)),
+        violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
         seed=int(seed),
         rows=tuple(rows) if rows is not None else None,
     )

@@ -23,6 +23,7 @@ from bellvar.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
+    expectation,
     haar_random_ket,
     random_hermitian,
 )
@@ -196,6 +197,25 @@ def test_pearson_affine_invariance(seed, alpha, beta):
     except DegenerateSpreadError:
         return
     assert shifted == pytest.approx(base, abs=1e-8)
+
+
+NAN_KET = np.array([np.nan, 0.0], dtype=complex)
+NAN_PAIR_KET = np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expectation(SIGMA_X, NAN_KET),
+        lambda: av_decompose(SIGMA_X, NAN_KET),
+        lambda: correlator_split(np.kron(SIGMA_X, ID2), np.kron(ID2, SIGMA_Z), NAN_PAIR_KET),
+        lambda: pearson(np.kron(SIGMA_X, ID2), np.kron(ID2, SIGMA_Z), NAN_PAIR_KET),
+    ],
+    ids=["expectation", "av_decompose", "correlator_split", "pearson"],
+)
+def test_nan_state_raises(call):
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+        call()
 
 
 def test_rms_spread_values_and_errors():

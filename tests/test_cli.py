@@ -170,6 +170,24 @@ def test_report_rejects_nonfinite_state(scenario_file, tmp_path, capsys, bad):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e308])
+@pytest.mark.parametrize("entry", ["bloch", "matrix"])
+def test_report_rejects_nonfinite_scenario_file(tmp_path, capsys, bad, entry):
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    if entry == "bloch":
+        doc["parties"][1]["observables"][0]["bloch"][2] = bad
+    else:
+        doc["parties"][1]["observables"][0] = {"matrix": [[[bad, 0], [0, 0]], [[0, 0], [-1, 0]]]}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    argv = ["report", "--scenario", str(scenario_path), "--out", str(out_path)]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_report_state_file(scenario_file, tmp_path, capsys):
     state_path = tmp_path / "state.json"
     state_path.write_text(
@@ -351,6 +369,14 @@ def test_sample_rejects_nonfinite_z(tmp_path, capsys, z):
     argv = ["sample", "--preset", "chsh-optimal", "--rounds", "2000", "--out", str(out_path)]
     assert main(argv + [f"--z={z}"]) == 3
     assert "z must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_optimize_rejects_nonpositive_seeds(tmp_path, capsys, seeds):
+    out_path = tmp_path / "opt.json"
+    assert main(["optimize", "--family", "chsh", "--seeds", seeds, "--out", str(out_path)]) == 3
+    assert f"seeds must be positive, got {seeds}" in capsys.readouterr().err
     assert not out_path.exists()
 
 

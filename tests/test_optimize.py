@@ -1,6 +1,5 @@
 """See-saw search, closed-form chained settings, surface stationarity, scans."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 
 from bellvar import optimize
 from bellvar.avdecomp import av_decompose
-from bellvar.bounds import chained_report, chsh_report, report_for
-from bellvar.linalg import ID2
+from bellvar.bounds import SLACK_FLOOR, chained_report, chsh_report, report_for
+from bellvar.linalg import ID2, haar_random_ket
 from bellvar.optimize import (
     CONVERGENCE_EPS,
     chained_optimal_settings,
@@ -24,6 +23,7 @@ from bellvar.scenarios import (
     chained_family,
     chsh_family,
     mk_family,
+    random_scenario,
 )
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
@@ -215,13 +215,67 @@ def test_random_scan_covers_other_families():
 
 
 def test_random_scan_counts_nan_slack(monkeypatch):
-    def nan_slack_report(family, scenario, state):
-        return dataclasses.replace(report_for(family, scenario, state), slack=float("nan"))
+    columns = optimize._columns
 
-    monkeypatch.setattr(optimize, "report_for", nan_slack_report)
+    def nan_slack_columns(family, stacks, states):
+        cols = columns(family, stacks, states)
+        cols["slack"] = np.full_like(cols["slack"], np.nan)
+        return cols
+
+    monkeypatch.setattr(optimize, "_columns", nan_slack_columns)
     summary = random_scan(chsh_family(), n_samples=5, seed=3)
     assert summary.violations == 5
     assert math.isnan(summary.min_slack)
+
+
+def _scan_reference(family, n_samples, seed):
+    """Rows and violation count of the per-instance scan the batched one replaced."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = []
+    for index in range(n_samples):
+        scenario = random_scenario(family, rng)
+        state = haar_random_ket(2**family.n_parties, rng)
+        report = report_for(family, scenario, state)
+        rows.append(
+            {
+                "index": index,
+                "bell_value": report.bell_value,
+                "local_part": report.local_part,
+                "rms_a": report.rms_a,
+                "rms_b": report.rms_b,
+                "bound_statistical": report.bound_statistical,
+                "slack": report.slack,
+            }
+        )
+    violations = sum(not row["slack"] >= SLACK_FLOOR for row in rows)
+    return rows, violations
+
+
+@pytest.mark.parametrize(
+    "family, n_samples",
+    [
+        (chsh_family(), 300),
+        (chained_family(3), 300),
+        (chained_family(5), 300),
+        (mk_family(3), 100),
+        (mk_family(4), 40),
+        (mk_family(5, split_k=2), 10),
+    ],
+    ids=["chsh", "chained3", "chained5", "mk3", "mk4", "mk5-k2"],
+)
+def test_random_scan_matches_per_instance_reference(family, n_samples):
+    # the sample counts cross at least one chunk boundary of the batched scan
+    assert n_samples > max(1, optimize._SCAN_CHUNK // 4**family.n_parties)
+    for seed in (0, 7):
+        summary = random_scan(family, n_samples, seed, keep_rows=True)
+        rows, violations = _scan_reference(family, n_samples, seed)
+        assert [r["index"] for r in summary.rows] == [r["index"] for r in rows]
+        for key in rows[0]:
+            np.testing.assert_allclose(
+                [r[key] for r in summary.rows], [r[key] for r in rows], rtol=0, atol=1e-12
+            )
+        assert summary.violations == violations
+        assert summary.min_slack == pytest.approx(min(r["slack"] for r in rows), abs=1e-12)
 
 
 def test_seesaw_value_validated_by_report_dispatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_hermitian, as_ket, tensor_product
 from bellvar.scenarios import (
     LHV_ENUMERATION_CAP_BITS,
     MK_MAX_PARTIES,
@@ -370,6 +370,53 @@ def test_scenario_json_rejects_malformed_documents():
         )
     with pytest.raises(ValueError):
         scenario_from_json_dict([1, 2, 3])
+
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    target=st.sampled_from(["ket", "hermitian", "bloch", "scenario-bloch", "scenario-matrix"]),
+)
+def test_nonfinite_entry_is_rejected(data, target):
+    # A huge diagonal entry is a valid Hermitian matrix, so +-1e308 only goes
+    # where no valid input can hold it.
+    values = NONFINITE + ([] if target == "hermitian" else [1e308, -1e308])
+    bad = data.draw(st.sampled_from(values), label="bad")
+    part = data.draw(st.integers(0, 1), label="part")
+    if target == "ket":
+        check, arg = as_ket, np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex)
+    elif target == "hermitian":
+        check, arg = as_hermitian, SIGMA_X + SIGMA_Z
+    elif target == "bloch":
+        check, arg = bloch_observable, [0.6, 0.0, 0.8]
+    else:
+        check = scenario_from_json_dict
+        arg = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2))
+        if target == "scenario-bloch":
+            entry = {"bloch": [0.6, 0.0, 0.8]}
+        else:
+            entry = {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+        party, setting = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="slot")
+        arg["parties"][party]["observables"][setting] = entry
+    check(arg)  # valid before one entry is replaced
+    if target == "ket":
+        pos = data.draw(st.integers(0, 3), label="pos")
+        arg[pos] = complex(bad, arg[pos].imag) if part == 0 else complex(arg[pos].real, bad)
+    elif target == "hermitian":
+        row, col = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="entry")
+        z = arg[row, col]
+        arg[row, col] = complex(bad, z.imag) if part == 0 else complex(z.real, bad)
+    elif target in ("bloch", "scenario-bloch"):
+        vec = arg if target == "bloch" else entry["bloch"]
+        vec[data.draw(st.integers(0, 2), label="pos")] = bad
+    else:
+        row, col = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="entry")
+        entry["matrix"][row][col][part] = bad
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        check(arg)
 
 
 def test_load_scenario_file_error_message(tmp_path):
