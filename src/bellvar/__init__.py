@@ -16,7 +16,6 @@ from .avdecomp import (
     correlator_split,
     pearson,
     reconstruction_residual,
-    rms_spread,
 )
 from .bounds import (
     SATURATION_ATOL,
@@ -31,7 +30,6 @@ from .bounds import (
     mk_report,
     pearson_chsh_report,
     report_for,
-    report_from_json_dict,
     report_to_json_dict,
     saturation_check,
 )
@@ -41,17 +39,13 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    apply,
     as_hermitian,
     as_ket,
-    embed_local,
     expectation,
     fix_global_phase,
     haar_random_ket,
-    inner_product,
     is_dichotomic,
     random_hermitian,
-    spectral_decompose,
     tensor_product,
     top_eigenpair,
 )

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inner_product
-
 __all__ = [
     "SPREAD_EPS",
     "DegenerateSpreadError",
@@ -36,7 +34,6 @@ __all__ = [
     "reconstruction_residual",
     "correlator_split",
     "pearson",
-    "rms_spread",
 ]
 
 # Below this absolute spread the fluctuation direction is undefined.
@@ -154,7 +151,7 @@ def correlator_split(op_a: np.ndarray, op_b: np.ndarray, state: np.ndarray) -> C
     if dec_a.degenerate or dec_b.degenerate:
         overlap = 0.0 + 0.0j
     else:
-        overlap = inner_product(dec_a.perp, dec_b.perp)
+        overlap = complex(np.vdot(dec_a.perp, dec_b.perp))
     return CorrelatorSplit(
         joint=raw_joint.real,
         local_product=dec_a.mean * dec_b.mean,
@@ -175,18 +172,4 @@ def pearson(op_a: np.ndarray, op_b: np.ndarray, state: np.ndarray) -> float:
     dec_b = av_decompose(op_b, state)
     if dec_a.degenerate or dec_b.degenerate:
         raise DegenerateSpreadError("correlator undefined: zero spread")
-    return float(inner_product(dec_a.perp, dec_b.perp).real)
-
-
-def rms_spread(spreads) -> float:
-    """Root of the summed squared spreads of a collection of observables.
-
-    This is the aggregate fluctuation strength entering every statistical
-    Bell bound here: ``sqrt(sum_i dX_i^2)``.
-    """
-    arr = np.asarray(spreads, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("rms_spread expects a non-empty 1-d collection of spreads")
-    if not np.all(arr >= 0):
-        raise ValueError("spreads must be non-negative")
-    return float(np.sqrt(np.sum(arr * arr)))
+    return float(np.vdot(dec_a.perp, dec_b.perp).real)

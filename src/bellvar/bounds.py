@@ -48,11 +48,13 @@ import numpy as np
 
 from .avdecomp import SPREAD_EPS, DegenerateSpreadError, _split
 from .scenarios import (
+    SCHEMA_VERSION,
     FamilySpec,
     Scenario,
     check_family_scenario,
     chsh_coefficients,
     coefficient_tensor,
+    family_to_json_dict,
     mk_coefficient_pair,
     operator_from_tensor,
 )
@@ -72,7 +74,6 @@ __all__ = [
     "mk_report",
     "report_for",
     "report_to_json_dict",
-    "report_from_json_dict",
 ]
 
 # Saturation checks run at a fixed tolerance on purpose: loosening it is a
@@ -395,8 +396,6 @@ def chained_report(
     ``cos_lambda_j`` by 1.  The wrap term is what makes n = 2 reduce
     exactly to the CHSH report.
     """
-    if n < 2:
-        raise ValueError(f"chained report needs n >= 2, got {n}")
     family = FamilySpec(name="chained", n=n)
     cols = _columns(family, *_stack_of_one(family, scenario, state))
     report = _report(
@@ -441,8 +440,6 @@ def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> Bel
 
 
 def report_to_json_dict(report: BellReport) -> dict:
-    from .scenarios import SCHEMA_VERSION, family_to_json_dict
-
     out = {
         "schema_version": SCHEMA_VERSION,
         "family": family_to_json_dict(report.family),
@@ -462,28 +459,3 @@ def report_to_json_dict(report: BellReport) -> dict:
     if report.tsirelson_is_reference:
         out["bound_tsirelson_note"] = "reference value"
     return out
-
-
-def report_from_json_dict(node: dict) -> BellReport:
-    from .scenarios import SCHEMA_VERSION, family_from_json_dict
-
-    if node.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {node.get('schema_version')!r}")
-    return BellReport(
-        family=family_from_json_dict(node["family"]),
-        bell_value=float(node["bell_value"]),
-        local_part=float(node["local_part"]),
-        nonlocal_amount=float(node["nonlocal_amount"]),
-        rms_a=float(node["rms_a"]),
-        rms_b=float(node["rms_b"]),
-        bound_statistical=float(node["bound_statistical"]),
-        bound_tsirelson=float(node["bound_tsirelson"]),
-        bound_lhv=float(node["bound_lhv"]),
-        slack=float(node["slack"]),
-        bound_statistical_loose=(
-            float(node["bound_statistical_loose"])
-            if "bound_statistical_loose" in node
-            else None
-        ),
-        tsirelson_is_reference=bool(node.get("tsirelson_is_reference", False)),
-    )

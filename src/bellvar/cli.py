@@ -6,6 +6,10 @@ machine readable file, canonical JSON by default.  ``report``, ``scan``
 and ``sample`` take ``--format csv`` for a CSV file instead (every format
 carries a schema_version field, CSV as a leading comment line).
 
+``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
+(party, setting): each 2x2 observable is applied on its party's axis of
+the reshaped state, so no operator on the joint space is built.
+
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors), 3 a domain validation failure (dimension mismatch, cap
 exceeded, degenerate spread, undersampled batch), 1 unexpected internal
@@ -27,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .avdecomp import av_decompose, reconstruction_residual
+from .avdecomp import SPREAD_EPS, _split
 from .bounds import (
     _COLUMNS,
     SATURATION_ATOL,
@@ -39,7 +43,7 @@ from .bounds import (
     report_to_json_dict,
     saturation_check,
 )
-from .linalg import as_ket, embed_local
+from .linalg import as_ket
 from .montecarlo import batch_to_csv, empirical_check, estimate, estimates_to_json_dict, simulate_rounds
 from .optimize import random_scan, seesaw_max
 from .presets import PRESET_NAMES, preset
@@ -170,38 +174,37 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
 
 def _cmd_decompose(args) -> int:
     scenario, _ = _load_scenario(args.scenario)
-    n = scenario.n_parties
-    state = _parse_state(args.state, n)
+    state = _parse_state(args.state, scenario.n_parties)
+    # Party p acts on axis 1 of the state reshaped to (2^p, 2, rest): its images are one matmul.
+    images = np.concatenate(
+        [
+            (np.asarray(row)[:, None] @ state.reshape(2**p, 2, -1)).reshape(len(row), -1)
+            for p, row in enumerate(scenario.observables)
+        ]
+    )
+    mean, spread, perp = (v[0] for v in _split(images[None], state[None]))
+    residual = np.linalg.norm(images - mean[:, None] * state - spread[:, None] * perp, axis=1)
+    labels = [(p, s) for p, row in enumerate(scenario.observables) for s in range(len(row))]
     entries = []
     rows: list[tuple[str, str]] = []
-    for p in range(n):
-        for s in range(len(scenario.observables[p])):
-            op = (
-                scenario.observables[p][s]
-                if n == 1
-                else embed_local(scenario.observables[p][s], p, n)
-            )
-            dec = av_decompose(op, state)
-            residual = reconstruction_residual(op, state, dec)
-            entries.append(
-                {
-                    "party": p,
-                    "setting": s,
-                    "mean": dec.mean,
-                    "spread": dec.spread,
-                    "degenerate": dec.degenerate,
-                    "perp": None
-                    if dec.perp is None
-                    else [[float(a.real), float(a.imag)] for a in dec.perp],
-                    "reconstruction_residual": residual,
-                }
-            )
-            label = f"party {p} setting {s}"
-            detail = (
-                f"mean {_fmt(dec.mean)}  spread {_fmt(dec.spread)}  "
-                f"residual {residual:.2e}" + ("  (degenerate)" if dec.degenerate else "")
-            )
-            rows.append((label, detail))
+    for (p, s), m, dx, v, r in zip(labels, mean.tolist(), spread.tolist(), perp, residual.tolist()):
+        degenerate = dx < SPREAD_EPS
+        entries.append(
+            {
+                "party": p,
+                "setting": s,
+                "mean": m,
+                "spread": dx,
+                "degenerate": degenerate,
+                "perp": None if degenerate else [[float(a.real), float(a.imag)] for a in v],
+                "reconstruction_residual": r,
+            }
+        )
+        detail = (
+            f"mean {_fmt(m)}  spread {_fmt(dx)}  "
+            f"residual {r:.2e}" + ("  (degenerate)" if degenerate else "")
+        )
+        rows.append((f"party {p} setting {s}", detail))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_json_dict(scenario),

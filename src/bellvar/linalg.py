@@ -12,8 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -26,12 +24,8 @@ __all__ = [
     "as_hermitian",
     "is_dichotomic",
     "tensor_product",
-    "embed_local",
-    "apply",
-    "inner_product",
     "expectation",
     "top_eigenpair",
-    "spectral_decompose",
     "fix_global_phase",
     "haar_random_ket",
     "random_hermitian",
@@ -44,7 +38,6 @@ _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
 _IMAG_ATOL = 1e-10
 _EIG_RESIDUAL_ATOL = 1e-10
-_EIG_GROUP_RTOL = 1e-9
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,42 +113,17 @@ def tensor_product(*ops) -> np.ndarray:
     return out
 
 
-def embed_local(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Lift a single-qubit operator to ``n_sites`` qubits, acting on ``site``."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"embed_local expects a 2x2 operator, got shape {op.shape}")
-    if n_sites < 1 or 2**n_sites > DIM_CAP:
-        raise ValueError(f"site count {n_sites} out of supported range")
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site index {site} out of range for {n_sites} sites")
-    factors = [ID2] * n_sites
-    factors[site] = op
-    return tensor_product(factors)
-
-
-def apply(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with a dimension check."""
-    if op.shape[1] != ket.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {op.shape} on ket of length {ket.shape[0]}")
-    return op @ ket
-
-
-def inner_product(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """<bra|ket>, conjugate-linear in the first argument."""
-    if bra.shape != ket.shape:
-        raise ValueError(f"dimension mismatch: {bra.shape} vs {ket.shape}")
-    return complex(np.vdot(bra, ket))
-
-
 def expectation(op: np.ndarray, ket: np.ndarray) -> float:
     """<ket|op|ket> as a real number.
 
     The imaginary part of the raw expectation must vanish within 1e-10;
     anything larger signals a non-Hermitian operator slipping through and
-    is treated as an internal error.
+    is treated as an internal error.  A dimension mismatch between ``op``
+    and ``ket`` raises ``ValueError``.
     """
-    val = np.vdot(ket, apply(op, ket))
+    if op.shape[1] != ket.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {op.shape} on ket of length {ket.shape[0]}")
+    val = np.vdot(ket, op @ ket)
     if not abs(val.imag) <= _IMAG_ATOL:
         raise ArithmeticError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -190,32 +158,6 @@ def top_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
     if residual > _EIG_RESIDUAL_ATOL * max(1.0, abs(w)):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} above tolerance")
     return w, v
-
-
-def spectral_decompose(op: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue/projector pairs of a Hermitian operator, eigenvalues descending.
-
-    Nearly equal eigenvalues are grouped with tolerance 1e-9 relative to the
-    spectral radius, and each group contributes one orthogonal projector.
-    The projectors resolve the identity within numerical precision.
-    """
-    op = as_hermitian(op)
-    vals, vecs = np.linalg.eigh(op)
-    radius = float(np.max(np.abs(vals))) if vals.size else 0.0
-    gap = _EIG_GROUP_RTOL * max(radius, 1.0)
-    pairs: list[tuple[float, np.ndarray]] = []
-    i = 0
-    n = vals.shape[0]
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= gap:
-            j += 1
-        block = vecs[:, i:j]
-        projector = block @ block.conj().T
-        pairs.append((float(np.mean(vals[i:j])), projector))
-        i = j
-    pairs.reverse()
-    return pairs
 
 
 def haar_random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

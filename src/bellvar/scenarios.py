@@ -56,7 +56,6 @@ __all__ = [
     "mk_coefficient_pair",
     "coefficient_tensor",
     "operator_from_tensor",
-    "bell_operator",
     "mk_operators",
     "lhv_max",
     "uniform_bloch",
@@ -344,12 +343,6 @@ def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     value = _contract(coeff, stacks)
     order = list(range(0, 2 * n_parties, 2)) + list(range(1, 2 * n_parties, 2))
     return value.transpose(order).reshape(dim, dim)
-
-
-def bell_operator(family: FamilySpec, scenario: Scenario) -> np.ndarray:
-    """Full-space operator of the family's expression (B_n for mk)."""
-    check_family_scenario(family, scenario)
-    return operator_from_tensor(coefficient_tensor(family), scenario.observables)
 
 
 @dataclass(frozen=True)

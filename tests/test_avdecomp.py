@@ -17,7 +17,6 @@ from bellvar.avdecomp import (
     correlator_split,
     pearson,
     reconstruction_residual,
-    rms_spread,
 )
 from bellvar.linalg import (
     ID2,
@@ -216,25 +215,6 @@ NAN_PAIR_KET = np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex)
 def test_nan_state_raises(call):
     with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
         call()
-
-
-def test_rms_spread_values_and_errors():
-    assert rms_spread([1.0, 1.0]) == pytest.approx(np.sqrt(2.0))
-    assert rms_spread([3.0, 4.0]) == pytest.approx(5.0)
-    assert rms_spread([0.0]) == 0.0
-    with pytest.raises(ValueError):
-        rms_spread([])
-    with pytest.raises(ValueError):
-        rms_spread([1.0, -0.5])
-    with pytest.raises(ValueError):
-        rms_spread([[1.0, 2.0]])
-
-
-def test_rms_spread_rejects_nan():
-    with pytest.raises(ValueError):
-        rms_spread([np.nan, 1.0])
-    with pytest.raises(ValueError):
-        rms_spread([np.nan])
 
 
 def test_spread_epsilon_is_the_published_threshold():

@@ -4,6 +4,7 @@ Most cases drive ``main(argv)`` in process (fast, capsys-friendly); one
 smoke test goes through the interpreter to cover the module entry point.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import bellvar
+from bellvar.avdecomp import av_decompose, reconstruction_residual
 from bellvar.bounds import pearson_chsh_report
+from bellvar.linalg import haar_random_ket
 from bellvar.cli import main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
@@ -22,6 +25,7 @@ from bellvar.scenarios import (
     chsh_family,
     from_bloch_table,
     scenario_to_json_dict,
+    uniform_bloch,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -161,18 +165,30 @@ def test_report_bad_state_spec(scenario_file, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_report_rejects_nonfinite_state(scenario_file, tmp_path, capsys, bad):
+def _with_commands(values):
+    """``(command, value)`` cases for both state-reading subcommands; report keeps the bare id."""
+    return [pytest.param("report", v, id=str(v)) for v in values] + [
+        pytest.param("decompose", v, id=f"decompose-{v}") for v in values
+    ]
+
+
+@pytest.mark.parametrize("command, bad", _with_commands(["nan", "inf", "-inf", "file"]))
+def test_report_rejects_nonfinite_state(scenario_file, tmp_path, capsys, command, bad):
     out_path = tmp_path / "report.json"
-    argv = ["report", "--scenario", str(scenario_file), "--state", f"1,{bad},0,0"]
+    if bad == "file":
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps([[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    else:
+        state = f"1,{bad},0,0"
+    argv = [command, "--scenario", str(scenario_file), "--state", str(state)]
     assert main(argv + ["--out", str(out_path)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out_path.exists()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e308])
-@pytest.mark.parametrize("entry", ["bloch", "matrix"])
-def test_report_rejects_nonfinite_scenario_file(tmp_path, capsys, bad, entry):
+@pytest.mark.parametrize("command, entry", _with_commands(["bloch", "matrix"]))
+def test_report_rejects_nonfinite_scenario_file(tmp_path, capsys, bad, command, entry):
     doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
     if entry == "bloch":
         doc["parties"][1]["observables"][0]["bloch"][2] = bad
@@ -181,7 +197,7 @@ def test_report_rejects_nonfinite_scenario_file(tmp_path, capsys, bad, entry):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc), encoding="utf-8")
     out_path = tmp_path / "report.json"
-    argv = ["report", "--scenario", str(scenario_path), "--out", str(out_path)]
+    argv = [command, "--scenario", str(scenario_path), "--out", str(out_path)]
     with np.errstate(all="ignore"):
         assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
@@ -237,6 +253,64 @@ def test_decompose_marks_degenerate_rows(scenario_file, capsys):
     assert main(["decompose", "--scenario", str(scenario_file), "--state", "zero"]) == 0
     out = capsys.readouterr().out
     assert "(degenerate)" in out  # B0 = sigma_z is sharp on |00>
+
+
+def _lifted_decompositions(scenario, state):
+    """Reference: each observable lifted to the joint space with kron, split by av_decompose."""
+    n = scenario.n_parties
+    out = []
+    for p, row in enumerate(scenario.observables):
+        for s, op in enumerate(row):
+            lifted = functools.reduce(np.kron, [np.eye(2**p), op, np.eye(2 ** (n - 1 - p))])
+            dec = av_decompose(lifted, state)
+            out.append(
+                {
+                    "party": p,
+                    "setting": s,
+                    "mean": dec.mean,
+                    "spread": dec.spread,
+                    "degenerate": dec.degenerate,
+                    "perp": dec.perp,
+                    "reconstruction_residual": reconstruction_residual(lifted, state, dec),
+                }
+            )
+    return out
+
+
+@pytest.mark.parametrize("state_kind", ["haar", "zero"])
+@pytest.mark.parametrize("n_parties", [1, 2, 3, 5])
+def test_decompose_matches_lifted_reference(tmp_path, capsys, n_parties, state_kind):
+    rng = np.random.default_rng(n_parties)
+    # sigma_z first, so |0...0> has a degenerate row for every party; 2 or 3 settings a party
+    table = [[[0, 0, 1]] + [uniform_bloch(rng) for _ in range(1 + p % 2)] for p in range(n_parties)]
+    scen = from_bloch_table(table)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario_to_json_dict(scen)), encoding="utf-8")
+    state = "zero"
+    if state_kind == "haar":
+        ket = haar_random_ket(2**n_parties, rng)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps([[a.real, a.imag] for a in ket]), encoding="utf-8")
+    out_path = tmp_path / "dec.json"
+    argv = ["decompose", "--scenario", str(scenario_path), "--state", str(state)]
+    assert main(argv + ["--out", str(out_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    psi = np.array([complex(re, im) for re, im in doc["state"]])
+    want = _lifted_decompositions(scen, psi)
+    assert len(doc["decompositions"]) == len(want)
+    assert any(e["degenerate"] for e in want) == (state_kind == "zero")
+    for got, ref in zip(doc["decompositions"], want):
+        assert set(got) == set(ref)
+        for key in ("party", "setting", "degenerate"):
+            assert got[key] == ref[key]
+        for key in ("mean", "spread", "reconstruction_residual"):
+            assert abs(got[key] - ref[key]) <= 1e-12
+        if ref["perp"] is None:
+            assert got["perp"] is None
+        else:
+            perp = np.array([complex(re, im) for re, im in got["perp"]])
+            assert np.max(np.abs(perp - ref["perp"])) <= 1e-12
 
 
 def test_optimize_multi_seed(tmp_path, capsys):

@@ -15,20 +15,17 @@ from bellvar.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    apply,
     as_hermitian,
     as_ket,
-    embed_local,
     expectation,
     fix_global_phase,
     haar_random_ket,
-    inner_product,
     is_dichotomic,
     random_hermitian,
-    spectral_decompose,
     tensor_product,
     top_eigenpair,
 )
+from bellvar.scenarios import ghz_state, operator_from_tensor
 
 ATOL = 1e-10
 
@@ -105,34 +102,13 @@ def test_tensor_product_empty_rejected():
         tensor_product([])
 
 
-def test_embed_local_places_factor_at_site():
-    a = random_hermitian(2, np.random.default_rng(7))
-    for site, n_sites in [(0, 3), (1, 3), (2, 3)]:
-        want = [ID2] * n_sites
-        want[site] = a
-        np.testing.assert_allclose(
-            embed_local(a, site, n_sites),
-            np.kron(np.kron(want[0], want[1]), want[2]),
-            atol=0,
-        )
-
-
-def test_embed_local_rejects_bad_site():
-    with pytest.raises(ValueError):
-        embed_local(SIGMA_Z, 3, 3)
-    with pytest.raises(ValueError):
-        embed_local(SIGMA_Z, -1, 2)
-
-
 def test_apply_and_inner_product():
+    # expectation applies the operator itself, after a dimension check
     psi = as_ket([1.0, 0.0])
-    np.testing.assert_allclose(apply(SIGMA_X, psi), [0.0, 1.0], atol=0)
-    # vdot convention: first argument is conjugated
-    u = as_ket([1 / np.sqrt(2), 1j / np.sqrt(2)])
-    v = as_ket([1.0, 0.0])
-    assert inner_product(u, v) == pytest.approx(1 / np.sqrt(2))
-    with pytest.raises(ValueError):
-        apply(SIGMA_X, as_ket([0.5, 0.5, 0.5, 0.5]))
+    assert expectation(SIGMA_Z, psi) == 1.0
+    assert expectation(SIGMA_X, psi) == 0.0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expectation(SIGMA_X, as_ket([0.5, 0.5, 0.5, 0.5]))
 
 
 def test_expectation_matches_rayleigh_quotient():
@@ -184,45 +160,6 @@ def test_top_eigenpair_rejects_non_hermitian():
         top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim_exp=st.integers(1, 4))
-def test_spectral_decompose_completeness_and_orthogonality(seed, dim_exp):
-    dim = 2**dim_exp
-    a = random_hermitian(dim, np.random.default_rng(seed))
-    pairs = spectral_decompose(a)
-    vals = [w for w, _ in pairs]
-    assert vals == sorted(vals, reverse=True)
-    total = sum(p for _, p in pairs)
-    assert np.linalg.norm(total - np.eye(dim)) <= 1e-10
-    rebuilt = sum(w * p for w, p in pairs)
-    assert np.linalg.norm(rebuilt - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
-    for i, (_, p) in enumerate(pairs):
-        for j, (_, q) in enumerate(pairs):
-            prod = p @ q
-            if i == j:
-                assert np.linalg.norm(prod - p) <= 1e-9
-            else:
-                assert np.linalg.norm(prod) <= 1e-9
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_spectral_decompose_resolves_expectation(seed):
-    a = random_hermitian(4, np.random.default_rng(seed))
-    psi = haar_random_ket(4, np.random.default_rng(seed ^ 0x5EED))
-    pairs = spectral_decompose(a)
-    via_projectors = sum(w * expectation(p, psi) for w, p in pairs)
-    assert via_projectors == pytest.approx(expectation(a, psi), abs=1e-10)
-
-
-def test_spectral_decompose_groups_degenerate_levels():
-    pairs = spectral_decompose(np.kron(SIGMA_Z, ID2))
-    assert len(pairs) == 2
-    for w, p in pairs:
-        assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
-        assert w in (pytest.approx(1.0), pytest.approx(-1.0))
-
-
 def test_haar_random_ket_is_deterministic_and_normalized():
     u = haar_random_ket(8, np.random.default_rng(123))
     v = haar_random_ket(8, np.random.default_rng(123))
@@ -240,8 +177,11 @@ def test_random_hermitian_is_hermitian_and_seeded():
 
 
 def test_dimension_cap_enforced_on_embedding():
-    with pytest.raises(ValueError):
-        embed_local(SIGMA_Z, 0, 13)  # 2**13 sites exceeds the cap
+    # 13 qubits (dimension 2**13) exceed the cap, for states and for operators
+    with pytest.raises(ValueError, match="out of supported range"):
+        ghz_state(13)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        operator_from_tensor(np.ones((1,) * 13), [[SIGMA_Z]] * 13)
 
 
 def test_module_reexports():

@@ -18,15 +18,23 @@ from bellvar.optimize import (
     stationarity_check,
 )
 from bellvar.scenarios import (
-    bell_operator,
+    Scenario,
     bell_state,
     chained_family,
+    chsh_coefficients,
     chsh_family,
     mk_family,
     random_scenario,
 )
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
+
+
+def _chsh_operator(scenario: Scenario) -> np.ndarray:
+    """Reference CHSH operator: one Kronecker product per term."""
+    coeff = chsh_coefficients()
+    a_ops, b_ops = scenario.observables
+    return sum(coeff[x, y] * np.kron(a_ops[x], b_ops[y]) for x in range(2) for y in range(2))
 
 
 def test_seesaw_chsh_reaches_quantum_maximum():
@@ -62,7 +70,7 @@ def test_seesaw_result_is_self_consistent():
     result = seesaw_max(chsh_family(), seed=7)
     rep = chsh_report(result.scenario, result.state)
     assert rep.bell_value == pytest.approx(result.value, abs=1e-9)
-    op = bell_operator(chsh_family(), result.scenario)
+    op = _chsh_operator(result.scenario)
     top = np.linalg.eigvalsh(op)[-1]
     assert result.value <= top + 1e-9
 

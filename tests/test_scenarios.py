@@ -13,7 +13,6 @@ from bellvar.scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
-    bell_operator,
     bell_state,
     bloch_observable,
     bloch_of,
@@ -278,11 +277,11 @@ def test_coefficient_tensor_dispatch():
 
 def test_bell_operator_uses_family_shape():
     scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]], [[0, 0, 1], [1, 0, 0]]])
-    op = bell_operator(chsh_family(), scen)
-    want = operator_from_tensor(chsh_coefficients(), ((SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X)))
+    op = operator_from_tensor(coefficient_tensor(chsh_family()), scen.observables)
+    want = _kron_sum_operator(chsh_coefficients(), ((SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X)))
     np.testing.assert_allclose(op, want, atol=1e-14)
-    with pytest.raises(ValueError):
-        bell_operator(chained_family(3), scen)
+    with pytest.raises(ValueError, match="coefficient shape"):
+        operator_from_tensor(coefficient_tensor(chained_family(3)), scen.observables)
 
 
 def test_lhv_max_closed_forms():
