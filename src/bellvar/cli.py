@@ -349,6 +349,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # checked for every family, although only chsh runs the empirical check
+    if not 0.0 <= args.z < np.inf:
+        raise ValueError(f"z must be finite and non-negative, got {args.z}")
     family, scenario, state = _resolve_instance(args)
     batch = simulate_rounds(family, scenario, state, rounds=args.rounds, seed=args.seed)
     est = estimate(batch)

@@ -8,7 +8,9 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
    settings uniformly;
 3. one ``random`` draw of uniforms, one per round, picks the joint
    outcome by inverse CDF over the Born distribution of that round's
-   setting combination.
+   setting combination: rounds are grouped by combination and each
+   group is binary-searched in its CDF row, which gives exactly the
+   number of CDF entries below the round's uniform.
 
 Joint outcome probabilities are expectations of products of local
 spectral projectors ``(I +- X)/2``: one contraction of every party's
@@ -38,6 +40,7 @@ import numpy as np
 
 from .linalg import ID2
 from .scenarios import (
+    _CSV_CHUNK_ROWS,
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
@@ -59,9 +62,6 @@ __all__ = [
     "batch_to_csv",
     "estimates_to_json_dict",
 ]
-
-_CHUNK_ROUNDS = 1 << 14
-
 
 class UndersampledError(ValueError):
     """A setting combination was observed fewer than two times."""
@@ -169,29 +169,44 @@ def simulate_rounds(
         round_settings[:, p] = rng.integers(0, settings[p], size=rounds, dtype=np.uint8)
     uniforms = rng.random(rounds)
     combo_idx = np.ravel_multi_index(tuple(round_settings.T), settings)
-
-    outcome_idx = np.empty(rounds, dtype=np.int64)
-    for lo in range(0, rounds, _CHUNK_ROUNDS):
-        hi = min(lo + _CHUNK_ROUNDS, rounds)
-        rows = cdfs[combo_idx[lo:hi]]
-        outcome_idx[lo:hi] = np.sum(rows < uniforms[lo:hi, None], axis=1)
-
-    counts = np.zeros((len(dists), 2**n), dtype=np.int64)
-    np.add.at(counts, (combo_idx, outcome_idx), 1)
-
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (outcome_idx[:, None] >> shifts) & 1
-    round_outcomes = (1 - 2 * bits).astype(np.int8)
+    outcome_idx = _inverse_cdf(cdfs, combo_idx, uniforms)
+    flat = np.bincount(combo_idx * 2**n + outcome_idx, minlength=cdfs.size)
 
     return SampleBatch(
         family=family,
         scenario=scenario,
         rounds=rounds,
         seed=int(seed),
-        counts=counts,
+        counts=flat.reshape(cdfs.shape),
         round_settings=round_settings,
-        round_outcomes=round_outcomes,
+        round_outcomes=_outcome_signs(n)[outcome_idx],
     )
+
+
+def _inverse_cdf(cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome index per round: how many entries of its combination's CDF row lie below its uniform.
+
+    Rounds are grouped by combination with one stable sort (a radix sort on
+    the narrow key) and each group is binary-searched in its CDF row.  The
+    left-side search counts exactly the entries ``< u``, also at ties and
+    at ``u == 0``.  A row is non-decreasing except that its last entry, set
+    to 1.0, may sit below a predecessor rounded above 1; every uniform is
+    below 1.0, so the entries ``>= u`` still form a suffix and the search
+    stays exact.
+    """
+    order = np.argsort(combo_idx.astype(np.min_scalar_type(len(cdfs) - 1)), kind="stable")
+    ends = np.cumsum(np.bincount(combo_idx, minlength=len(cdfs))).tolist()
+    outcome_idx = np.empty(len(order), dtype=np.intp)
+    for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        group = order[lo:hi]
+        outcome_idx[group] = np.searchsorted(cdfs[c], uniforms[group], side="left")
+    return outcome_idx
+
+
+def _outcome_signs(n: int) -> np.ndarray:
+    """``(2**n, n)`` int8 table of the +-1 outcomes of each joint outcome index (bit set = -1)."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (1 - 2 * bits).astype(np.int8)
 
 
 def estimate(batch: SampleBatch) -> EmpiricalEstimates:
@@ -211,9 +226,7 @@ def estimate(batch: SampleBatch) -> EmpiricalEstimates:
             f"setting combination {worst} observed {int(combo_totals.min())} < 2 times"
         )
 
-    n_outcomes = counts.shape[1]
-    shifts = np.arange(n - 1, -1, -1)
-    outcome_vals = 1.0 - 2.0 * ((np.arange(n_outcomes)[:, None] >> shifts) & 1)
+    outcome_vals = _outcome_signs(n).astype(float)
 
     max_settings = max(settings)
     means = np.zeros((n, max_settings))
@@ -309,16 +322,28 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 
 
 def batch_to_csv(batch: SampleBatch) -> str:
-    """Flat per-round table: round, one setting and one outcome per party."""
+    """Flat per-round table: round, one setting and one outcome per party.
+
+    A row is ``str(round)`` followed by the text of its setting combination
+    and of its joint outcome, each table entry formatted once with ``repr``.
+    """
     n = batch.n_parties
+    settings = batch.scenario.settings_per_party
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
-    columns = (np.arange(batch.rounds), batch.round_settings, batch.round_outcomes)
-    records = (
-        rec
-        for lo in range(0, batch.rounds, _CHUNK_ROUNDS)
-        for rec in np.column_stack([col[lo : lo + _CHUNK_ROUNDS] for col in columns]).tolist()
-    )
-    return _csv_text(keys, records)
+    setting_text = ["," + ",".join(map(repr, combo)) + "," for combo in np.ndindex(settings)]
+    outcome_text = [",".join(map(repr, signs)) + "\n" for signs in _outcome_signs(n).tolist()]
+    parts = [_csv_text(keys, ())]
+    for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
+        combos = np.ravel_multi_index(tuple(batch.round_settings[lo:hi].T), settings)
+        outcomes = np.ravel_multi_index(tuple((batch.round_outcomes[lo:hi] < 0).T), (2,) * n)
+        parts.append(
+            "".join(
+                f"{r}{setting_text[c]}{outcome_text[o]}"
+                for r, c, o in zip(range(lo, hi), combos.tolist(), outcomes.tolist())
+            )
+        )
+    return "".join(parts)
 
 
 def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:

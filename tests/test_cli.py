@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bellvar
 from bellvar.avdecomp import av_decompose, reconstruction_residual
@@ -443,6 +444,71 @@ def test_sample_rejects_nonfinite_z(tmp_path, capsys, z):
     argv = ["sample", "--preset", "chsh-optimal", "--rounds", "2000", "--out", str(out_path)]
     assert main(argv + [f"--z={z}"]) == 3
     assert "z must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+_SAMPLE_PRESETS = [
+    ["--preset", "chsh-optimal"],
+    ["--preset", "chained-n", "--n", "3"],
+    ["--preset", "mk-ghz", "--n", "3"],
+]
+# One tmp_path serves every example of a test; no example may leave a file in it.
+_SAMPLE_EXAMPLES = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_SAMPLE_EXAMPLES
+@given(instance=st.sampled_from(_SAMPLE_PRESETS), rounds=st.integers(max_value=0))
+def test_sample_rejects_nonpositive_rounds(tmp_path, instance, rounds):
+    out_path = tmp_path / "x.json"
+    assert main(["sample", *instance, f"--rounds={rounds}", "--out", str(out_path)]) in (2, 3)
+    assert not out_path.exists()
+
+
+@_SAMPLE_EXAMPLES
+@given(
+    instance=st.sampled_from(_SAMPLE_PRESETS),
+    z=st.sampled_from(["nan", "inf", "-inf", "-nan", "1e309"])
+    | st.floats(max_value=-1e-300).map(repr),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+def test_sample_rejects_bad_z_for_every_family(tmp_path, instance, z, fmt):
+    out_path = tmp_path / "x.out"
+    argv = ["sample", *instance, "--rounds", "2000", f"--z={z}", "--format", fmt]
+    assert main(argv + ["--out", str(out_path)]) in (2, 3)
+    assert not out_path.exists()
+
+
+# every cell of a Bloch entry and of a matrix entry (row, column, re/im)
+_SCENARIO_CELLS = [("bloch", i) for i in range(3)] + [("matrix", *c) for c in np.ndindex(2, 2, 2)]
+
+
+@_SAMPLE_EXAMPLES
+@given(
+    bad=st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]),
+    cell=st.sampled_from(_SCENARIO_CELLS),
+    slot=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+)
+def test_sample_rejects_nonfinite_scenario_file(tmp_path, bad, cell, slot):
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    party, setting = slot
+    kind, *index = cell
+    if kind == "bloch":
+        observable = {"bloch": [0.6, 0.0, 0.8]}
+    else:
+        observable = {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+    target = observable[kind]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = bad
+    doc["parties"][party]["observables"][setting] = observable
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "rounds.csv"
+    argv = ["sample", "--scenario", str(scenario_path), "--state", "bell", "--rounds", "2000"]
+    with np.errstate(all="ignore"):
+        assert main(argv + ["--format", "csv", "--out", str(out_path)]) in (2, 3)
     assert not out_path.exists()
 
 

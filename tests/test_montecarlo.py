@@ -6,6 +6,7 @@ acceptance band makes a statistical false alarm astronomically unlikely
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -16,15 +17,18 @@ from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, haar_ran
 from bellvar.montecarlo import (
     EmpiricalCheck,
     UndersampledError,
+    _inverse_cdf,
     batch_to_csv,
     empirical_check,
     estimate,
     estimates_to_json_dict,
     simulate_rounds,
 )
+from bellvar.presets import preset
 from bellvar.scenarios import (
     SCHEMA_VERSION,
     Scenario,
+    _csv_text,
     _expectations,
     bell_state,
     chained_family,
@@ -274,3 +278,134 @@ def test_empirical_check_rejects_nonfinite_z(z):
     est = estimate(simulate_rounds(chsh_family(), scen, psi, rounds=5000, seed=1))
     with pytest.raises(ValueError, match="finite"):
         empirical_check(est, z=z)
+
+
+# ---------------------------------------------------------------------------
+# the draw and the rounds CSV against their row-by-row references
+
+_REFERENCE_CHUNK = 1 << 14
+
+
+def _reference_cdfs(scenario, state):
+    """Per-combination CDF rows, built exactly as the sampler builds them."""
+    n = scenario.n_parties
+    settings = scenario.settings_per_party
+    projectors = [
+        np.stack([proj for op in row for proj in ((ID2 + op) / 2.0, (ID2 - op) / 2.0)])
+        for row in scenario.observables
+    ]
+    probs = _expectations(projectors, state).reshape([k for s in settings for k in (s, 2)])
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    dists = probs.transpose(order).reshape(-1, 2**n)
+    totals = dists.sum(axis=1)
+    assert np.all(np.abs(totals - 1.0) <= 1e-9)
+    cdfs = np.cumsum(np.clip(dists, 0.0, None) / totals[:, None], axis=1)
+    cdfs[:, -1] = 1.0
+    return cdfs
+
+
+def _row_compare(cdfs, combo_idx, uniforms):
+    """Outcome index per round: the entries of its CDF row below its uniform, row by row."""
+    outcome_idx = np.empty(len(uniforms), dtype=np.int64)
+    for lo in range(0, len(uniforms), _REFERENCE_CHUNK):
+        hi = min(lo + _REFERENCE_CHUNK, len(uniforms))
+        rows = cdfs[combo_idx[lo:hi]]
+        outcome_idx[lo:hi] = np.sum(rows < uniforms[lo:hi, None], axis=1)
+    return outcome_idx
+
+
+def _rounds_reference(scenario, state, rounds, seed):
+    """(counts, round_settings, round_outcomes) by row compare, ``add.at`` and shift-and-mask."""
+    n = scenario.n_parties
+    settings = scenario.settings_per_party
+    cdfs = _reference_cdfs(scenario, state)
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    round_settings = np.empty((rounds, n), dtype=np.uint8)
+    for p in range(n):
+        round_settings[:, p] = rng.integers(0, settings[p], size=rounds, dtype=np.uint8)
+    uniforms = rng.random(rounds)
+    combo_idx = np.ravel_multi_index(tuple(round_settings.T), settings)
+    outcome_idx = _row_compare(cdfs, combo_idx, uniforms)
+    counts = np.zeros((len(cdfs), 2**n), dtype=np.int64)
+    np.add.at(counts, (combo_idx, outcome_idx), 1)
+    bits = (outcome_idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return counts, round_settings, (1 - 2 * bits).astype(np.int8)
+
+
+def _csv_reference(batch):
+    """The rounds CSV with every cell of every row formatted by ``repr``."""
+    n = batch.n_parties
+    keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
+    columns = (np.arange(batch.rounds), batch.round_settings, batch.round_outcomes)
+    records = (
+        rec
+        for lo in range(0, batch.rounds, _REFERENCE_CHUNK)
+        for rec in np.column_stack([col[lo : lo + _REFERENCE_CHUNK] for col in columns]).tolist()
+    )
+    return _csv_text(keys, records)
+
+
+_RANDOM_FAMILIES = {
+    "random-chsh": chsh_family(),
+    "random-chained-3": chained_family(3),
+    "random-chained-6": chained_family(6),
+    "random-mk-3": mk_family(3),
+    "random-mk-5": mk_family(5),
+}
+
+
+@functools.cache
+def _instance(name):
+    """(family, scenario, state): a random instance, or a preset as ``name`` or ``name-n``."""
+    if name in _RANDOM_FAMILIES:
+        family = _RANDOM_FAMILIES[name]
+        rng = np.random.Generator(np.random.Philox(7))
+        scenario = random_scenario(family, rng)
+        return family, scenario, haar_random_ket(2**scenario.n_parties, rng)
+    kind, _, size = name.rpartition("-")
+    p = preset(kind, int(size)) if size.isdigit() else preset(name)
+    return p.family, p.scenario, p.state
+
+
+# rounds per seed: inside one chunk, at its edge, and across one, two and three boundaries
+_DRAW_ROUNDS = (1, 17, 2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 3, 3 * 2**14 + 5, 40_000)
+
+
+@pytest.mark.parametrize(
+    "name", ["chsh-optimal", "mk-ghz-3", "mk-ghz-6", "mk-ghz-8", *_RANDOM_FAMILIES]
+)
+def test_simulate_rounds_matches_row_compare_reference(name):
+    family, scenario, state = _instance(name)
+    for seed, rounds in enumerate(_DRAW_ROUNDS):
+        batch = simulate_rounds(family, scenario, state, rounds=rounds, seed=seed)
+        want = _rounds_reference(scenario, state, rounds, seed)
+        for got, ref in zip((batch.counts, batch.round_settings, batch.round_outcomes), want):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    # uniforms on every CDF entry below 1 (ties; zero-probability outcomes repeat
+    # an entry), their float neighbours, and 0.0
+    cdfs = _reference_cdfs(scenario, state)
+    combo_idx, entries = np.nonzero(cdfs < 1.0)
+    values = cdfs[combo_idx, entries]
+    uniforms = np.concatenate(
+        [values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), np.zeros(len(cdfs))]
+    )
+    uniforms = np.minimum(uniforms, np.nextafter(1.0, 0.0))
+    combo_idx = np.concatenate([combo_idx, combo_idx, combo_idx, np.arange(len(cdfs))])
+    np.testing.assert_array_equal(
+        _inverse_cdf(cdfs, combo_idx, uniforms), _row_compare(cdfs, combo_idx, uniforms)
+    )
+
+
+@pytest.mark.parametrize("name", ["chsh-optimal", "chained-n-12", "mk-ghz-8"])
+@pytest.mark.parametrize("rounds", [1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_batch_to_csv_matches_repr_reference(name, rounds):
+    family, scenario, state = _instance(name)
+    batch = simulate_rounds(family, scenario, state, rounds=rounds, seed=rounds)
+    got = batch_to_csv(batch).splitlines(keepends=True)
+    want = _csv_reference(batch).splitlines(keepends=True)
+    # the first differing line, not a diff of the whole text
+    diff = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert diff is None, f"line {diff}: {got[diff]!r} != {want[diff]!r}"
+    assert len(got) == len(want)
