@@ -38,6 +38,9 @@ Family specifics:
 * mk(n): the blocks are the two halves of the top-level MK recursion,
   carrying the block operator pairs with the CHSH coefficients;
   ``rms_a``/``rms_b`` hold the block aggregates ``sqrt(dB^2 + dB'^2)``.
+  Each side's pairs ``(B_m, B_m')`` for a whole stack of instances come
+  from one ``scenarios._operators`` fold of ``mk_coefficient_pair(m, 1)``
+  (the two tensors stacked on a last axis) against the site stacks.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _operators,
     check_family_scenario,
     chsh_coefficients,
     coefficient_tensor,
     family_to_json_dict,
     mk_coefficient_pair,
-    operator_from_tensor,
 )
 
 __all__ = [
@@ -226,11 +229,9 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     if family.name == "mk":
 
         def block(sites):
-            if sites.shape[1] == 1:
-                return sites[:, 0]
-            pair = mk_coefficient_pair(sites.shape[1], 1)
-            ops = [operator_from_tensor(t, rows) for rows in sites for t in pair]
-            return np.stack(ops).reshape(len(sites), 2, *ops[0].shape)
+            # (B_m, B_m') of every instance from one fold of the stacked coefficient pair
+            pair = np.stack(mk_coefficient_pair(sites.shape[1], 1), axis=-1)
+            return _operators(pair, list(sites.swapaxes(0, 1)))
 
         k = family.split_k
         blocks = _two_block(block(stacks[:, :k]), block(stacks[:, k:]), states, chsh_coefficients())

@@ -17,9 +17,9 @@ error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
-a list of ``[re, im]`` amplitude pairs, or an inline comma-separated list
-of real amplitudes.  Explicit amplitudes must be finite and are
-normalized.
+a list of ``[re, im]`` amplitude pairs (each exactly two JSON numbers), or
+an inline comma-separated list of real amplitudes.  Explicit amplitudes
+must be finite and are normalized.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _complex_pair,
     _csv_text,
     bell_state,
     family_to_json_dict,
@@ -127,8 +128,8 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            vec = np.array([complex(pair[0], pair[1]) for pair in raw], dtype=complex)
-        except (OSError, ValueError, TypeError, IndexError, json.JSONDecodeError) as exc:
+            vec = np.array([_complex_pair(pair) for pair in raw], dtype=complex)
+        except (OSError, ValueError, TypeError) as exc:
             raise InputError(f"cannot read state file {spec!r}: {exc}") from exc
     else:
         try:
@@ -343,8 +344,8 @@ def _cmd_scan(args) -> int:
     }
     csv_text = None
     if want_rows:
-        keys = ["index", *_COLUMNS]
-        csv_text = _csv_text(keys, [[row[k] for k in keys] for row in summary.rows])
+        columns = (summary.rows[name].tolist() for name in _COLUMNS)
+        csv_text = _csv_text(["index", *_COLUMNS], zip(range(summary.n_samples), *columns))
     return _emit(args, rows, doc, csv_text)
 
 

@@ -22,7 +22,7 @@ that reproduces across platforms for a given integer seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,8 +89,10 @@ class ScanSummary:
     ``violations`` counts samples whose slack is not at or above the
     rounding floor ``bounds.SLACK_FLOOR``, NaN included; a NaN slack also
     propagates into ``min_slack``.  ``min_slack``/``mean_slack`` are None
-    for an empty scan.  ``rows`` optionally keeps one record per instance
-    for CSV export; it is not part of the summary proper.
+    for an empty scan.  ``rows`` optionally keeps the per-instance rows for
+    CSV export, stored by column: one length-``n_samples`` array per name in
+    ``bounds._COLUMNS``, instance i at position i.  It is not part of the
+    summary proper and takes no part in comparisons.
     """
 
     family: FamilySpec
@@ -99,7 +101,7 @@ class ScanSummary:
     mean_slack: float | None
     violations: int
     seed: int
-    rows: tuple[dict, ...] | None = None
+    rows: dict[str, np.ndarray] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -280,30 +282,19 @@ def random_scan(
     real and the imaginary parts of the state.  The instances are drawn
     and reported a chunk at a time (at most ``_SCAN_CHUNK // dim^2`` of
     them, at least one) through the stacked report kernel, and only the
-    slacks are kept across chunks.  ``keep_rows=True`` additionally
-    stores one flat record per instance (for CSV export).  A Gaussian
+    slacks are kept across chunks.  ``keep_rows=True`` keeps every
+    ``_COLUMNS`` array instead (for CSV export).  A Gaussian
     triple of norm at most 1e-12, which ``uniform_bloch`` would redraw,
     raises ``ArithmeticError`` (probability below 1e-36).
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     rng = _philox(seed)
-    if n_samples == 0:
-        return ScanSummary(
-            family=family,
-            n_samples=0,
-            min_slack=None,
-            mean_slack=None,
-            violations=0,
-            seed=int(seed),
-            rows=() if keep_rows else None,
-        )
     shape = (family.n_parties, family.settings_per_party[0])
     n_bloch = 3 * shape[0] * shape[1]
     dim = 2**family.n_parties
     chunk = max(1, _SCAN_CHUNK // dim**2)
-    slacks = []
-    rows: list[dict] | None = [] if keep_rows else None
+    columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
     for start in range(0, n_samples, chunk):
         m = min(chunk, n_samples - start)
         normals = rng.standard_normal((m, n_bloch + 2 * dim))
@@ -320,18 +311,15 @@ def random_scan(
         if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _NORM_ATOL):
             raise ValueError("a drawn state is not normalized")
         cols = _columns(family, np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states)
-        slacks.append(cols["slack"])
-        if rows is not None:
-            values = zip(*(cols[name].tolist() for name in _COLUMNS))
-            for index, v in enumerate(values, start):
-                rows.append({"index": index, **dict(zip(_COLUMNS, v))})
-    slack = np.concatenate(slacks)
+        for name, column in columns.items():
+            column[start : start + m] = cols[name]
+    slack = columns["slack"]
     return ScanSummary(
         family=family,
         n_samples=n_samples,
-        min_slack=float(np.min(slack)),
-        mean_slack=float(np.mean(slack)),
+        min_slack=float(np.min(slack)) if n_samples else None,
+        mean_slack=float(np.mean(slack)) if n_samples else None,
         violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
         seed=int(seed),
-        rows=tuple(rows) if rows is not None else None,
+        rows=columns if keep_rows else None,
     )

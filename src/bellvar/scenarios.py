@@ -293,56 +293,70 @@ def coefficient_tensor(family: FamilySpec) -> np.ndarray:
 
 
 def _contract(tensor: np.ndarray, stacks) -> np.ndarray:
-    """Fold ``tensor`` against one stack per axis, taking the axes in order.
+    """Fold ``tensor`` against one stack per axis, taking the axes in order, for N instances.
 
-    ``stacks[p]`` has the axis it shares with ``tensor``'s axis p first.
-    Each step contracts the running tensor's leading axis and appends the
-    stack's remaining axes, so the result holds those axes stack by stack.
+    ``stacks[p]`` has shape ``(N or 1, S_p, ...)``: the instance axis (length 1
+    for a stack every instance shares), then the axis it shares with
+    ``tensor``'s axis p.  Each step is one batched matmul that contracts the
+    running tensor's leading axis and appends the stack's remaining axes, so
+    with ``P = len(stacks)`` the result has shape ``(N, *tensor.shape[P:],
+    *stacks[0].shape[2:], ..., *stacks[P-1].shape[2:])``.
     """
-    value = tensor
+    value = tensor[None]
     for stack in stacks:
-        value = np.tensordot(value, stack, axes=([0], [0]))
-    return value
+        lead = value.reshape(len(value), stack.shape[1], -1).swapaxes(1, 2)
+        value = lead @ stack.reshape(len(stack), stack.shape[1], -1)
+    rest = [d for stack in stacks for d in stack.shape[2:]]
+    return value.reshape(len(value), *tensor.shape[len(stacks) :], *rest)
 
 
 def _expectations(stacks, state: np.ndarray) -> np.ndarray:
     """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
 
     Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack.  ``|state><state|``, one axis of size 4
-    per party, is folded against the stacks flattened to ``(4, K_p)``; no operator is built.
+    per party, is folded against the stacks flattened to shared ``(1, 4, K_p)`` stacks, so no
+    operator is built.
     An imaginary part above 1e-10 raises ``ArithmeticError``.
     """
     n_parties = len(stacks)
     rho = np.multiply.outer(state.conj(), state).reshape((2,) * (2 * n_parties))
     order = [axis for p in range(n_parties) for axis in (p, n_parties + p)]
     rho = rho.transpose(order).reshape((4,) * n_parties)
-    flat = [np.asarray(stack, dtype=complex).reshape(-1, 4).T for stack in stacks]
-    values = _contract(rho, flat)
+    flat = [np.asarray(stack, dtype=complex).reshape(1, -1, 4).swapaxes(1, 2) for stack in stacks]
+    values = _contract(rho, flat)[0]
     if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
         raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
     return values.real
+
+
+def _operators(tensor: np.ndarray, stacks) -> np.ndarray:
+    """``sum_x tensor[x, ...] (X_1 tensor ... tensor X_P)`` per instance, no Kronecker product.
+
+    ``stacks[p]`` of shape ``(N or 1, S_p, 2, 2)`` holds party p's operators
+    (tensor factor p, big-endian).  Axes of ``tensor`` past the P setting axes
+    index separate operators: the result has shape ``(N, *tensor.shape[P:], 2**P, 2**P)``.
+    """
+    value = _contract(tensor, stacks)
+    # axes come out as (instance, extra..., row_0, col_0, row_1, col_1, ...)
+    lead = value.ndim - 2 * len(stacks)
+    order = [*range(lead), *range(lead, value.ndim, 2), *range(lead + 1, value.ndim, 2)]
+    return value.transpose(order).reshape(*value.shape[:lead], 2 ** len(stacks), -1)
 
 
 def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     """Bell operator ``sum_x coeff[x] (X_1 tensor ... tensor X_P)``.
 
     ``observables[p][s]`` supplies party p's operator under setting s;
-    party p is tensor factor p (big-endian site order).  The sum is one
-    contraction of ``coeff`` against the per-party ``(S_p, 2, 2)`` stacks;
-    no Kronecker product is formed.
+    party p is tensor factor p (big-endian site order).  After the shape
+    and ``DIM_CAP`` checks this is the stack-of-one call of ``_operators``.
     """
     shape = tuple(len(row) for row in observables)
     if coeff.shape != shape:
         raise ValueError(f"coefficient shape {coeff.shape} does not match scenario {shape}")
-    n_parties = len(shape)
-    dim = 2**n_parties
+    dim = 2 ** len(shape)
     if dim > DIM_CAP:
         raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
-    stacks = [np.asarray(row, dtype=complex) for row in observables]
-    # axes come out as (row_0, col_0, row_1, col_1, ...); rows first, then columns
-    value = _contract(coeff, stacks)
-    order = list(range(0, 2 * n_parties, 2)) + list(range(1, 2 * n_parties, 2))
-    return value.transpose(order).reshape(dim, dim)
+    return _operators(coeff, [np.asarray(row, dtype=complex)[None] for row in observables])[0]
 
 
 @dataclass(frozen=True)
@@ -374,13 +388,9 @@ def mk_operators(n: int, site_pairs, split_k: int = 1) -> MKOperatorPair:
         raise ValueError(f"need {n} site observable pairs, got {len(site_pairs)}")
     obs = tuple((pair[0], pair[1]) for pair in site_pairs)
     scen = Scenario(observables=obs)
-    t, t_prime = mk_coefficient_pair(n, split_k)
-    return MKOperatorPair(
-        b=operator_from_tensor(t, scen.observables),
-        b_prime=operator_from_tensor(t_prime, scen.observables),
-        n=n,
-        split_k=split_k,
-    )
+    pair = np.stack(mk_coefficient_pair(n, split_k), axis=-1)
+    b, b_prime = _operators(pair, [np.asarray(row)[None] for row in scen.observables])[0]
+    return MKOperatorPair(b=b, b_prime=b_prime, n=n, split_k=split_k)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +416,8 @@ def lhv_max(family: FamilySpec) -> float:
     stacks = []
     for n_settings in settings:
         bits = (np.arange(2**n_settings) >> np.arange(n_settings)[:, None]) & 1
-        stacks.append((1 - 2 * bits).astype(np.int64))
-    return float(_contract(coeff, stacks).max())
+        stacks.append((1 - 2 * bits).astype(np.int64)[None])
+    return float(_contract(coeff, stacks)[0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +469,36 @@ def _observable_to_json(op: np.ndarray, bloch_vec: np.ndarray | None):
     }
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; ``true``/``false`` (Python ``bool``) and any other value raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("a JSON integer is too large for a float") from exc
+
+
+def _complex_pair(node) -> complex:
+    """An ``[re, im]`` pair of a state or ``matrix`` file: exactly two JSON numbers."""
+    if not isinstance(node, list) or len(node) != 2:
+        raise ValueError(f"expected an [re, im] pair of two numbers, got {node!r}")
+    return complex(_json_number(node[0]), _json_number(node[1]))
+
+
 def _observable_from_json(node) -> tuple[np.ndarray, np.ndarray | None]:
     if not isinstance(node, dict):
         raise ValueError("observable entry must be an object")
     if "bloch" in node:
-        vec = np.asarray(node["bloch"], dtype=float)
+        if not isinstance(node["bloch"], list):
+            raise ValueError("a 'bloch' entry must be a list of three numbers")
+        vec = np.array([_json_number(c) for c in node["bloch"]])
         return bloch_observable(vec), vec
     if "matrix" in node:
         raw = node["matrix"]
-        mat = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in raw], dtype=complex
-        )
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+            raise ValueError("a 'matrix' entry must be a list of rows of [re, im] pairs")
+        mat = np.array([[_complex_pair(entry) for entry in row] for row in raw], dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"matrix observable must be 2x2, got {mat.shape}")
         return mat, None

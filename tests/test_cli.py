@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bellvar
 from bellvar.avdecomp import av_decompose, reconstruction_residual
@@ -509,6 +509,62 @@ def test_sample_rejects_nonfinite_scenario_file(tmp_path, bad, cell, slot):
     argv = ["sample", "--scenario", str(scenario_path), "--state", "bell", "--rounds", "2000"]
     with np.errstate(all="ignore"):
         assert main(argv + ["--format", "csv", "--out", str(out_path)]) in (2, 3)
+    assert not out_path.exists()
+
+
+# What one entry of a state file's [re, im] pair is replaced by: no JSON number, or no finite one.
+_BAD_PAIR_ENTRIES = [
+    True, False, "0.5", [0.5], float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400
+]
+
+
+@_SAMPLE_EXAMPLES
+@given(
+    command=st.sampled_from(["report", "decompose"]),
+    pos=st.integers(0, 3),
+    mutation=st.tuples(st.just("entry"), st.integers(0, 1), st.sampled_from(_BAD_PAIR_ENTRIES))
+    | st.tuples(st.just("length"), st.sampled_from([1, 3]), st.just(None)),
+)
+@example(command="report", pos=3, mutation=("entry", 1, False))
+@example(command="decompose", pos=0, mutation=("length", 3, None))
+def test_state_file_rejects_malformed_pairs(scenario_file, tmp_path, command, pos, mutation):
+    pairs = [[1, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0]]
+    state_path = tmp_path / "state.json"
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_file), "--state", str(state_path)]
+    state_path.write_text(json.dumps(pairs), encoding="utf-8")
+    assert main(argv + ["--out", str(out_path)]) == 0
+    out_path.unlink()
+    kind, where, bad = mutation
+    if kind == "entry":
+        pairs[pos][where] = bad
+    else:
+        # one element short, or a third element that must not be dropped silently
+        pairs[pos] = (pairs[pos] + [0.25])[:where]
+    state_path.write_text(json.dumps(pairs), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        assert main(argv + ["--out", str(out_path)]) in (2, 3)
+    assert not out_path.exists()
+
+
+_MALFORMED_OBSERVABLES = {
+    "matrix-three": {"matrix": [[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]},
+    "matrix-bool": {"matrix": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]},
+    "matrix-number": {"matrix": 5},
+    "bloch-bool": {"bloch": [False, False, True]},
+    "bloch-string": {"bloch": ["0", "0", "1"]},
+}
+
+
+@pytest.mark.parametrize("command, case", _with_commands(list(_MALFORMED_OBSERVABLES)))
+def test_scenario_file_rejects_malformed_entries(tmp_path, capsys, command, case):
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    doc["parties"][1]["observables"][0] = _MALFORMED_OBSERVABLES[case]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    assert main([command, "--scenario", str(scenario_path), "--out", str(out_path)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out_path.exists()
 
 

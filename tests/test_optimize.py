@@ -198,19 +198,19 @@ def test_random_scan_empty_and_rows():
     assert empty.mean_slack is None
     assert empty.violations == 0
     kept = random_scan(chained_family(3), n_samples=10, seed=1, keep_rows=True)
-    assert kept.rows is not None and len(kept.rows) == 10
-    for row in kept.rows:
-        assert row["slack"] >= -1e-9
-        assert set(row) == {
-            "index",
-            "bell_value",
-            "local_part",
-            "rms_a",
-            "rms_b",
-            "bound_statistical",
-            "slack",
-        }
-    assert kept.min_slack == pytest.approx(min(r["slack"] for r in kept.rows))
+    # the rows are stored by column; the index of a row is its position
+    assert kept.rows is not None
+    assert [len(column) for column in kept.rows.values()] == [10] * len(kept.rows)
+    assert np.all(kept.rows["slack"] >= -1e-9)
+    assert set(kept.rows) == {
+        "bell_value",
+        "local_part",
+        "rms_a",
+        "rms_b",
+        "bound_statistical",
+        "slack",
+    }
+    assert kept.min_slack == pytest.approx(min(kept.rows["slack"]))
     with pytest.raises(ValueError):
         random_scan(chsh_family(), n_samples=-1, seed=0)
 
@@ -268,8 +268,11 @@ def _scan_reference(family, n_samples, seed):
         (mk_family(3), 100),
         (mk_family(4), 40),
         (mk_family(5, split_k=2), 10),
+        (mk_family(6), 3),
+        (mk_family(6, split_k=3), 3),
+        (mk_family(7, split_k=3), 3),
     ],
-    ids=["chsh", "chained3", "chained5", "mk3", "mk4", "mk5-k2"],
+    ids=["chsh", "chained3", "chained5", "mk3", "mk4", "mk5-k2", "mk6", "mk6-k3", "mk7-k3"],
 )
 def test_random_scan_matches_per_instance_reference(family, n_samples):
     # the sample counts cross at least one chunk boundary of the batched scan
@@ -277,10 +280,10 @@ def test_random_scan_matches_per_instance_reference(family, n_samples):
     for seed in (0, 7):
         summary = random_scan(family, n_samples, seed, keep_rows=True)
         rows, violations = _scan_reference(family, n_samples, seed)
-        assert [r["index"] for r in summary.rows] == [r["index"] for r in rows]
-        for key in rows[0]:
+        assert list(range(len(summary.rows["slack"]))) == [r["index"] for r in rows]
+        for key in set(rows[0]) - {"index"}:
             np.testing.assert_allclose(
-                [r[key] for r in summary.rows], [r[key] for r in rows], rtol=0, atol=1e-12
+                summary.rows[key], [r[key] for r in rows], rtol=0, atol=1e-12
             )
         assert summary.violations == violations
         assert summary.min_slack == pytest.approx(min(r["slack"] for r in rows), abs=1e-12)

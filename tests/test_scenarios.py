@@ -13,6 +13,8 @@ from bellvar.scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _contract,
+    _operators,
     bell_state,
     bloch_observable,
     bloch_of,
@@ -175,6 +177,100 @@ def test_operator_from_tensor_matches_kron_reference(family):
             rtol=0,
             atol=1e-12,
         )
+
+
+def _tensordot_fold(tensor, stacks):
+    """One instance's fold, one ``tensordot`` per axis: ``_contract`` before its instance axis."""
+    value = tensor
+    for stack in stacks:
+        value = np.tensordot(value, stack, axes=([0], [0]))
+    return value
+
+
+def _random_stacks(rng, n, shapes, dtype):
+    """``(n, *shape)`` stacks: small integers for int64, Gaussian entries for complex."""
+    if dtype == np.int64:
+        return [rng.integers(-3, 4, size=(n, *shape)) for shape in shapes]
+    return [
+        rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape)) for shape in shapes
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, complex], ids=["int64", "complex"])
+@pytest.mark.parametrize(
+    "tensor_shape, rest",
+    [
+        ((2, 2), [(2, 2), (2, 2)]),
+        ((3, 4, 2), [(5,), (2, 2), (3,)]),
+        ((2, 2, 2, 3), [(4,), (1,), (2, 3)]),
+    ],
+    ids=["operator", "vectors", "extra-axis"],
+)
+def test_contract_matches_tensordot_fold(dtype, tensor_shape, rest):
+    rng = np.random.default_rng(len(tensor_shape) * 7 + len(rest))
+    n = 4
+    tensor = _random_stacks(rng, 1, [tensor_shape], dtype)[0][0]
+    shapes = [(s, *r) for s, r in zip(tensor_shape, rest)]
+    per_instance = _random_stacks(rng, n, shapes, dtype)
+    exact = dtype == np.int64
+
+    def check(got, want):
+        if exact:
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    shared = [stack[:1] for stack in per_instance]
+    got = _contract(tensor, shared)
+    assert got.shape == (1, *tensor_shape[len(rest) :], *(d for r in rest for d in r))
+    check(got[0], _tensordot_fold(tensor, [stack[0] for stack in shared]))
+    got = _contract(tensor, per_instance)
+    assert got.shape[0] == n
+    for i in range(n):
+        check(got[i], _tensordot_fold(tensor, [stack[i] for stack in per_instance]))
+    # a shared stack broadcasts against per-instance ones
+    mixed = [shared[0], *per_instance[1:]]
+    got = _contract(tensor, mixed)
+    for i in range(n):
+        stacks = [shared[0][0], *(stack[i] for stack in per_instance[1:])]
+        check(got[i], _tensordot_fold(tensor, stacks))
+
+
+def _per_instance_mk_blocks(n_sites, split_k, sites):
+    """The MK pair of every instance, one ``operator_from_tensor`` per instance and operator."""
+    pair = mk_coefficient_pair(n_sites, split_k)
+    return np.array([[operator_from_tensor(t, rows) for t in pair] for rows in sites])
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        pytest.param(n, k, id=f"mk-n{n}-k{k}")
+        for n in range(2, MK_MAX_PARTIES + 1)
+        for k in range(1, n)
+    ],
+)
+def test_batched_mk_blocks_match_per_instance_reference(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    n_instances = 3
+    family = mk_family(n, k)
+    sites = np.array(
+        [random_scenario(family, rng).observables for _ in range(n_instances)]
+    )
+    # the top-level pair, then the two blocks the report kernel folds (inner split 1)
+    for lo, hi, split in ((0, n, k), (0, k, 1), (k, n, 1)):
+        block = sites[:, lo:hi]
+        pair = np.stack(mk_coefficient_pair(hi - lo, split), axis=-1)
+        got = _operators(pair, list(block.swapaxes(0, 1)))
+        dim = 2 ** (hi - lo)
+        assert got.shape == (n_instances, 2, dim, dim)
+        np.testing.assert_allclose(
+            got, _per_instance_mk_blocks(hi - lo, split, block), rtol=0, atol=1e-12
+        )
+        if hi - lo == 1:
+            # the one-site pair is the identity tensor: the fold returns the site stack
+            np.testing.assert_array_equal(got, block[:, 0])
 
 
 def test_chsh_operator_top_eigenvalue_at_optimal_settings():

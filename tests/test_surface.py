@@ -3,7 +3,9 @@
 The benchmark tracer (``bench/tracer.py``) wraps the functions named in its
 ``TRACED`` dict by looking each one up in its ``bellvar`` module, so a traced
 function deleted from the package breaks every traced benchmark run.  The
-ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source.
+ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source, and
+so is the rule that a stack of operators comes from one fold with an instance
+axis, never from ``operator_from_tensor`` called once per instance.
 """
 
 import ast
@@ -62,3 +64,21 @@ def test_kron_only_in_tensor_product():
         finder.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += [(path.stem, scope) for scope in finder.found]
     assert found == [("linalg", "tensor_product")]
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_operator_from_tensor_never_called_per_instance():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for comp in ast.walk(tree):
+            if not isinstance(comp, _COMPREHENSIONS):
+                continue
+            for node in ast.walk(comp):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name == "operator_from_tensor":
+                    found.append((path.stem, node.lineno))
+    assert found == []
