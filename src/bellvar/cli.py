@@ -19,7 +19,8 @@ State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
 a list of ``[re, im]`` amplitude pairs (each exactly two JSON numbers), or
 an inline comma-separated list of real amplitudes.  Explicit amplitudes
-must be finite and are normalized.
+must be finite, with a norm that does not overflow a float, and are
+normalized.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
             raise InputError(f"cannot parse state spec {spec!r}") from exc
     if not np.all(np.isfinite(vec)):
         raise InputError("state amplitudes must be finite")
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not np.isfinite(norm):
+        raise InputError("state norm overflows a float: amplitudes are too large")
     if norm < 1e-12:
         raise InputError("state amplitudes are all zero")
     vec = vec / norm

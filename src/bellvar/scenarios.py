@@ -400,10 +400,14 @@ def mk_operators(n: int, site_pairs, split_k: int = 1) -> MKOperatorPair:
 def lhv_max(family: FamilySpec) -> float:
     """Exact deterministic-strategy maximum of the family's expression.
 
-    Every assignment of +-1 outcomes to every (party, setting) is
-    evaluated; the per-party ``(S_p, 2**S_p)`` strategy tables are contracted
-    against the coefficient tensor, which enumerates all ``2**(sum of settings)``
-    assignments without forming them one at a time.  Integer arithmetic
+    The per-party ``(S_p, 2**S_p)`` tables of +-1 strategies of every party
+    but the last are contracted against the coefficient tensor, which
+    enumerates their ``2**(sum of settings - S_last)`` joint strategies
+    without forming them one at a time.  The expression is linear in the
+    last party's outcomes, so for each joint strategy the last party is
+    maximised per setting in closed form: it answers with the sign of that
+    setting's coefficient sum, which adds the sum's absolute value.  The cap
+    still applies to ``2**(sum of settings)``.  Integer arithmetic
     throughout, so the result is exact.
     """
     coeff = coefficient_tensor(family)
@@ -414,10 +418,11 @@ def lhv_max(family: FamilySpec) -> float:
             f"enumeration size 2**{total_bits} exceeds cap 2**{LHV_ENUMERATION_CAP_BITS}"
         )
     stacks = []
-    for n_settings in settings:
+    for n_settings in settings[:-1]:
         bits = (np.arange(2**n_settings) >> np.arange(n_settings)[:, None]) & 1
         stacks.append((1 - 2 * bits).astype(np.int64)[None])
-    return float(_contract(coeff, stacks)[0].max())
+    # shape (S_last, 2**S_0, ..., 2**S_{P-2}): the last party's coefficient sums
+    return float(np.abs(_contract(coeff, stacks)[0]).sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +548,85 @@ def test_state_file_rejects_malformed_pairs(scenario_file, tmp_path, command, po
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec", ["file", "inline"])
+@pytest.mark.parametrize("command", ["report", "decompose"])
+def test_huge_state_amplitude_is_input_error(scenario_file, tmp_path, capsys, command, spec):
+    if spec == "file":
+        state = tmp_path / "big.json"
+        state.write_text(json.dumps([[1e308, 0], [0, 0], [0, 0], [1, 0]]), encoding="utf-8")
+    else:
+        state = "1e308,0,0,1"
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_file), "--state", str(state), "--out", str(out_path)]
+    # a numpy warning would surface as an exception, i.e. exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "norm overflows" in err
+    assert "Warning" not in err
+    assert not out_path.exists()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite {name} in --out")
+
+
+_SUBNORMAL = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310]) | st.floats(
+    min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308, allow_subnormal=True
+).filter(bool)
+
+
+@_SAMPLE_EXAMPLES
+@given(
+    command=st.sampled_from(["report", "decompose"]),
+    where=st.sampled_from(["state", "inline", "bloch", "matrix"]),
+    pos=st.integers(0, 7),
+    slot=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    value=_SUBNORMAL,
+)
+@example(command="report", where="bloch", pos=2, slot=(1, 0), value=5e-324)
+@example(command="decompose", where="matrix", pos=1, slot=(0, 1), value=1e-310)
+def test_subnormal_inputs_fail_closed_or_stay_finite(
+    scenario_file, tmp_path, command, where, pos, slot, value
+):
+    """A subnormal at position ``pos`` of a state, or of party/setting ``slot``'s observable."""
+    scenario_path, state = scenario_file, "bell"
+    if where == "state":
+        amplitudes = [[INV_SQRT2, 0.0], [0.0, 0.0], [0.0, 0.0], [INV_SQRT2, 0.0]]
+        amplitudes[pos // 2][pos % 2] = value
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(amplitudes), encoding="utf-8")
+    elif where == "inline":
+        amplitudes = [INV_SQRT2, 0.0, 0.0, INV_SQRT2]
+        amplitudes[pos % 4] = value
+        state = ",".join(map(repr, amplitudes))
+    else:
+        doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+        if where == "bloch":
+            observable = {"bloch": [0.0, 0.0, 1.0]}
+            observable["bloch"][pos % 3] = value
+        else:
+            observable = {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+            observable["matrix"][pos // 4][pos // 2 % 2][pos % 2] = value
+        party, setting = slot
+        doc["parties"][party]["observables"][setting] = observable
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_path), f"--state={state}", "--out", str(out_path)]
+    # a numpy warning would surface as an exception, i.e. exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        json.loads(out_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        out_path.unlink()
+    else:
+        assert code in (2, 3)
+        assert not out_path.exists()
+
+
 _MALFORMED_OBSERVABLES = {
     "matrix-three": {"matrix": [[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]},
     "matrix-bool": {"matrix": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]},
@@ -586,6 +666,22 @@ def test_lhv_values(capsys):
     assert "2" in capsys.readouterr().out
     assert main(["lhv", "--family", "mk", "--n", "4"]) == 0
     assert "8" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, family, value",
+    [
+        (["--family", "chained", "--n", "12"], {"n": 12, "name": "chained"}, 22.0),
+        (["--family", "mk", "--n", "8", "--split-k", "3"], {"n": 8, "name": "mk", "split_k": 3}, 128.0),
+    ],
+    ids=["chained12", "mk8-k3"],
+)
+def test_lhv_writes_canonical_json_at_the_largest_sizes(tmp_path, capsys, args, family, value):
+    out_path = tmp_path / "lhv.json"
+    assert main(["lhv", *args, "--out", str(out_path)]) == 0
+    want = {"schema_version": 1, "family": family, "lhv_max": value}
+    assert out_path.read_bytes() == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
+    assert capsys.readouterr().out.splitlines()[-1] == f"lhv_max   {value:.12g}"
 
 
 def test_lhv_cap_is_domain_error(capsys):

@@ -1,11 +1,13 @@
 """Scenario construction, coefficient tensors, operators, LHV enumeration, JSON I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellvar import scenarios
 from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_hermitian, as_ket, tensor_product
 from bellvar.scenarios import (
     LHV_ENUMERATION_CAP_BITS,
@@ -382,10 +384,64 @@ def test_bell_operator_uses_family_shape():
 
 def test_lhv_max_closed_forms():
     assert lhv_max(chsh_family()) == 2.0
-    for n in range(2, 7):
+    for n in range(2, 13):
         assert lhv_max(chained_family(n)) == float(2 * n - 2)
-    for n in range(2, 6):
-        assert lhv_max(mk_family(n)) == float(2 ** (n - 1))
+    for n in range(2, 9):
+        for k in range(1, n):
+            assert lhv_max(mk_family(n, split_k=k)) == float(2 ** (n - 1))
+
+
+def _lhv_by_enumeration(coeff) -> int:
+    """Every +-1 assignment to every (party, setting), summed term by term: no fold."""
+    settings = coeff.shape
+    assignments = np.arange(2 ** sum(settings))
+    # column j holds outcome j of every assignment; party p's settings start at offsets[p]
+    columns = [(1 - 2 * ((assignments >> j) & 1)).astype(np.int8) for j in range(sum(settings))]
+    offsets = np.concatenate([[0], np.cumsum(settings)[:-1]])
+    values = np.zeros(len(assignments), dtype=np.int64)
+    for index in zip(*np.nonzero(coeff)):
+        term = np.full(len(assignments), int(coeff[index]), dtype=np.int64)
+        for offset, s in zip(offsets, index):
+            term *= columns[offset + s]
+        values += term
+    return int(values.max())
+
+
+_LHV_FAMILIES = (
+    [chsh_family()]
+    + [chained_family(n) for n in range(2, 11)]
+    + [mk_family(n, k) for n in range(2, 9) for k in range(1, n)]
+)
+
+
+@pytest.mark.parametrize("family", _LHV_FAMILIES, ids=lambda f: f"{f.name}{f.n}-k{f.split_k}")
+def test_lhv_max_matches_enumeration(family):
+    assert lhv_max(family) == float(_lhv_by_enumeration(coefficient_tensor(family)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "family",
+    [chsh_family(), chained_family(3), chained_family(6), mk_family(3), mk_family(6)],
+    ids=lambda f: f"{f.name}{f.n}",
+)
+def test_lhv_max_matches_enumeration_on_random_coefficients(monkeypatch, family, seed):
+    # every family's optimum is reached with the last party answering +1 everywhere;
+    # random integer coefficients also check the per-setting sign choice
+    coeff = np.random.default_rng(seed).integers(-3, 4, size=family.settings_per_party)
+    monkeypatch.setattr(scenarios, "coefficient_tensor", lambda _: coeff)
+    assert lhv_max(family) == float(_lhv_by_enumeration(coeff))
+
+
+def test_lhv_max_memory():
+    lhv_max(chained_family(2))  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        lhv_max(chained_family(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_lhv_max_split_independent():
