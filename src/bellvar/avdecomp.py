@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _IMAG_ATOL
+
 __all__ = [
     "SPREAD_EPS",
     "DegenerateSpreadError",
@@ -39,7 +41,6 @@ __all__ = [
 # Below this absolute spread the fluctuation direction is undefined.
 SPREAD_EPS = 1e-9
 
-_IMAG_ATOL = 1e-10
 _COMMUTATOR_ATOL = 1e-8
 
 

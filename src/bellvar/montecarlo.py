@@ -94,7 +94,9 @@ class SampleBatch:
 class EmpiricalEstimates:
     """Plug-in estimates from a sample batch, with standard errors.
 
-    ``means``/``variances``/``se_means`` are (party, setting) arrays;
+    ``means``/``variances``/``se_means`` are (party, setting) arrays, every
+    family being a rectangle of parties x settings; the means come from
+    exact integer marginals of the count table (see :func:`estimate`).
     ``correlators``/``se_correlators`` follow the family's coefficient
     tensor shape; ``rms_hats`` aggregates per-party variances the same
     way the exact reports aggregate spreads.
@@ -214,48 +216,37 @@ def estimate(batch: SampleBatch) -> EmpiricalEstimates:
 
     Every setting combination must appear at least twice; otherwise the
     batch is undersampled and no error bars make sense.
+
+    Each mean divides two integer marginals of the count table, the
+    party's +-1 outcome sum and its round count at that setting (the other
+    parties' setting axes summed out).  Both are exact below 2**53, so the
+    mean is one correctly rounded division, whatever the summation order.
     """
     settings = batch.scenario.settings_per_party
     n = batch.n_parties
-    combos = np.indices(settings).reshape(n, -1).T
     counts = batch.counts
     combo_totals = counts.sum(axis=1)
     if np.any(combo_totals < 2):
-        worst = tuple(int(v) for v in combos[int(np.argmin(combo_totals))])
+        worst = tuple(int(v) for v in np.unravel_index(int(np.argmin(combo_totals)), settings))
         raise UndersampledError(
             f"setting combination {worst} observed {int(combo_totals.min())} < 2 times"
         )
 
-    outcome_vals = _outcome_signs(n).astype(float)
+    signs = _outcome_signs(n).astype(np.int64)
+    totals = combo_totals.reshape(settings)
+    sums = (counts @ signs).reshape(*settings, n)
+    others = [tuple(q for q in range(n) if q != p) for p in range(n)]
+    party_rounds = np.stack([totals.sum(axis=others[p]) for p in range(n)])
+    means = np.stack([sums[..., p].sum(axis=others[p]) for p in range(n)]) / party_rounds
+    variances = np.maximum(1.0 - means * means, 0.0)
+    se_means = np.sqrt(variances / party_rounds)
 
-    max_settings = max(settings)
-    means = np.zeros((n, max_settings))
-    variances = np.zeros((n, max_settings))
-    se_means = np.zeros((n, max_settings))
-    for p in range(n):
-        for s in range(settings[p]):
-            mask = combos[:, p] == s
-            total_rounds = int(combo_totals[mask].sum())
-            outcome_sum = float(counts[mask].sum(axis=0) @ outcome_vals[:, p])
-            mean = outcome_sum / total_rounds
-            var = max(1.0 - mean * mean, 0.0)
-            means[p, s] = mean
-            variances[p, s] = var
-            se_means[p, s] = np.sqrt(var / total_rounds)
-
-    prod_vals = outcome_vals.prod(axis=1)
-    corr_flat = (counts @ prod_vals) / combo_totals
-    se_flat = np.sqrt(np.clip(1.0 - corr_flat**2, 0.0, None) / combo_totals)
-    corr = corr_flat.reshape(settings)
-    se_corr = se_flat.reshape(settings)
-    corr_counts = combo_totals.reshape(settings)
-
+    corr = (counts @ signs.prod(axis=1)).reshape(settings) / totals
+    se_corr = np.sqrt(np.maximum(1.0 - corr * corr, 0.0) / totals)
     coeff = coefficient_tensor(batch.family).astype(float)
     bell_hat = float(np.sum(coeff * corr))
     se_bell = float(np.sqrt(np.sum(coeff**2 * se_corr**2)))
-    rms_hats = np.array(
-        [np.sqrt(np.sum(variances[p, : settings[p]])) for p in range(n)]
-    )
+    rms_hats = np.sqrt(variances.sum(axis=1))
     return EmpiricalEstimates(
         family=batch.family,
         rounds=batch.rounds,
@@ -264,7 +255,7 @@ def estimate(batch: SampleBatch) -> EmpiricalEstimates:
         se_means=se_means,
         correlators=corr,
         se_correlators=se_corr,
-        correlator_counts=corr_counts,
+        correlator_counts=totals,
         bell_value_hat=bell_hat,
         se_bell_value=se_bell,
         rms_hats=rms_hats,
@@ -285,8 +276,7 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
     if not 0.0 <= z < np.inf:
         raise ValueError(f"z must be finite and non-negative, got {z}")
     coeff = coefficient_tensor(estimates.family).astype(float)
-    m_a = estimates.means[0, :2]
-    m_b = estimates.means[1, :2]
+    m_a, m_b = estimates.means
     r_a = float(estimates.rms_hats[0])
     r_b = float(estimates.rms_hats[1])
     local = float(m_a @ coeff @ m_b)
@@ -347,27 +337,17 @@ def batch_to_csv(batch: SampleBatch) -> str:
 
 
 def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:
-    settings = estimates.family.settings_per_party
     return {
         "schema_version": SCHEMA_VERSION,
         "family": family_to_json_dict(estimates.family),
         "rounds": estimates.rounds,
-        "means": [
-            [float(estimates.means[p, s]) for s in range(settings[p])]
-            for p in range(len(settings))
-        ],
-        "variances": [
-            [float(estimates.variances[p, s]) for s in range(settings[p])]
-            for p in range(len(settings))
-        ],
-        "se_means": [
-            [float(estimates.se_means[p, s]) for s in range(settings[p])]
-            for p in range(len(settings))
-        ],
+        "means": estimates.means.tolist(),
+        "variances": estimates.variances.tolist(),
+        "se_means": estimates.se_means.tolist(),
         "correlators": estimates.correlators.tolist(),
         "se_correlators": estimates.se_correlators.tolist(),
         "correlator_counts": estimates.correlator_counts.tolist(),
         "bell_value_hat": estimates.bell_value_hat,
         "se_bell_value": estimates.se_bell_value,
-        "rms_hats": [float(v) for v in estimates.rms_hats],
+        "rms_hats": estimates.rms_hats.tolist(),
     }

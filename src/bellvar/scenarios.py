@@ -98,7 +98,7 @@ def bloch_observable(vec) -> np.ndarray:
         raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= _BLOCH_NORM_ATOL:
-        raise ValueError(f"Bloch vector is not unit length: |v| = {norm!r}")
+        raise ValueError(f"Bloch vector is not unit length: |v| = {float(norm)!r}")
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
@@ -484,6 +484,13 @@ def _json_number(value) -> float:
         raise ValueError("a JSON integer is too large for a float") from exc
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; ``true``/``false`` (Python ``bool``), floats and any other value raise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _complex_pair(node) -> complex:
     """An ``[re, im]`` pair of a state or ``matrix`` file: exactly two JSON numbers."""
     if not isinstance(node, list) or len(node) != 2:
@@ -521,7 +528,9 @@ def family_from_json_dict(node) -> FamilySpec:
     if not isinstance(node, dict) or "name" not in node:
         raise ValueError("family entry needs a 'name' key")
     return FamilySpec(
-        name=node["name"], n=int(node.get("n", 2)), split_k=int(node.get("split_k", 1))
+        name=node["name"],
+        n=_json_int(node.get("n", 2), "family.n"),
+        split_k=_json_int(node.get("split_k", 1), "family.split_k"),
     )
 
 
@@ -545,7 +554,7 @@ def scenario_from_json_dict(node) -> tuple[Scenario, FamilySpec | None]:
     if not isinstance(node, dict):
         raise ValueError("scenario document must be a JSON object")
     version = node.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if _json_int(version, "schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     if "parties" not in node or not isinstance(node["parties"], list):
         raise ValueError("scenario document needs a 'parties' list")

@@ -648,6 +648,36 @@ def test_scenario_file_rejects_malformed_entries(tmp_path, capsys, command, case
     assert not out_path.exists()
 
 
+# (settings per party, top-level fields): each document names its family
+# with a value that is not a JSON integer, in a scenario whose shape fits
+# what ``int()`` would read from it
+_NON_INTEGER_FIELDS = {
+    "n-null": (2, {"family": {"name": "chsh", "n": None}}),
+    "split_k-list": (2, {"family": {"name": "mk", "n": 2, "split_k": [1]}}),
+    "n-string": (4, {"family": {"name": "chained", "n": "4"}}),
+    "n-float": (3, {"family": {"name": "chained", "n": 3.9}}),
+    "split_k-true": (2, {"family": {"name": "mk", "n": 2, "split_k": True}}),
+    "n-1e400": (2, {"family": {"name": "chsh", "n": "HUGE"}}),
+    "schema_version-true": (2, {"schema_version": True, "family": {"name": "chsh"}}),
+    "schema_version-float": (2, {"schema_version": 1.0, "family": {"name": "chsh"}}),
+}
+
+
+@pytest.mark.parametrize("command, case", _with_commands(list(_NON_INTEGER_FIELDS)))
+def test_scenario_file_rejects_non_integer_fields(tmp_path, capsys, command, case):
+    settings, fields = _NON_INTEGER_FIELDS[case]
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1]] * settings] * 2))
+    doc.update(fields)
+    scenario_path = tmp_path / "scenario.json"
+    # 1e400 is valid JSON that json.dumps cannot write: it parses to inf
+    scenario_path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_path), "--state", "bell", "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "must be a JSON integer" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_optimize_rejects_nonpositive_seeds(tmp_path, capsys, seeds):
     out_path = tmp_path / "opt.json"

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources, with warnings as errors."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

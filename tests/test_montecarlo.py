@@ -8,6 +8,7 @@ acceptance band makes a statistical false alarm astronomically unlikely
 import dataclasses
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -409,3 +410,108 @@ def test_batch_to_csv_matches_repr_reference(name, rounds):
     diff = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     assert diff is None, f"line {diff}: {got[diff]!r} != {want[diff]!r}"
     assert len(got) == len(want)
+
+
+# ---------------------------------------------------------------------------
+# the plug-in estimator against its per-(party, setting) mask loop
+
+
+def _estimate_reference(batch):
+    """(means, variances, se_means, rms_hats) by one mask and one loop step per (party, setting)."""
+    settings = batch.scenario.settings_per_party
+    n = batch.n_parties
+    combos = np.indices(settings).reshape(n, -1).T
+    counts = batch.counts
+    combo_totals = counts.sum(axis=1)
+    if np.any(combo_totals < 2):
+        worst = tuple(int(v) for v in combos[int(np.argmin(combo_totals))])
+        raise UndersampledError(
+            f"setting combination {worst} observed {int(combo_totals.min())} < 2 times"
+        )
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    outcome_vals = (1 - 2 * bits).astype(float)
+    max_settings = max(settings)
+    means = np.zeros((n, max_settings))
+    variances = np.zeros((n, max_settings))
+    se_means = np.zeros((n, max_settings))
+    for p in range(n):
+        for s in range(settings[p]):
+            mask = combos[:, p] == s
+            total_rounds = int(combo_totals[mask].sum())
+            outcome_sum = float(counts[mask].sum(axis=0) @ outcome_vals[:, p])
+            mean = outcome_sum / total_rounds
+            var = max(1.0 - mean * mean, 0.0)
+            means[p, s] = mean
+            variances[p, s] = var
+            se_means[p, s] = np.sqrt(var / total_rounds)
+    rms_hats = np.array([np.sqrt(np.sum(variances[p, : settings[p]])) for p in range(n)])
+    return means, variances, se_means, rms_hats
+
+
+_ESTIMATE_PRESETS = [
+    "chsh-optimal",
+    *(f"chained-n-{n}" for n in (3, 5, 12)),
+    *(f"mk-ghz-{n}" for n in range(2, 9)),
+]
+
+
+@functools.cache
+def _random_instance(family, seed):
+    rng = np.random.Generator(np.random.Philox(1000 + seed))
+    scenario = random_scenario(family, rng)
+    return family, scenario, haar_random_ket(2**scenario.n_parties, rng)
+
+
+_ESTIMATE_RANDOM = [
+    (family, seed)
+    for family in (chsh_family(), chained_family(3), chained_family(8), *map(mk_family, (2, 5, 7)))
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_ESTIMATE_PRESETS, *_ESTIMATE_RANDOM],
+    ids=[*_ESTIMATE_PRESETS, *(f"random-{f.name}-{f.n}-seed{s}" for f, s in _ESTIMATE_RANDOM)],
+)
+def test_estimate_matches_mask_loop_reference(case):
+    family, scenario, state = _instance(case) if isinstance(case, str) else _random_instance(*case)
+    combos = int(np.prod(family.settings_per_party))
+    for seed, rounds in enumerate((2 * combos + 1, 20 * combos + 3, 50_000)):
+        batch = simulate_rounds(family, scenario, state, rounds=rounds, seed=seed)
+        if batch.counts.sum(axis=1).min() < 2:
+            with pytest.raises(UndersampledError) as want:
+                _estimate_reference(batch)
+            with pytest.raises(UndersampledError, match=re.escape(str(want.value)) + "$"):
+                estimate(batch)
+            continue
+        est = estimate(batch)
+        got = (est.means, est.variances, est.se_means, est.rms_hats)
+        fields = ("means", "variances", "se_means", "rms_hats")
+        for name, value, ref in zip(fields, got, _estimate_reference(batch)):
+            assert value.dtype == ref.dtype, name
+            assert value.shape == ref.shape, name
+            assert np.array_equal(value, ref), name
+
+
+@pytest.mark.parametrize(
+    "name, rounds, zero_combo, message",
+    [
+        ("chsh-optimal", 3, None, "setting combination (0, 0) observed 0 < 2 times"),
+        ("mk-ghz-3", 4000, 6, "setting combination (1, 1, 0) observed 1 < 2 times"),
+        ("chained-n-5", 4000, 17, "setting combination (3, 2) observed 1 < 2 times"),
+    ],
+)
+def test_undersampled_message_matches_reference(name, rounds, zero_combo, message):
+    family, scenario, state = _instance(name)
+    batch = simulate_rounds(family, scenario, state, rounds=rounds, seed=0)
+    if zero_combo is not None:
+        counts = batch.counts.copy()
+        counts[zero_combo] = 0
+        counts[zero_combo, 0] = 1
+        batch = dataclasses.replace(batch, counts=counts)
+    with pytest.raises(UndersampledError) as want:
+        _estimate_reference(batch)
+    with pytest.raises(UndersampledError) as got:
+        estimate(batch)
+    assert str(got.value) == str(want.value) == message

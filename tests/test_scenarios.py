@@ -70,6 +70,14 @@ def test_bloch_observable_requires_unit_vector():
         bloch_observable([1, 1, 1])
 
 
+@pytest.mark.parametrize("vec, shown", [([0, 0, 2], "2.0"), ([0, 0, 5e-324], "0.0")])
+def test_bloch_norm_error_prints_a_plain_float(vec, shown):
+    with pytest.raises(ValueError) as exc:
+        bloch_observable(vec)
+    assert str(exc.value) == f"Bloch vector is not unit length: |v| = {shown}"
+    assert "np.float64" not in str(exc.value)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_bloch_observable_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="unit length"):
