@@ -7,10 +7,10 @@ overlap::
 
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
-One kernel, ``_two_block``, works on a stack of N instances: it
-reshapes each state into a ``(dim_A, dim_B)`` matrix, takes the images
-``A_x|psi>`` and ``B_y|psi>`` with one batched matmul per side, splits
-each image into mean, spread and fluctuation direction, and sums the
+One kernel, ``_two_block``, works on a stack of N instances: it takes
+the images ``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks
+from ``scenarios._images``, splits each image into mean, spread and
+fluctuation direction, and sums the
 Bell value ``sum_xy c_xy <A_x B_y>`` and its local part ``sum_xy c_xy
 <A_x><B_y>`` under the expression's coefficient matrix, one value per
 instance.  One function, ``_columns``, holds every family's budget that
@@ -36,11 +36,10 @@ Family specifics:
   Tsirelson value ``2n cos(pi/2n)`` is attached as a reference value, the
   statistical route does not derive it for n > 2.
 * mk(n): the blocks are the two halves of the top-level MK recursion,
-  carrying the block operator pairs with the CHSH coefficients;
-  ``rms_a``/``rms_b`` hold the block aggregates ``sqrt(dB^2 + dB'^2)``.
-  Each side's pairs ``(B_m, B_m')`` for a whole stack of instances come
-  from one ``scenarios._operators`` fold of ``mk_coefficient_pair(m, 1)``
-  (the two tensors stacked on a last axis) against the site stacks.
+  carrying the block pairs with the CHSH coefficients; ``rms_a``/``rms_b``
+  hold the block aggregates ``sqrt(dB^2 + dB'^2)``.  Each side's images
+  ``(B_m|psi>, B_m'|psi>)`` are carried through its sites by the recursion,
+  so no block operator is formed.
 """
 
 from __future__ import annotations
@@ -54,12 +53,11 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
-    _operators,
+    _images,
     check_family_scenario,
     chsh_coefficients,
     coefficient_tensor,
     family_to_json_dict,
-    mk_coefficient_pair,
 )
 
 __all__ = [
@@ -192,20 +190,17 @@ class _TwoBlock:
     local: np.ndarray
 
 
-def _two_block(a_ops, b_ops, states, coeff) -> _TwoBlock:
+def _two_block(a_sites, b_sites, states, coeff) -> _TwoBlock:
     """Images, splits, Bell value and local part of ``sum_xy coeff[x, y] A_x B_y`` per instance.
 
-    ``a_ops`` of shape ``(N, S_a, d_A, d_A)`` act on the leading tensor
-    factors and ``b_ops`` of shape ``(N, S_b, d_B, d_B)`` on the rest;
-    ``states`` has shape ``(N, d_A d_B)``.  Each state is reshaped into the
-    matrix ``Psi`` of shape ``(d_A, d_B)``, so the images are ``A_x Psi``
-    and ``Psi B_y^T``, the correlators ``Re(A_img^* B_img^T)``, and no
-    operator on the joint space is ever formed.
+    ``a_sites`` of shape ``(N, k, S, 2, 2)`` are the site stacks of the
+    leading ``k`` tensor factors and ``b_sites`` those of the rest;
+    ``states`` has shape ``(N, dim)``.  Each block's images come from
+    ``scenarios._images``, the correlators are ``Re(A_img^* B_img^T)``, and
+    no operator is ever formed.
     """
-    n = states.shape[0]
-    psi = states.reshape(n, 1, a_ops.shape[-1], -1)
-    a_img = (a_ops @ psi).reshape(n, a_ops.shape[1], -1)
-    b_img = (psi @ b_ops.swapaxes(-1, -2)).reshape(n, b_ops.shape[1], -1)
+    a_img = _images(a_sites, states, 0)
+    b_img = _images(b_sites, states, a_sites.shape[1])
     corr = (a_img.conj() @ b_img.swapaxes(-1, -2)).real
     a_split = _split(a_img, states)
     b_split = _split(b_img, states)
@@ -226,17 +221,10 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     length-N array per name in ``_COLUMNS``; chained adds
     ``bound_statistical_loose`` and the ``(N, n)`` array ``cos_lambda``.
     """
-    if family.name == "mk":
-
-        def block(sites):
-            # (B_m, B_m') of every instance from one fold of the stacked coefficient pair
-            pair = np.stack(mk_coefficient_pair(sites.shape[1], 1), axis=-1)
-            return _operators(pair, list(sites.swapaxes(0, 1)))
-
-        k = family.split_k
-        blocks = _two_block(block(stacks[:, :k]), block(stacks[:, k:]), states, chsh_coefficients())
-    else:
-        blocks = _two_block(stacks[:, 0], stacks[:, -1], states, coefficient_tensor(family))
+    mk = family.name == "mk"
+    k = family.split_k if mk else 1
+    coeff = chsh_coefficients() if mk else coefficient_tensor(family)
+    blocks = _two_block(stacks[:, :k], stacks[:, k:], states, coeff)
     spread_a = blocks.a_split[1]
     _, spread_b, perp_b = blocks.b_split
     rms_a = np.sqrt(np.sum(spread_a**2, axis=1))
@@ -298,7 +286,7 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     zero spread in the state (the Pearson correlator is undefined there).
     """
     stacks, states = _stack_of_one(_CHSH, scenario, state)
-    blocks = _two_block(stacks[:, 0], stacks[:, 1], states, chsh_coefficients())
+    blocks = _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
     _, spread_a, perp_a = (v[0] for v in blocks.a_split)
     _, spread_b, perp_b = (v[0] for v in blocks.b_split)
     if not np.all(np.concatenate([spread_a, spread_b]) >= SPREAD_EPS):
@@ -336,7 +324,7 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
       orthogonal (needs both B spreads).
     """
     stacks, states = _stack_of_one(_CHSH, scenario, state)
-    blocks = _two_block(stacks[:, 0], stacks[:, 1], states, chsh_coefficients())
+    blocks = _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
     a_img, b_img = blocks.a_img[0], blocks.b_img[0]
     _, spread_a, perp_a = (v[0] for v in blocks.a_split)
     _, spread_b, perp_b = (v[0] for v in blocks.b_split)
@@ -416,7 +404,7 @@ def mk_report(
     """MK report built from the top-level block split.
 
     The recursion's two blocks (sites 0..k-1 and k..n-1) take the roles
-    of the two parties: their operator pairs ``(B_k, B_k')`` and
+    of the two parties: the images of their pairs ``(B_k, B_k')`` and
     ``(B_{n-k}, B_{n-k}')`` enter the kernel with the CHSH coefficients,
     which is ``B_n`` by the recursion.  The local part is the recursion
     applied to the four block means, and the bound multiplies the block

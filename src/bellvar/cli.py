@@ -7,8 +7,8 @@ and ``sample`` take ``--format csv`` for a CSV file instead (every format
 carries a schema_version field, CSV as a leading comment line).
 
 ``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
-(party, setting): each 2x2 observable is applied on its party's axis of
-the reshaped state, so no operator on the joint space is built.
+(party, setting) from one-site block images, building no joint operator;
+a family from ``--family`` or the file must fit the table, as for report.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors), 3 a domain validation failure (dimension mismatch, cap
@@ -54,7 +54,9 @@ from .scenarios import (
     Scenario,
     _complex_pair,
     _csv_text,
+    _images,
     bell_state,
+    check_family_scenario,
     family_to_json_dict,
     ghz_state,
     lhv_max,
@@ -104,13 +106,15 @@ def _parse_family(args) -> FamilySpec:
     raise InputError(f"unknown family {name!r}")
 
 
-def _load_scenario(path: str) -> tuple[Scenario, FamilySpec | None]:
+def _load_scenario(args) -> tuple[Scenario, FamilySpec | None]:
+    """The ``--scenario`` file and its family: ``--family`` if given, else the file's (or None)."""
     try:
-        return load_scenario_file(path)
+        scenario, family = load_scenario_file(args.scenario)
     except OSError as exc:
         raise InputError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return scenario, _parse_family(args) if args.family is not None else family
 
 
 def _parse_state(spec: str, n_parties: int) -> np.ndarray:
@@ -162,12 +166,8 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
         return p.family, p.scenario, p.state
     if args.scenario is None:
         raise InputError("either --preset or --scenario is required")
-    scenario, file_family = _load_scenario(args.scenario)
-    if args.family is not None:
-        family = _parse_family(args)
-    elif file_family is not None:
-        family = file_family
-    else:
+    scenario, family = _load_scenario(args)
+    if family is None:
         raise InputError("no family given on the command line or in the scenario file")
     state = _parse_state(args.state, scenario.n_parties)
     return family, scenario, state
@@ -178,12 +178,14 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
 
 
 def _cmd_decompose(args) -> int:
-    scenario, _ = _load_scenario(args.scenario)
+    scenario, family = _load_scenario(args)
     state = _parse_state(args.state, scenario.n_parties)
-    # Party p acts on axis 1 of the state reshaped to (2^p, 2, rest): its images are one matmul.
+    if family is not None:
+        check_family_scenario(family, scenario)
+    # each party is a one-site block at its own tensor factor
     images = np.concatenate(
         [
-            (np.asarray(row)[:, None] @ state.reshape(2**p, 2, -1)).reshape(len(row), -1)
+            _images(np.asarray(row)[None, None], state[None], p)[0]
             for p, row in enumerate(scenario.observables)
         ]
     )

@@ -59,8 +59,8 @@ CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-# A scan reports its instances in chunks of at most this many instances x dim^2.
-_SCAN_CHUNK = 2**12
+# A scan reports its instances in chunks of at most this many instances x dim (images are dim-long).
+_SCAN_CHUNK = 2**10
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def random_scan(
     followed by ``haar_random_ket`` would: three normals per setting,
     party by party, each triple normalized to a Bloch vector, then the
     real and the imaginary parts of the state.  The instances are drawn
-    and reported a chunk at a time (at most ``_SCAN_CHUNK // dim^2`` of
+    and reported a chunk at a time (at most ``_SCAN_CHUNK // dim`` of
     them, at least one) through the stacked report kernel, and only the
     slacks are kept across chunks.  ``keep_rows=True`` keeps every
     ``_COLUMNS`` array instead (for CSV export).  A Gaussian
@@ -293,7 +293,7 @@ def random_scan(
     shape = (family.n_parties, family.settings_per_party[0])
     n_bloch = 3 * shape[0] * shape[1]
     dim = 2**family.n_parties
-    chunk = max(1, _SCAN_CHUNK // dim**2)
+    chunk = max(1, _SCAN_CHUNK // dim)
     columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
     for start in range(0, n_samples, chunk):
         m = min(chunk, n_samples - start)

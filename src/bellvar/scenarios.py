@@ -293,54 +293,72 @@ def coefficient_tensor(family: FamilySpec) -> np.ndarray:
 
 
 def _contract(tensor: np.ndarray, stacks) -> np.ndarray:
-    """Fold ``tensor`` against one stack per axis, taking the axes in order, for N instances.
+    """Fold ``tensor`` against one stack per axis, taking the axes in order.
 
-    ``stacks[p]`` has shape ``(N or 1, S_p, ...)``: the instance axis (length 1
-    for a stack every instance shares), then the axis it shares with
-    ``tensor``'s axis p.  Each step is one batched matmul that contracts the
-    running tensor's leading axis and appends the stack's remaining axes, so
-    with ``P = len(stacks)`` the result has shape ``(N, *tensor.shape[P:],
-    *stacks[0].shape[2:], ..., *stacks[P-1].shape[2:])``.
+    ``stacks[p]`` has shape ``(S_p, ...)``, its first axis shared with ``tensor``'s axis p.
+    Each step is one matmul that contracts the running tensor's leading axis and appends the
+    stack's other axes: the result has shape ``(*tensor.shape[P:], *stacks[0].shape[1:], ...,
+    *stacks[P-1].shape[1:])`` for ``P = len(stacks)``.
     """
-    value = tensor[None]
+    value = tensor
     for stack in stacks:
-        lead = value.reshape(len(value), stack.shape[1], -1).swapaxes(1, 2)
-        value = lead @ stack.reshape(len(stack), stack.shape[1], -1)
-    rest = [d for stack in stacks for d in stack.shape[2:]]
-    return value.reshape(len(value), *tensor.shape[len(stacks) :], *rest)
+        value = value.reshape(stack.shape[0], -1).T @ stack.reshape(stack.shape[0], -1)
+    rest = [d for stack in stacks for d in stack.shape[1:]]
+    return value.reshape(*tensor.shape[len(stacks) :], *rest)
 
 
 def _expectations(stacks, state: np.ndarray) -> np.ndarray:
     """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
 
     Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack.  ``|state><state|``, one axis of size 4
-    per party, is folded against the stacks flattened to shared ``(1, 4, K_p)`` stacks, so no
-    operator is built.
+    per party, is folded against the stacks flattened to ``(4, K_p)``, so no operator is built.
     An imaginary part above 1e-10 raises ``ArithmeticError``.
     """
     n_parties = len(stacks)
     rho = np.multiply.outer(state.conj(), state).reshape((2,) * (2 * n_parties))
     order = [axis for p in range(n_parties) for axis in (p, n_parties + p)]
     rho = rho.transpose(order).reshape((4,) * n_parties)
-    flat = [np.asarray(stack, dtype=complex).reshape(1, -1, 4).swapaxes(1, 2) for stack in stacks]
-    values = _contract(rho, flat)[0]
+    flat = [np.asarray(stack, dtype=complex).reshape(-1, 4).T for stack in stacks]
+    values = _contract(rho, flat)
     if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
         raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
     return values.real
 
 
 def _operators(tensor: np.ndarray, stacks) -> np.ndarray:
-    """``sum_x tensor[x, ...] (X_1 tensor ... tensor X_P)`` per instance, no Kronecker product.
+    """``sum_x tensor[x, ...] (X_1 tensor ... tensor X_P)``, no Kronecker product.
 
-    ``stacks[p]`` of shape ``(N or 1, S_p, 2, 2)`` holds party p's operators
-    (tensor factor p, big-endian).  Axes of ``tensor`` past the P setting axes
-    index separate operators: the result has shape ``(N, *tensor.shape[P:], 2**P, 2**P)``.
+    ``stacks[p]`` of shape ``(S_p, 2, 2)`` holds party p's operators (tensor
+    factor p, big-endian).  Axes of ``tensor`` past the P setting axes index
+    separate operators: the result has shape ``(*tensor.shape[P:], 2**P, 2**P)``.
     """
     value = _contract(tensor, stacks)
-    # axes come out as (instance, extra..., row_0, col_0, row_1, col_1, ...)
+    # axes come out as (extra..., row_0, col_0, row_1, col_1, ...)
     lead = value.ndim - 2 * len(stacks)
     order = [*range(lead), *range(lead, value.ndim, 2), *range(lead + 1, value.ndim, 2)]
     return value.transpose(order).reshape(*value.shape[:lead], 2 ** len(stacks), -1)
+
+
+# The MK recursion at inner split 1: the products X_x T_t, in (x, t) order, to the pair (B, B').
+_MK_STEP = np.stack(mk_coefficient_pair(2), axis=-1).reshape(4, 2).T
+
+
+def _images(sites: np.ndarray, states: np.ndarray, first: int) -> np.ndarray:
+    """Images on each state of a block of sites, site j on tensor factor ``first + j``.
+
+    ``sites`` has shape ``(N, m, S, 2, 2)`` and ``states`` ``(N, dim)``.  One site gives its S
+    images; more give the MK pair ``(B_m|psi>, B_m'|psi>)``, carried from the last site leftwards
+    through the tail pair's images, so no block operator is built.  Shape ``(N, S or 2, dim)``.
+    """
+    n, dim = states.shape
+    images = states[:, None]
+    for j in reversed(range(sites.shape[1])):
+        # reshaped to (2^(first+j), 2, rest), each image has the site's factor on its middle axis
+        factor = images.reshape(n, 1, -1, 2, dim >> (first + j + 1))
+        images = (sites[:, j, :, None] @ factor).reshape(n, -1, dim)
+        if j < sites.shape[1] - 1:
+            images = _MK_STEP @ images
+    return images
 
 
 def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
@@ -348,7 +366,7 @@ def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
 
     ``observables[p][s]`` supplies party p's operator under setting s;
     party p is tensor factor p (big-endian site order).  After the shape
-    and ``DIM_CAP`` checks this is the stack-of-one call of ``_operators``.
+    and ``DIM_CAP`` checks this is one ``_operators`` call.
     """
     shape = tuple(len(row) for row in observables)
     if coeff.shape != shape:
@@ -356,7 +374,7 @@ def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     dim = 2 ** len(shape)
     if dim > DIM_CAP:
         raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
-    return _operators(coeff, [np.asarray(row, dtype=complex)[None] for row in observables])[0]
+    return _operators(coeff, [np.asarray(row, dtype=complex) for row in observables])
 
 
 @dataclass(frozen=True)
@@ -389,7 +407,7 @@ def mk_operators(n: int, site_pairs, split_k: int = 1) -> MKOperatorPair:
     obs = tuple((pair[0], pair[1]) for pair in site_pairs)
     scen = Scenario(observables=obs)
     pair = np.stack(mk_coefficient_pair(n, split_k), axis=-1)
-    b, b_prime = _operators(pair, [np.asarray(row)[None] for row in scen.observables])[0]
+    b, b_prime = _operators(pair, [np.asarray(row) for row in scen.observables])
     return MKOperatorPair(b=b, b_prime=b_prime, n=n, split_k=split_k)
 
 
@@ -420,9 +438,9 @@ def lhv_max(family: FamilySpec) -> float:
     stacks = []
     for n_settings in settings[:-1]:
         bits = (np.arange(2**n_settings) >> np.arange(n_settings)[:, None]) & 1
-        stacks.append((1 - 2 * bits).astype(np.int64)[None])
+        stacks.append((1 - 2 * bits).astype(np.int64))
     # shape (S_last, 2**S_0, ..., 2**S_{P-2}): the last party's coefficient sums
-    return float(np.abs(_contract(coeff, stacks)[0]).sum(axis=0).max())
+    return float(np.abs(_contract(coeff, stacks)).sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

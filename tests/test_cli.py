@@ -257,6 +257,34 @@ def test_decompose_marks_degenerate_rows(scenario_file, capsys):
     assert "(degenerate)" in out  # B0 = sigma_z is sharp on |00>
 
 
+# (family in the file, command line flags, exit code) for a table of two
+# parties with three settings each: --family wins over the file's family
+_FAMILY_FIT = {
+    "file-chained4": ({"name": "chained", "n": 4}, [], 3),
+    "flag-chained4": (None, ["--family", "chained", "--n", "4"], 3),
+    "flag-over-file": ({"name": "chained", "n": 4}, ["--family", "chained", "--n", "3"], 0),
+}
+
+
+@pytest.mark.parametrize("command, case", _with_commands(list(_FAMILY_FIT)))
+def test_scenario_must_fit_resolved_family(tmp_path, capsys, command, case):
+    declared, flags, code = _FAMILY_FIT[case]
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]] * 2))
+    if declared is not None:
+        doc["family"] = declared
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_path), "--state", "bell", *flags]
+    assert main(argv + ["--out", str(out_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "scenario shape (3, 3) does not match family chained (expected (4, 4))" in err
+        assert not out_path.exists()
+    else:
+        assert out_path.exists()
+
+
 def _lifted_decompositions(scenario, state):
     """Reference: each observable lifted to the joint space with kron, split by av_decompose."""
     n = scenario.n_parties

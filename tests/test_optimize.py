@@ -265,18 +265,23 @@ def _scan_reference(family, n_samples, seed):
         (chsh_family(), 300),
         (chained_family(3), 300),
         (chained_family(5), 300),
-        (mk_family(3), 100),
-        (mk_family(4), 40),
-        (mk_family(5, split_k=2), 10),
-        (mk_family(6), 3),
-        (mk_family(6, split_k=3), 3),
-        (mk_family(7, split_k=3), 3),
+        (mk_family(3), 150),
+        (mk_family(4), 80),
+        (mk_family(5, split_k=2), 40),
+        (mk_family(6), 20),
+        (mk_family(6, split_k=3), 20),
+        (mk_family(7, split_k=3), 10),
+        (mk_family(8), 6),
+        (mk_family(8, split_k=7), 6),
     ],
-    ids=["chsh", "chained3", "chained5", "mk3", "mk4", "mk5-k2", "mk6", "mk6-k3", "mk7-k3"],
+    ids=[
+        "chsh", "chained3", "chained5", "mk3", "mk4", "mk5-k2", "mk6", "mk6-k3", "mk7-k3",
+        "mk8", "mk8-k7",
+    ],
 )
 def test_random_scan_matches_per_instance_reference(family, n_samples):
     # the sample counts cross at least one chunk boundary of the batched scan
-    assert n_samples > max(1, optimize._SCAN_CHUNK // 4**family.n_parties)
+    assert n_samples > max(1, optimize._SCAN_CHUNK // 2**family.n_parties)
     for seed in (0, 7):
         summary = random_scan(family, n_samples, seed, keep_rows=True)
         rows, violations = _scan_reference(family, n_samples, seed)

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellvar import scenarios
-from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_hermitian, as_ket, tensor_product
+from bellvar.linalg import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    as_hermitian,
+    as_ket,
+    haar_random_ket,
+    tensor_product,
+)
 from bellvar.scenarios import (
     LHV_ENUMERATION_CAP_BITS,
     MK_MAX_PARTIES,
@@ -16,7 +25,7 @@ from bellvar.scenarios import (
     FamilySpec,
     Scenario,
     _contract,
-    _operators,
+    _images,
     bell_state,
     bloch_observable,
     bloch_of,
@@ -190,20 +199,18 @@ def test_operator_from_tensor_matches_kron_reference(family):
 
 
 def _tensordot_fold(tensor, stacks):
-    """One instance's fold, one ``tensordot`` per axis: ``_contract`` before its instance axis."""
+    """The fold with one ``tensordot`` per axis: the reference for ``_contract``."""
     value = tensor
     for stack in stacks:
         value = np.tensordot(value, stack, axes=([0], [0]))
     return value
 
 
-def _random_stacks(rng, n, shapes, dtype):
-    """``(n, *shape)`` stacks: small integers for int64, Gaussian entries for complex."""
+def _random_stacks(rng, shapes, dtype):
+    """One stack per shape: small integers for int64, Gaussian entries for complex."""
     if dtype == np.int64:
-        return [rng.integers(-3, 4, size=(n, *shape)) for shape in shapes]
-    return [
-        rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape)) for shape in shapes
-    ]
+        return [rng.integers(-3, 4, size=shape) for shape in shapes]
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, complex], ids=["int64", "complex"])
@@ -218,38 +225,21 @@ def _random_stacks(rng, n, shapes, dtype):
 )
 def test_contract_matches_tensordot_fold(dtype, tensor_shape, rest):
     rng = np.random.default_rng(len(tensor_shape) * 7 + len(rest))
-    n = 4
-    tensor = _random_stacks(rng, 1, [tensor_shape], dtype)[0][0]
-    shapes = [(s, *r) for s, r in zip(tensor_shape, rest)]
-    per_instance = _random_stacks(rng, n, shapes, dtype)
-    exact = dtype == np.int64
-
-    def check(got, want):
-        if exact:
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    shared = [stack[:1] for stack in per_instance]
-    got = _contract(tensor, shared)
-    assert got.shape == (1, *tensor_shape[len(rest) :], *(d for r in rest for d in r))
-    check(got[0], _tensordot_fold(tensor, [stack[0] for stack in shared]))
-    got = _contract(tensor, per_instance)
-    assert got.shape[0] == n
-    for i in range(n):
-        check(got[i], _tensordot_fold(tensor, [stack[i] for stack in per_instance]))
-    # a shared stack broadcasts against per-instance ones
-    mixed = [shared[0], *per_instance[1:]]
-    got = _contract(tensor, mixed)
-    for i in range(n):
-        stacks = [shared[0][0], *(stack[i] for stack in per_instance[1:])]
-        check(got[i], _tensordot_fold(tensor, stacks))
+    tensor = _random_stacks(rng, [tensor_shape], dtype)[0]
+    stacks = _random_stacks(rng, [(s, *r) for s, r in zip(tensor_shape, rest)], dtype)
+    got = _contract(tensor, stacks)
+    want = _tensordot_fold(tensor, stacks)
+    assert got.shape == (*tensor_shape[len(rest) :], *(d for r in rest for d in r))
+    if dtype == np.int64:
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def _per_instance_mk_blocks(n_sites, split_k, sites):
-    """The MK pair of every instance, one ``operator_from_tensor`` per instance and operator."""
-    pair = mk_coefficient_pair(n_sites, split_k)
+def _per_instance_mk_blocks(n_sites, sites):
+    """The MK pair (inner split 1) of every instance, one ``operator_from_tensor`` per operator."""
+    pair = mk_coefficient_pair(n_sites)
     return np.array([[operator_from_tensor(t, rows) for t in pair] for rows in sites])
 
 
@@ -268,19 +258,17 @@ def test_batched_mk_blocks_match_per_instance_reference(n, k):
     sites = np.array(
         [random_scenario(family, rng).observables for _ in range(n_instances)]
     )
-    # the top-level pair, then the two blocks the report kernel folds (inner split 1)
-    for lo, hi, split in ((0, n, k), (0, k, 1), (k, n, 1)):
+    states = np.array([haar_random_ket(2**n, rng) for _ in range(n_instances)])
+    # the two blocks the report kernel splits at k (inner split 1)
+    for lo, hi in ((0, k), (k, n)):
         block = sites[:, lo:hi]
-        pair = np.stack(mk_coefficient_pair(hi - lo, split), axis=-1)
-        got = _operators(pair, list(block.swapaxes(0, 1)))
-        dim = 2 ** (hi - lo)
-        assert got.shape == (n_instances, 2, dim, dim)
-        np.testing.assert_allclose(
-            got, _per_instance_mk_blocks(hi - lo, split, block), rtol=0, atol=1e-12
-        )
-        if hi - lo == 1:
-            # the one-site pair is the identity tensor: the fold returns the site stack
-            np.testing.assert_array_equal(got, block[:, 0])
+        got = _images(block, states, lo)
+        assert got.shape == (n_instances, 2, 2**n)
+        # each block operator acts on the middle axis of the state reshaped to (2^lo, 2^m, rest)
+        psi = states.reshape(n_instances, 1, 2**lo, 2 ** (hi - lo), -1)
+        ops = _per_instance_mk_blocks(hi - lo, block)[:, :, None]
+        want = (ops @ psi).reshape(n_instances, 2, -1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_chsh_operator_top_eigenvalue_at_optimal_settings():

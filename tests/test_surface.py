@@ -4,8 +4,8 @@ The benchmark tracer (``bench/tracer.py``) wraps the functions named in its
 ``TRACED`` dict by looking each one up in its ``bellvar`` module, so a traced
 function deleted from the package breaks every traced benchmark run.  The
 ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source, and
-so is the rule that a stack of operators comes from one fold with an instance
-axis, never from ``operator_from_tensor`` called once per instance.
+so are the rules that ``operator_from_tensor`` is never called once per
+instance and that the report kernel takes images only, never an operator.
 """
 
 import ast
@@ -82,3 +82,16 @@ def test_operator_from_tensor_never_called_per_instance():
                 if isinstance(node, ast.Call) and name == "operator_from_tensor":
                     found.append((path.stem, node.lineno))
     assert found == []
+
+
+def test_report_kernel_builds_no_operator():
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names & {"_operators", "operator_from_tensor", "mk_operators"} == set()
