@@ -19,8 +19,8 @@ State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
 a list of ``[re, im]`` amplitude pairs (each exactly two JSON numbers), or
 an inline comma-separated list of real amplitudes.  Explicit amplitudes
-must be finite, with a norm that does not overflow a float, and are
-normalized.
+must be finite, with a sum of squared moduli that does not overflow a
+float (a norm below about 1.34e154), and are normalized.
 """
 
 from __future__ import annotations

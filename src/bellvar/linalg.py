@@ -38,6 +38,8 @@ _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
 _IMAG_ATOL = 1e-10
 _EIG_RESIDUAL_ATOL = 1e-10
+_DICHOTOMY_ATOL = 1e-10
+_PHASE_ATOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,10 +91,10 @@ def as_hermitian(entries) -> np.ndarray:
     return op
 
 
-def is_dichotomic(op: np.ndarray, atol: float = 1e-10) -> bool:
-    """True when ``op @ op`` is the identity within ``atol`` (entrywise)."""
+def is_dichotomic(op: np.ndarray) -> bool:
+    """True when ``op @ op`` is the identity within 1e-10 (entrywise)."""
     dim = op.shape[0]
-    return bool(np.max(np.abs(op @ op - np.eye(dim))) <= atol)
+    return bool(np.max(np.abs(op @ op - np.eye(dim))) <= _DICHOTOMY_ATOL)
 
 
 def tensor_product(*ops) -> np.ndarray:
@@ -129,15 +131,15 @@ def expectation(op: np.ndarray, ket: np.ndarray) -> float:
     return float(val.real)
 
 
-def fix_global_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_global_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first nonzero amplitude is real positive.
 
-    The first amplitude with modulus above ``tol`` (in basis order) sets the
+    The first amplitude with modulus above 1e-12 (in basis order) sets the
     phase.  Used wherever a vector is defined only up to phase, e.g.
     eigenvectors; the zero vector is returned unchanged.
     """
     for amp in vec:
-        if abs(amp) > tol:
+        if abs(amp) > _PHASE_ATOL:
             return vec * (amp.conjugate() / abs(amp))
     return vec
 
@@ -166,7 +168,7 @@ def haar_random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return as_ket(raw / np.linalg.norm(raw))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """GUE-style random Hermitian matrix, entries O(scale)."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """GUE-style random Hermitian matrix, entries O(1)."""
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return as_hermitian(scale * (raw + raw.conj().T) / 2.0)
+    return as_hermitian((raw + raw.conj().T) / 2.0)

@@ -46,6 +46,7 @@ from .scenarios import (
     Scenario,
     _csv_text,
     _expectations,
+    _philox,
     check_family_scenario,
     coefficient_tensor,
     family_to_json_dict,
@@ -165,7 +166,7 @@ def simulate_rounds(
     cdfs = np.cumsum(dists, axis=1)
     cdfs[:, -1] = 1.0
 
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = _philox(seed)
     round_settings = np.empty((rounds, n), dtype=np.uint8)
     for p in range(n):
         round_settings[:, p] = rng.integers(0, settings[p], size=rounds, dtype=np.uint8)

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _COLUMNS, SLACK_FLOOR, _columns
-from .linalg import _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
+from .linalg import _DICHOTOMY_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
 from .scenarios import (
-    _DICHOTOMY_ATOL,
     FamilySpec,
     Scenario,
     _expectations,
+    _philox,
     bloch_observable,
     bloch_of,
     chsh_coefficients,
@@ -119,10 +119,6 @@ class StationarityReport:
     second_partials: tuple[float, float, float, float]
     hessian_eigenvalues: tuple[float, float, float, float]
     step: float
-
-
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> OptimizationResult:

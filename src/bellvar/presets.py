@@ -5,8 +5,8 @@
 * ``chained-n``: the planar settings of ``chained_optimal_settings`` on
   the Bell state; value ``2n cos(pi / 2n)``.
 * ``mk-ghz``: x/y settings on every site with the (phase-fixed) top
-  eigenvector of the MK operator, a GHZ-class state; value
-  ``2**(3(n-1)/2)``.
+  eigenvector of the MK operator ``B`` alone (``operator_from_tensor``, as
+  in the see-saw's state step), a GHZ-class state; value ``2**(3(n-1)/2)``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .scenarios import (
     bell_state,
     chained_family,
     chsh_family,
+    coefficient_tensor,
     from_bloch_table,
     mk_family,
-    mk_operators,
+    operator_from_tensor,
 )
 
 __all__ = ["PRESET_NAMES", "Preset", "preset"]
@@ -65,8 +66,8 @@ def preset(name: str, n: int | None = None) -> Preset:
     if name == "mk-ghz":
         size = 3 if n is None else n
         family = mk_family(size)
-        pairs = [(SIGMA_X, SIGMA_Y)] * size
-        scenario = Scenario(observables=tuple((p[0], p[1]) for p in pairs))
-        _, state = top_eigenpair(mk_operators(size, pairs).b)
+        scenario = Scenario(observables=((SIGMA_X, SIGMA_Y),) * size)
+        operator = operator_from_tensor(coefficient_tensor(family), scenario.observables)
+        _, state = top_eigenpair(operator)
         return Preset(name=name, family=family, scenario=scenario, state=state)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    _DICHOTOMY_ATOL,
     _IMAG_ATOL,
     DIM_CAP,
     SIGMA_X,
@@ -73,7 +74,6 @@ SCHEMA_VERSION = 1
 MK_MAX_PARTIES = 8
 LHV_ENUMERATION_CAP_BITS = 24
 
-_DICHOTOMY_ATOL = 1e-10
 _BLOCH_NORM_ATOL = 1e-9
 _CSV_CHUNK_ROWS = 1 << 14
 
@@ -138,7 +138,7 @@ class Scenario:
                 op = as_hermitian(raw)
                 if op.shape != (2, 2):
                     raise ValueError(f"observable ({p},{s}) must be 2x2, got {op.shape}")
-                if not is_dichotomic(op, _DICHOTOMY_ATOL):
+                if not is_dichotomic(op):
                     raise ValueError(f"observable ({p},{s}) is not dichotomic")
                 op = op.copy()
                 op.setflags(write=False)
@@ -325,20 +325,6 @@ def _expectations(stacks, state: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _operators(tensor: np.ndarray, stacks) -> np.ndarray:
-    """``sum_x tensor[x, ...] (X_1 tensor ... tensor X_P)``, no Kronecker product.
-
-    ``stacks[p]`` of shape ``(S_p, 2, 2)`` holds party p's operators (tensor
-    factor p, big-endian).  Axes of ``tensor`` past the P setting axes index
-    separate operators: the result has shape ``(*tensor.shape[P:], 2**P, 2**P)``.
-    """
-    value = _contract(tensor, stacks)
-    # axes come out as (extra..., row_0, col_0, row_1, col_1, ...)
-    lead = value.ndim - 2 * len(stacks)
-    order = [*range(lead), *range(lead, value.ndim, 2), *range(lead + 1, value.ndim, 2)]
-    return value.transpose(order).reshape(*value.shape[:lead], 2 ** len(stacks), -1)
-
-
 # The MK recursion at inner split 1: the products X_x T_t, in (x, t) order, to the pair (B, B').
 _MK_STEP = np.stack(mk_coefficient_pair(2), axis=-1).reshape(4, 2).T
 
@@ -362,11 +348,12 @@ def _images(sites: np.ndarray, states: np.ndarray, first: int) -> np.ndarray:
 
 
 def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
-    """Bell operator ``sum_x coeff[x] (X_1 tensor ... tensor X_P)``.
+    """Bell operator ``sum_x coeff[x] (X_1 tensor ... tensor X_P)``: the one operator fold.
 
     ``observables[p][s]`` supplies party p's operator under setting s;
     party p is tensor factor p (big-endian site order).  After the shape
-    and ``DIM_CAP`` checks this is one ``_operators`` call.
+    and ``DIM_CAP`` checks, one ``_contract`` fold gives the axes
+    ``(row_0, col_0, row_1, col_1, ...)``, which are put rows first.
     """
     shape = tuple(len(row) for row in observables)
     if coeff.shape != shape:
@@ -374,7 +361,9 @@ def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     dim = 2 ** len(shape)
     if dim > DIM_CAP:
         raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
-    return _operators(coeff, [np.asarray(row, dtype=complex) for row in observables])
+    value = _contract(coeff, [np.asarray(row, dtype=complex) for row in observables])
+    order = [*range(0, value.ndim, 2), *range(1, value.ndim, 2)]
+    return value.transpose(order).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -396,18 +385,18 @@ class MKOperatorPair:
 def mk_operators(n: int, site_pairs, split_k: int = 1) -> MKOperatorPair:
     """Build the MK pair from per-site (X, X') observables.
 
-    ``site_pairs[i]`` is the (unprimed, primed) observable pair of site i.
-    The pair satisfies B_n^2 = B_n'^2 for any split (checked in the test
-    suite, not here).
+    ``site_pairs[i]`` is the (unprimed, primed) observable pair of site i;
+    ``B`` and ``B'`` are one ``operator_from_tensor`` call each.  The pair
+    satisfies B_n^2 = B_n'^2 for any split (checked in the test suite).
     """
     if not 2 <= n <= MK_MAX_PARTIES:
         raise ValueError(f"mk supports 2..{MK_MAX_PARTIES} sites, got {n}")
     if len(site_pairs) != n:
         raise ValueError(f"need {n} site observable pairs, got {len(site_pairs)}")
-    obs = tuple((pair[0], pair[1]) for pair in site_pairs)
-    scen = Scenario(observables=obs)
-    pair = np.stack(mk_coefficient_pair(n, split_k), axis=-1)
-    b, b_prime = _operators(pair, [np.asarray(row) for row in scen.observables])
+    scen = Scenario(observables=tuple((pair[0], pair[1]) for pair in site_pairs))
+    coeff, coeff_prime = mk_coefficient_pair(n, split_k)
+    b = operator_from_tensor(coeff, scen.observables)
+    b_prime = operator_from_tensor(coeff_prime, scen.observables)
     return MKOperatorPair(b=b, b_prime=b_prime, n=n, split_k=split_k)
 
 
@@ -454,6 +443,13 @@ def uniform_bloch(rng: np.random.Generator) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             return v / norm
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The package's one seeded generator: Philox keyed with a non-negative integer seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def random_scenario(family: FamilySpec, rng: np.random.Generator) -> Scenario:

@@ -596,6 +596,26 @@ def test_huge_state_amplitude_is_input_error(scenario_file, tmp_path, capsys, co
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec", ["file", "inline"])
+@pytest.mark.parametrize("big, code", [(1e154, 0), (1.4e154, 2)])
+def test_state_amplitude_limit_is_where_its_square_overflows(
+    scenario_file, tmp_path, capsys, spec, big, code
+):
+    # the norm is taken unscaled, so the limit is sqrt(float max), about 1.34e154
+    if spec == "file":
+        state = tmp_path / "big.json"
+        state.write_text(json.dumps([[big, 0], [0, 0], [0, 0], [1, 0]]), encoding="utf-8")
+    else:
+        state = f"{big!r},0,0,1"
+    out_path = tmp_path / "out.json"
+    argv = ["report", "--scenario", str(scenario_file), "--state", str(state), "--out", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    assert out_path.exists() == (code == 0)
+    assert ("norm overflows" in capsys.readouterr().err) == (code == 2)
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-finite {name} in --out")
 
@@ -711,6 +731,22 @@ def test_optimize_rejects_nonpositive_seeds(tmp_path, capsys, seeds):
     out_path = tmp_path / "opt.json"
     assert main(["optimize", "--family", "chsh", "--seeds", seeds, "--out", str(out_path)]) == 3
     assert f"seeds must be positive, got {seeds}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "chsh", "--samples", "3"],
+        ["optimize", "--family", "chsh"],
+        ["sample", "--preset", "chsh-optimal", "--rounds", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_named_in_the_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.json"
+    assert main(argv + ["--seed", "-1", "--out", str(out_path)]) == 3
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not out_path.exists()
 
 

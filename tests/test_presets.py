@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bellvar.bounds import chained_report, chsh_report, mk_report, saturation_check
+from bellvar.linalg import SIGMA_X, SIGMA_Y, top_eigenpair
 from bellvar.presets import PRESET_NAMES, preset
+from bellvar.scenarios import mk_operators
 
 
 def test_preset_names_frozen():
@@ -42,6 +44,13 @@ def test_mk_ghz_preset_hits_quantum_maximum():
         idx = np.flatnonzero(np.abs(p.state) > 1e-12)[0]
         assert p.state[idx].real > 0
     assert preset("mk-ghz").family.n == 3
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mk_ghz_state_matches_mk_operators_route(n):
+    # the preset builds B alone; the MK pair's B is the reference, bit for bit
+    _, want = top_eigenpair(mk_operators(n, [(SIGMA_X, SIGMA_Y)] * n).b)
+    assert np.array_equal(preset("mk-ghz", n=n).state, want)
 
 
 def test_unknown_preset_rejected():

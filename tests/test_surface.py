@@ -6,6 +6,8 @@ function deleted from the package breaks every traced benchmark run.  The
 ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source, and
 so are the rules that ``operator_from_tensor`` is never called once per
 instance and that the report kernel takes images only, never an operator.
+``operator_from_tensor`` is the one fold that makes an operator, and the
+``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
 """
 
 import ast
@@ -95,3 +97,18 @@ def test_report_kernel_builds_no_operator():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert names & {"_operators", "operator_from_tensor", "mk_operators"} == set()
+
+
+def test_operator_from_tensor_is_the_one_operator_fold():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [
+            path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_operators"
+        ]
+    assert defined == []
+    tree = ast.parse((PACKAGE / "presets.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", None) or getattr(node, "name", None) for node in ast.walk(tree)}
+    assert "mk_operators" not in names
