@@ -10,6 +10,10 @@ carries a schema_version field, CSV as a leading comment line).
 (party, setting) from one-site block images, building no joint operator;
 a family from ``--family`` or the file must fit the table, as for report.
 
+Each subcommand imports the layers it runs (bounds, optimize, montecarlo,
+avdecomp) when it is called.  At import this module loads only scenarios,
+linalg and presets, which parsing, ``--preset`` and output need.
+
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors), 3 a domain validation failure (dimension mismatch, cap
 exceeded, degenerate spread, undersampled batch), 1 unexpected internal
@@ -32,21 +36,7 @@ import sys
 
 import numpy as np
 
-from .avdecomp import SPREAD_EPS, _split
-from .bounds import (
-    _COLUMNS,
-    SATURATION_ATOL,
-    SLACK_FLOOR,
-    chained_report,
-    chsh_report,
-    mk_report,
-    pearson_chsh_report,
-    report_to_json_dict,
-    saturation_check,
-)
 from .linalg import as_ket
-from .montecarlo import batch_to_csv, empirical_check, estimate, estimates_to_json_dict, simulate_rounds
-from .optimize import random_scan, seesaw_max
 from .presets import PRESET_NAMES, preset
 from .scenarios import (
     SCHEMA_VERSION,
@@ -178,6 +168,8 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
 
 
 def _cmd_decompose(args) -> int:
+    from .avdecomp import SPREAD_EPS, _split
+
     scenario, family = _load_scenario(args)
     state = _parse_state(args.state, scenario.n_parties)
     if family is not None:
@@ -222,6 +214,17 @@ def _cmd_decompose(args) -> int:
 
 
 def _report_document(family, scenario, state) -> dict:
+    from .bounds import (
+        SATURATION_ATOL,
+        SLACK_FLOOR,
+        chained_report,
+        chsh_report,
+        mk_report,
+        pearson_chsh_report,
+        report_to_json_dict,
+        saturation_check,
+    )
+
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if family.name == "chsh":
         report = chsh_report(scenario, state)
@@ -283,6 +286,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .optimize import seesaw_max
+
     family = _parse_family(args)
     if args.seeds < 1:
         raise ValueError(f"seeds must be positive, got {args.seeds}")
@@ -290,6 +295,8 @@ def _cmd_optimize(args) -> int:
         seesaw_max(family, seed, max_iters=args.max_iters)
         for seed in range(args.seed, args.seed + args.seeds)
     ]
+    # best is the first seed that reaches the largest value: seeds equal to the
+    # last bit report the lowest of them, so a near-tie can turn on last-bit noise
     best = max(results, key=lambda r: r.value)
     rows = [("family", f"{family.name} (n={family.n})")]
     for res in results:
@@ -325,6 +332,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .bounds import _COLUMNS
+    from .optimize import random_scan
+
     family = _parse_family(args)
     want_rows = args.out is not None and args.format == "csv"
     summary = random_scan(family, args.samples, args.seed, keep_rows=want_rows)
@@ -356,6 +366,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .montecarlo import batch_to_csv, empirical_check, estimate, estimates_to_json_dict, simulate_rounds
+
     # checked for every family, although only chsh runs the empirical check
     if not 0.0 <= args.z < np.inf:
         raise ValueError(f"z must be finite and non-negative, got {args.z}")

@@ -48,7 +48,6 @@ __all__ = [
     "ScanSummary",
     "StationarityReport",
     "seesaw_max",
-    "chained_optimal_settings",
     "statistical_chsh_surface",
     "stationarity_check",
     "random_scan",
@@ -177,27 +176,6 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
         history=tuple(history),
         seed=int(seed),
     )
-
-
-def chained_optimal_settings(n: int) -> Scenario:
-    """Planar settings saturating the cyclic expression on the Bell state.
-
-    B settings sit at angles ``j pi / n`` in the x-z plane and A settings
-    halfway between consecutive B's, at ``(2k - 1) pi / (2n)``; every
-    correlator then equals ``cos(pi / 2n)`` and the value reaches
-    ``2n cos(pi / 2n)``.
-    """
-    if n < 2:
-        raise ValueError(f"chained settings need n >= 2, got {n}")
-    a_rows = []
-    for k in range(n):
-        angle = (2 * k - 1) * np.pi / (2 * n)
-        a_rows.append([np.sin(angle), 0.0, np.cos(angle)])
-    b_rows = []
-    for j in range(n):
-        angle = j * np.pi / n
-        b_rows.append([np.sin(angle), 0.0, np.cos(angle)])
-    return from_bloch_table([a_rows, b_rows])
 
 
 def statistical_chsh_surface(means_a, means_b) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
-from .optimize import chained_optimal_settings
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -29,7 +28,7 @@ from .scenarios import (
     operator_from_tensor,
 )
 
-__all__ = ["PRESET_NAMES", "Preset", "preset"]
+__all__ = ["PRESET_NAMES", "Preset", "chained_optimal_settings", "preset"]
 
 PRESET_NAMES = ("chsh-optimal", "chained-n", "mk-ghz")
 
@@ -40,6 +39,27 @@ class Preset:
     family: FamilySpec
     scenario: Scenario
     state: np.ndarray
+
+
+def chained_optimal_settings(n: int) -> Scenario:
+    """Planar settings saturating the cyclic expression on the Bell state.
+
+    B settings sit at angles ``j pi / n`` in the x-z plane and A settings
+    halfway between consecutive B's, at ``(2k - 1) pi / (2n)``; every
+    correlator then equals ``cos(pi / 2n)`` and the value reaches
+    ``2n cos(pi / 2n)``.
+    """
+    if n < 2:
+        raise ValueError(f"chained settings need n >= 2, got {n}")
+    a_rows = []
+    for k in range(n):
+        angle = (2 * k - 1) * np.pi / (2 * n)
+        a_rows.append([np.sin(angle), 0.0, np.cos(angle)])
+    b_rows = []
+    for j in range(n):
+        angle = j * np.pi / n
+        b_rows.append([np.sin(angle), 0.0, np.cos(angle)])
+    return from_bloch_table([a_rows, b_rows])
 
 
 def preset(name: str, n: int | None = None) -> Preset:

@@ -52,6 +52,7 @@ __all__ = [
     "mk_family",
     "bloch_observable",
     "bloch_of",
+    "from_bloch_table",
     "chsh_coefficients",
     "chained_coefficients",
     "mk_coefficient_pair",
@@ -65,8 +66,6 @@ __all__ = [
     "ghz_state",
     "scenario_to_json_dict",
     "scenario_from_json_dict",
-    "family_to_json_dict",
-    "family_from_json_dict",
     "load_scenario_file",
 ]
 

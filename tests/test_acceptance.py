@@ -27,12 +27,11 @@ from bellvar.bounds import (
 from bellvar.linalg import ID2, haar_random_ket, random_hermitian
 from bellvar.montecarlo import batch_to_csv, empirical_check, estimate, simulate_rounds
 from bellvar.optimize import (
-    chained_optimal_settings,
     random_scan,
     seesaw_max,
     stationarity_check,
 )
-from bellvar.presets import preset
+from bellvar.presets import chained_optimal_settings, preset
 from bellvar.scenarios import (
     bell_state,
     bloch_observable,

@@ -11,12 +11,12 @@ from bellvar.bounds import SLACK_FLOOR, chained_report, chsh_report, report_for
 from bellvar.linalg import ID2, haar_random_ket
 from bellvar.optimize import (
     CONVERGENCE_EPS,
-    chained_optimal_settings,
     random_scan,
     seesaw_max,
     statistical_chsh_surface,
     stationarity_check,
 )
+from bellvar.presets import chained_optimal_settings
 from bellvar.scenarios import (
     Scenario,
     bell_state,

@@ -8,13 +8,25 @@ so are the rules that ``operator_from_tensor`` is never called once per
 instance and that the report kernel takes images only, never an operator.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
+
+The package namespace is lazy: its ``_EXPORTS`` table must list exactly the
+seven modules' ``__all__``, and each name must resolve to the defining
+module's object.  A fresh interpreter running one subcommand loads only the
+layers that subcommand runs.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import bellvar
+from bellvar.scenarios import chsh_family, from_bloch_table, scenario_to_json_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(bellvar.__file__).resolve().parent
@@ -112,3 +124,87 @@ def test_operator_from_tensor_is_the_one_operator_fold():
     tree = ast.parse((PACKAGE / "presets.py").read_text(encoding="utf-8"))
     names = {getattr(node, "id", None) or getattr(node, "name", None) for node in ast.walk(tree)}
     assert "mk_operators" not in names
+
+
+_MODULES = ("avdecomp", "bounds", "linalg", "montecarlo", "optimize", "presets", "scenarios")
+
+
+def test_export_table_is_the_modules_all():
+    assert sorted(bellvar._EXPORTS) == list(_MODULES)
+    for mod in _MODULES:
+        assert sorted(bellvar._EXPORTS[mod]) == sorted(importlib.import_module(f"bellvar.{mod}").__all__)
+    assert len(bellvar.__all__) == len(set(bellvar.__all__))
+
+
+def test_lazy_names_are_the_defining_objects():
+    for mod in _MODULES:
+        module = importlib.import_module(f"bellvar.{mod}")
+        for name in module.__all__:
+            assert getattr(bellvar, name) is getattr(module, name), name
+    assert set(bellvar.__all__) <= set(dir(bellvar))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bellvar.no_such_name  # noqa: B018
+    assert not hasattr(bellvar, "family_to_json_dict")
+
+
+def test_submodule_import_falls_through_the_table():
+    from bellvar import optimize
+
+    assert optimize is sys.modules["bellvar.optimize"]
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from bellvar import *", namespace)
+    assert all(namespace[name] is getattr(bellvar, name) for name in bellvar.__all__)
+
+
+# loaded by every command line run, besides the layers of the subcommand
+_CLI_BASE = {"bellvar", "bellvar.cli", "bellvar.linalg", "bellvar.presets", "bellvar.scenarios"}
+_SEESAW_LAYERS = {"bellvar.optimize", "bellvar.bounds", "bellvar.avdecomp"}
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The ``bellvar`` modules a fresh interpreter holds after running ``code``."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellvar'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_import_bellvar_loads_no_submodule():
+    assert _loaded_modules("import bellvar") == {"bellvar"}
+
+
+def test_import_cli_loads_parsing_layers_only():
+    assert _loaded_modules("import bellvar.cli") == _CLI_BASE
+
+
+# subcommand -> the layers it loads besides _CLI_BASE
+_LAYERS_OF = {
+    "lhv --family chsh": set(),
+    "sample --preset chsh-optimal --rounds 1000": {"bellvar.montecarlo"},
+    "sample --preset chained-n --rounds 1000": {"bellvar.montecarlo"},
+    "report --preset chsh-optimal": {"bellvar.bounds", "bellvar.avdecomp"},
+    "report --preset mk-ghz --n 3": {"bellvar.bounds", "bellvar.avdecomp"},
+    "scan --family chsh --samples 10": _SEESAW_LAYERS,
+    "optimize --family chsh --max-iters 5": _SEESAW_LAYERS,
+    "decompose --scenario scenario.json": {"bellvar.avdecomp"},
+}
+
+
+@pytest.mark.parametrize("command", list(_LAYERS_OF))
+def test_subcommand_loads_only_its_layers(tmp_path, command):
+    scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_json_dict(scen, chsh_family())), encoding="utf-8")
+    argv = [str(path) if a == "scenario.json" else a for a in command.split()]
+    code = f"from bellvar.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_modules(code) == _CLI_BASE | _LAYERS_OF[command]
