@@ -5,12 +5,14 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
 1. a ``numpy.random.Philox`` generator is keyed with the integer seed
    (counter-based, platform-stable);
 2. one ``integers`` draw per party, in party order, picks each round's
-   settings uniformly;
-3. one ``random`` draw of uniforms, one per round, picks the joint
-   outcome by inverse CDF over the Born distribution of that round's
-   setting combination: rounds are grouped by combination and each
-   group is binary-searched in its CDF row, which gives exactly the
-   number of CDF entries below the round's uniform.
+   settings uniformly; the draws fold into each round's setting
+   combination index (lexicographic over parties) as they are made;
+3. uniforms, one per round, pick the joint outcome by inverse CDF over
+   the Born distribution of that round's setting combination.  They are
+   drawn chunk by chunk with ``random``, which gives the same stream as
+   one draw of all of them.  Within a chunk, rounds are grouped by
+   combination and each group is binary-searched in its CDF row, which
+   gives exactly the number of CDF entries below the round's uniform.
 
 Joint outcome probabilities are expectations of products of local
 spectral projectors ``(I +- X)/2``: one contraction of every party's
@@ -64,6 +66,15 @@ __all__ = [
     "estimates_to_json_dict",
 ]
 
+# Rounds per chunk of uniforms drawn and searched at once, so the draw's
+# temporaries do not grow with the rounds.  The per-combination term keeps
+# the Python loop over combinations in `_inverse_cdf` amortized: with a flat
+# 2**16, chained-n 128 (16384 combinations) at 10**6 rounds loops over every
+# combination in each of 16 chunks and ran about 6x slower (2 cores).
+_DRAW_CHUNK_ROUNDS = 1 << 16
+_DRAW_CHUNK_ROUNDS_PER_COMBO = 64
+
+
 class UndersampledError(ValueError):
     """A setting combination was observed fewer than two times."""
 
@@ -74,8 +85,12 @@ class SampleBatch:
 
     ``counts[c, o]`` tallies rounds with setting combination ``c``
     (lexicographic over parties) and joint outcome ``o`` (bit 0 of the
-    big-endian index meaning outcome +1).  The per-round arrays carry the
-    same information in order, for flat CSV export.
+    big-endian index meaning outcome +1).  ``combo_idx`` and
+    ``outcome_idx`` carry the same information in round order, one
+    ``c`` and one ``o`` per round, each in the narrowest unsigned dtype
+    that holds its range (one byte each up to 256 combinations and 8
+    parties).  ``round_settings`` and ``round_outcomes`` unpack them into
+    per-party tables on access.
     """
 
     family: FamilySpec
@@ -83,12 +98,26 @@ class SampleBatch:
     rounds: int
     seed: int
     counts: np.ndarray
-    round_settings: np.ndarray
-    round_outcomes: np.ndarray
+    combo_idx: np.ndarray
+    outcome_idx: np.ndarray
 
     @property
     def n_parties(self) -> int:
         return self.scenario.n_parties
+
+    @property
+    def round_settings(self) -> np.ndarray:
+        """``(rounds, n)`` setting of every party per round, unpacked from ``combo_idx``."""
+        settings = self.scenario.settings_per_party
+        table = np.empty((self.rounds, self.n_parties), dtype=np.min_scalar_type(max(settings) - 1))
+        for p, column in enumerate(np.unravel_index(self.combo_idx, settings)):
+            table[:, p] = column
+        return table
+
+    @property
+    def round_outcomes(self) -> np.ndarray:
+        """``(rounds, n)`` int8 +-1 outcome of every party per round, from ``outcome_idx``."""
+        return _outcome_signs(self.n_parties)[self.outcome_idx]
 
 
 @dataclass(frozen=True)
@@ -167,13 +196,18 @@ def simulate_rounds(
     cdfs[:, -1] = 1.0
 
     rng = _philox(seed)
-    round_settings = np.empty((rounds, n), dtype=np.uint8)
-    for p in range(n):
-        round_settings[:, p] = rng.integers(0, settings[p], size=rounds, dtype=np.uint8)
-    uniforms = rng.random(rounds)
-    combo_idx = np.ravel_multi_index(tuple(round_settings.T), settings)
-    outcome_idx = _inverse_cdf(cdfs, combo_idx, uniforms)
-    flat = np.bincount(combo_idx * 2**n + outcome_idx, minlength=cdfs.size)
+    combo_idx = np.zeros(rounds, dtype=np.min_scalar_type(len(cdfs) - 1))
+    for s in settings:
+        combo_idx *= s
+        combo_idx += rng.integers(0, s, size=rounds, dtype=np.min_scalar_type(s - 1))
+    outcome_idx = np.empty(rounds, dtype=np.min_scalar_type(2**n - 1))
+    flat = np.zeros(cdfs.size, dtype=np.int64)
+    chunk = max(_DRAW_CHUNK_ROUNDS, _DRAW_CHUNK_ROUNDS_PER_COMBO * len(cdfs))
+    for lo in range(0, rounds, chunk):
+        combos = combo_idx[lo : lo + chunk]
+        outcomes = _inverse_cdf(cdfs, combos, rng.random(len(combos)))
+        outcome_idx[lo : lo + chunk] = outcomes
+        flat += np.bincount(combos.astype(np.intp) * 2**n + outcomes, minlength=cdfs.size)
 
     return SampleBatch(
         family=family,
@@ -181,25 +215,26 @@ def simulate_rounds(
         rounds=rounds,
         seed=int(seed),
         counts=flat.reshape(cdfs.shape),
-        round_settings=round_settings,
-        round_outcomes=_outcome_signs(n)[outcome_idx],
+        combo_idx=combo_idx,
+        outcome_idx=outcome_idx,
     )
 
 
 def _inverse_cdf(cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per round: how many entries of its combination's CDF row lie below its uniform.
 
-    Rounds are grouped by combination with one stable sort (a radix sort on
-    the narrow key) and each group is binary-searched in its CDF row.  The
-    left-side search counts exactly the entries ``< u``, also at ties and
-    at ``u == 0``.  A row is non-decreasing except that its last entry, set
-    to 1.0, may sit below a predecessor rounded above 1; every uniform is
-    below 1.0, so the entries ``>= u`` still form a suffix and the search
-    stays exact.
+    Rounds are grouped by combination with one stable sort (a radix sort
+    when ``combo_idx`` comes in a narrow dtype, as the sampler passes it)
+    and each group is binary-searched in its CDF row.  The left-side search
+    counts exactly the entries ``< u``, also at ties and at ``u == 0``.  A
+    row is non-decreasing except that its last entry, set to 1.0, may sit
+    below a predecessor rounded above 1; every uniform is below 1.0, so the
+    entries ``>= u`` still form a suffix and the search stays exact.  The
+    result comes in the narrowest unsigned dtype that holds a row index.
     """
-    order = np.argsort(combo_idx.astype(np.min_scalar_type(len(cdfs) - 1)), kind="stable")
+    order = np.argsort(combo_idx, kind="stable")
     ends = np.cumsum(np.bincount(combo_idx, minlength=len(cdfs))).tolist()
-    outcome_idx = np.empty(len(order), dtype=np.intp)
+    outcome_idx = np.empty(len(order), dtype=np.min_scalar_type(cdfs.shape[1] - 1))
     for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
         group = order[lo:hi]
         outcome_idx[group] = np.searchsorted(cdfs[c], uniforms[group], side="left")
@@ -315,25 +350,25 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 def batch_to_csv(batch: SampleBatch) -> str:
     """Flat per-round table: round, one setting and one outcome per party.
 
-    A row is ``str(round)`` followed by the text of its setting combination
-    and of its joint outcome, each table entry formatted once with ``repr``.
+    A row is ``str(round)`` followed by the suffix of its (combination,
+    outcome) key: the text of the setting combination and of the joint
+    outcome, each table entry formatted once with ``repr``.  A suffix is
+    made only for each key the count table has seen, never more than the
+    rounds.
     """
     n = batch.n_parties
     settings = batch.scenario.settings_per_party
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
     setting_text = ["," + ",".join(map(repr, combo)) + "," for combo in np.ndindex(settings)]
     outcome_text = [",".join(map(repr, signs)) + "\n" for signs in _outcome_signs(n).tolist()]
+    suffix = [""] * batch.counts.size
+    for key in np.flatnonzero(batch.counts).tolist():
+        suffix[key] = setting_text[key >> n] + outcome_text[key & (2**n - 1)]
     parts = [_csv_text(keys, ())]
     for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
-        combos = np.ravel_multi_index(tuple(batch.round_settings[lo:hi].T), settings)
-        outcomes = np.ravel_multi_index(tuple((batch.round_outcomes[lo:hi] < 0).T), (2,) * n)
-        parts.append(
-            "".join(
-                f"{r}{setting_text[c]}{outcome_text[o]}"
-                for r, c, o in zip(range(lo, hi), combos.tolist(), outcomes.tolist())
-            )
-        )
+        rows = batch.combo_idx[lo:hi].astype(np.intp) * 2**n + batch.outcome_idx[lo:hi]
+        parts.append("".join(f"{r}{suffix[k]}" for r, k in zip(range(lo, hi), rows.tolist())))
     return "".join(parts)
 
 

@@ -7,6 +7,7 @@ smoke test goes through the interpreter to cover the module entry point.
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -465,6 +466,20 @@ def test_sample_csv_matches_library(tmp_path, capsys):
 def test_sample_undersampled_is_domain_error(capsys):
     assert main(["sample", "--preset", "chsh-optimal", "--rounds", "2"]) == 3
     assert "observed" in capsys.readouterr().err
+
+
+def test_sample_more_than_256_settings(capsys):
+    # a party's settings no longer fit one byte; 200000 rounds over 257**2
+    # combinations still leave some combination undersampled
+    p = preset("chained-n", 257)
+    batch = simulate_rounds(p.family, p.scenario, p.state, rounds=200_000, seed=0)
+    assert batch.counts.sum() == 200_000
+    assert batch.round_settings.dtype == np.uint16
+    assert batch.round_settings.max() == 256
+    argv = ["sample", "--preset", "chained-n", "--n", "257", "--rounds", "200000"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: setting combination \(\d+, \d+\) observed [01] < 2 times\n", err)
 
 
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ import pytest
 from bellvar.bounds import chsh_report, mk_report
 from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, haar_random_ket
 from bellvar.montecarlo import (
+    _DRAW_CHUNK_ROUNDS,
+    _DRAW_CHUNK_ROUNDS_PER_COMBO,
     EmpiricalCheck,
     UndersampledError,
     _inverse_cdf,
@@ -397,6 +400,47 @@ def test_simulate_rounds_matches_row_compare_reference(name):
     np.testing.assert_array_equal(
         _inverse_cdf(cdfs, combo_idx, uniforms), _row_compare(cdfs, combo_idx, uniforms)
     )
+
+
+def _assert_matches_rounds_reference(name, rounds, seed):
+    family, scenario, state = _instance(name)
+    batch = simulate_rounds(family, scenario, state, rounds=rounds, seed=seed)
+    want = _rounds_reference(scenario, state, rounds, seed)
+    for got, ref in zip((batch.counts, batch.round_settings, batch.round_outcomes), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["chsh-optimal", "mk-ghz-3"])
+def test_simulate_rounds_at_draw_chunk_boundaries(name):
+    # few combinations: the flat term sets the chunk; the reference draws its
+    # uniforms in one call
+    _, scenario, _ = _instance(name)
+    assert _DRAW_CHUNK_ROUNDS_PER_COMBO * np.prod(scenario.settings_per_party) < _DRAW_CHUNK_ROUNDS
+    chunk = _DRAW_CHUNK_ROUNDS
+    for seed, rounds in enumerate((chunk - 1, chunk, chunk + 1, 2 * chunk + 3)):
+        _assert_matches_rounds_reference(name, rounds, seed)
+
+
+def test_simulate_rounds_many_combinations_in_one_chunk():
+    # 48**2 combinations: the per-combination term sets the chunk, above the flat term
+    _, scenario, _ = _instance("chained-n-48")
+    chunk = _DRAW_CHUNK_ROUNDS_PER_COMBO * int(np.prod(scenario.settings_per_party))
+    assert chunk > _DRAW_CHUNK_ROUNDS
+    for seed, rounds in enumerate((chunk, chunk + 1)):
+        _assert_matches_rounds_reference("chained-n-48", rounds, seed)
+
+
+def test_simulate_rounds_memory():
+    family, scenario, state = _instance("mk-ghz-6")
+    simulate_rounds(family, scenario, state, rounds=1000, seed=0)  # first-call caches stay out
+    tracemalloc.start()
+    try:
+        simulate_rounds(family, scenario, state, rounds=10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("name", ["chsh-optimal", "chained-n-12", "mk-ghz-8"])
