@@ -14,6 +14,13 @@ Each subcommand imports the layers it runs (bounds, optimize, montecarlo,
 avdecomp) when it is called.  At import this module loads only scenarios,
 linalg and presets, which parsing, ``--preset`` and output need.
 
+BLAS runs on one thread: before numpy is first imported this module sets
+``OMP_NUM_THREADS=1`` unless the caller has set it.  No operator is larger
+than 256 x 256, so worker threads only spin between calls, and the
+see-saw's sums would round differently with each thread count.  A
+caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
+a program that imported numpy earlier keeps its own pool.
+
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors), 3 a domain validation failure (dimension mismatch, cap
 exceeded, degenerate spread, undersampled batch), 1 unexpected internal
@@ -32,7 +39,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from collections.abc import Iterable
+
+# before the first numpy import: OpenBLAS sizes its thread pool when it loads
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -43,7 +55,7 @@ from .scenarios import (
     FamilySpec,
     Scenario,
     _complex_pair,
-    _csv_text,
+    _csv_chunks,
     _images,
     bell_state,
     check_family_scenario,
@@ -66,13 +78,18 @@ def _table(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _emit(args, rows: list[tuple[str, str]], doc: dict, csv_text: str | None = None) -> int:
-    """Print the table; with ``--out``, write ``csv_text`` or else ``doc`` as canonical JSON."""
+def _emit(
+    args, rows: list[tuple[str, str]], doc: dict, csv_chunks: Iterable[str] | None = None
+) -> int:
+    """Print the table; with ``--out``, write the CSV chunks as they are made,
+    or with none given ``doc`` as canonical JSON."""
     print(_table(rows))
     if args.out:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if csv_text is None else csv_text
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if csv_chunks is None:
+                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            else:
+                fh.writelines(csv_chunks)
     return 0
 
 
@@ -278,11 +295,11 @@ def _cmd_report(args) -> int:
         rows.append(("pearson bound", _fmt(doc["pearson"]["bound_geometric"])))
     if "cos_lambda" in doc:
         rows.append(("cos_lambda", " ".join(_fmt(c) for c in doc["cos_lambda"])))
-    csv_text = None
+    csv_chunks = None
     if args.format == "csv":
         keys = [k for k in report if k not in ("family", "schema_version")]
-        csv_text = _csv_text(keys, [[report[k] for k in keys]])
-    return _emit(args, rows, doc, csv_text)
+        csv_chunks = _csv_chunks(keys, [[report[k] for k in keys]])
+    return _emit(args, rows, doc, csv_chunks)
 
 
 def _cmd_optimize(args) -> int:
@@ -358,15 +375,21 @@ def _cmd_scan(args) -> int:
         "violations": summary.violations,
         "seed": summary.seed,
     }
-    csv_text = None
+    csv_chunks = None
     if want_rows:
         columns = (summary.rows[name].tolist() for name in _COLUMNS)
-        csv_text = _csv_text(["index", *_COLUMNS], zip(range(summary.n_samples), *columns))
-    return _emit(args, rows, doc, csv_text)
+        csv_chunks = _csv_chunks(["index", *_COLUMNS], zip(range(summary.n_samples), *columns))
+    return _emit(args, rows, doc, csv_chunks)
 
 
 def _cmd_sample(args) -> int:
-    from .montecarlo import batch_to_csv, empirical_check, estimate, estimates_to_json_dict, simulate_rounds
+    from .montecarlo import (
+        _batch_csv_chunks,
+        empirical_check,
+        estimate,
+        estimates_to_json_dict,
+        simulate_rounds,
+    )
 
     # checked for every family, although only chsh runs the empirical check
     if not 0.0 <= args.z < np.inf:
@@ -402,8 +425,8 @@ def _cmd_sample(args) -> int:
     }
     if check is not None:
         doc["empirical_check"] = dataclasses.asdict(check)
-    csv_text = batch_to_csv(batch) if args.out and args.format == "csv" else None
-    return _emit(args, rows, doc, csv_text)
+    csv_chunks = _batch_csv_chunks(batch) if args.format == "csv" else None
+    return _emit(args, rows, doc, csv_chunks)
 
 
 def _cmd_lhv(args) -> int:

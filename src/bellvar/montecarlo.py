@@ -36,6 +36,7 @@ vanishes), and the check passes when ``M + z SE(M) >= 0``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
-    _csv_text,
+    _csv_chunks,
     _expectations,
     _philox,
     check_family_scenario,
@@ -347,15 +348,8 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 # serialization
 
 
-def batch_to_csv(batch: SampleBatch) -> str:
-    """Flat per-round table: round, one setting and one outcome per party.
-
-    A row is ``str(round)`` followed by the suffix of its (combination,
-    outcome) key: the text of the setting combination and of the joint
-    outcome, each table entry formatted once with ``repr``.  A suffix is
-    made only for each key the count table has seen, never more than the
-    rounds.
-    """
+def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
+    """The rounds CSV of :func:`batch_to_csv`, ``_CSV_CHUNK_ROWS`` rows a chunk."""
     n = batch.n_parties
     settings = batch.scenario.settings_per_party
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
@@ -364,12 +358,23 @@ def batch_to_csv(batch: SampleBatch) -> str:
     suffix = [""] * batch.counts.size
     for key in np.flatnonzero(batch.counts).tolist():
         suffix[key] = setting_text[key >> n] + outcome_text[key & (2**n - 1)]
-    parts = [_csv_text(keys, ())]
+    yield from _csv_chunks(keys, ())
     for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
         rows = batch.combo_idx[lo:hi].astype(np.intp) * 2**n + batch.outcome_idx[lo:hi]
-        parts.append("".join(f"{r}{suffix[k]}" for r, k in zip(range(lo, hi), rows.tolist())))
-    return "".join(parts)
+        yield "".join(f"{r}{suffix[k]}" for r, k in zip(range(lo, hi), rows.tolist()))
+
+
+def batch_to_csv(batch: SampleBatch) -> str:
+    """Flat per-round table: round, one setting and one outcome per party.
+
+    A row is ``str(round)`` followed by the suffix of its (combination,
+    outcome) key: the text of the setting combination and of the joint
+    outcome, each table entry formatted once with ``repr``.  A suffix is
+    made only for each key the count table has seen, never more than the
+    rounds.  The command line writes the same chunks as they are made.
+    """
+    return "".join(_batch_csv_chunks(batch))
 
 
 def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:

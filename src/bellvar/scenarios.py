@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,13 +78,17 @@ _BLOCH_NORM_ATOL = 1e-9
 _CSV_CHUNK_ROWS = 1 << 14
 
 
-def _csv_text(keys: list[str], records) -> str:
-    """CSV: schema_version comment, header, one ``repr`` row per record, in chunks of rows."""
+def _csv_chunks(keys: list[str], records) -> Iterator[str]:
+    """CSV text in chunks: schema_version comment and header, then one ``repr`` row per record."""
     rows = iter(records)
-    parts = [f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"]
+    yield f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"
     while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        parts.append("".join(",".join(map(repr, rec)) + "\n" for rec in chunk))
-    return "".join(parts)
+        yield "".join(",".join(map(repr, rec)) + "\n" for rec in chunk)
+
+
+def _csv_text(keys: list[str], records) -> str:
+    """The whole CSV text of :func:`_csv_chunks`."""
+    return "".join(_csv_chunks(keys, records))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -820,15 +821,101 @@ def test_format_only_on_report_scan_sample(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
-def test_module_entry_point():
-    # the child imports bellvar from wherever this process found it
+def _child_env(**threads: str) -> dict:
+    """This process's environment with no ``*_NUM_THREADS`` variable but ``threads``;
+    the child imports bellvar from wherever this process found it."""
     src = str(Path(bellvar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bellvar.cli", "lhv", "--family", "chsh"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env | threads
+
+
+def _run_child(argv: list[str], env: dict) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_module_entry_point():
+    proc = _run_child(["-m", "bellvar.cli", "lhv", "--family", "chsh"], _child_env())
     assert "lhv_max" in proc.stdout
+
+
+_THREADS_AFTER_MATMUL = """
+import json, os
+{imports}
+import numpy as np
+a = np.ones((256, 256))
+a @ a
+print(json.dumps({{
+    "tasks": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    "env": {{k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}},
+}}))
+"""
+
+
+def _threads_after_matmul(imports: str, env: dict) -> dict:
+    code = _THREADS_AFTER_MATMUL.format(imports=imports)
+    return json.loads(_run_child(["-c", code], env).stdout)
+
+
+def test_cli_runs_blas_on_one_thread():
+    got = _threads_after_matmul("import bellvar.cli", _child_env())
+    assert got["env"] == {"OMP_NUM_THREADS": "1"}
+    if got["tasks"] is None:
+        pytest.skip("no /proc/self/task to count threads")
+    # a threaded BLAS would have started its workers for a 256 x 256 product
+    assert got["tasks"] == 1
+
+
+@pytest.mark.parametrize(
+    "threads",
+    [
+        {"OMP_NUM_THREADS": "3"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"},
+    ],
+)
+def test_cli_keeps_the_callers_thread_settings(threads):
+    got = _threads_after_matmul("import bellvar.cli", _child_env(**threads))
+    want = threads if "OMP_NUM_THREADS" in threads else {"OMP_NUM_THREADS": "1", **threads}
+    assert got["env"] == want
+
+
+def test_import_bellvar_leaves_the_environment_alone():
+    code = (
+        "import os; before = dict(os.environ); import bellvar; "
+        "assert dict(os.environ) == before; bellvar.preset; assert dict(os.environ) == before"
+    )
+    _run_child(["-c", code], _child_env())
+
+
+def test_optimize_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # mk(7) works on 128 x 128 matrices, which a threaded BLAS splits across its
+    # threads and so sums in another order
+    argv = ["optimize", "--family", "mk", "--n", "7", "--seeds", "1", "--seed", "0"]
+    outputs = []
+    for name, env in (("default", _child_env()), ("one", _child_env(OPENBLAS_NUM_THREADS="1"))):
+        out_path = tmp_path / f"{name}.json"
+        _run_child(["-m", "bellvar.cli", *argv, "--out", str(out_path)], env)
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_sample_csv_is_written_as_it_is_made(tmp_path, capsys):
+    out_path = tmp_path / "rounds.csv"
+    argv = ["sample", "--preset", "chsh-optimal", "--format", "csv", "--out", str(out_path)]
+    assert main([*argv, "--rounds", "2000"]) == 0  # first-call caches stay out
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--rounds", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = out_path.stat().st_size
+    # the file is 2.9 MiB.  Streamed, the peak is about 2.0 MiB, set by the
+    # sampler's draw chunk and one CSV chunk of 2**14 rows; the whole text
+    # held in memory (with its encoded copy) peaked at 6.4 MiB, 2.2x the file.
+    # Bound: the file's size, 0.9 MiB above the streamed peak.
+    assert peak < size, f"traced peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"
