@@ -23,8 +23,8 @@ a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors), 3 a domain validation failure (dimension mismatch, cap
-exceeded, degenerate spread, undersampled batch), 1 unexpected internal
-error.
+exceeded, degenerate spread, undersampled batch, a non-finite scan slack
+or JSON value), 1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
@@ -51,6 +51,7 @@ import numpy as np
 from .linalg import as_ket
 from .presets import PRESET_NAMES, preset
 from .scenarios import (
+    _CSV_CHUNK_ROWS,
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
@@ -82,14 +83,16 @@ def _emit(
     args, rows: list[tuple[str, str]], doc: dict, csv_chunks: Iterable[str] | None = None
 ) -> int:
     """Print the table; with ``--out``, write the CSV chunks as they are made,
-    or with none given ``doc`` as canonical JSON."""
+    or with none given ``doc`` as canonical JSON.  The JSON text is made
+    before the file is opened and takes no NaN or infinity: such a value
+    raises ``ValueError`` and leaves no file behind."""
+    text = None
+    if args.out and csv_chunks is None:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     print(_table(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            if csv_chunks is None:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            else:
-                fh.writelines(csv_chunks)
+            fh.writelines(csv_chunks if text is None else [text])
     return 0
 
 
@@ -355,6 +358,8 @@ def _cmd_scan(args) -> int:
     family = _parse_family(args)
     want_rows = args.out is not None and args.format == "csv"
     summary = random_scan(family, args.samples, args.seed, keep_rows=want_rows)
+    if summary.non_finite:
+        raise ValueError(f"{summary.non_finite} of {summary.n_samples} scan slacks are not finite")
     rows = [
         ("family", f"{family.name} (n={family.n})"),
         ("samples", str(summary.n_samples)),
@@ -377,8 +382,16 @@ def _cmd_scan(args) -> int:
     }
     csv_chunks = None
     if want_rows:
-        columns = (summary.rows[name].tolist() for name in _COLUMNS)
-        csv_chunks = _csv_chunks(["index", *_COLUMNS], zip(range(summary.n_samples), *columns))
+        columns = [summary.rows[name] for name in _COLUMNS]
+        records = (
+            record
+            for lo in range(0, summary.n_samples, _CSV_CHUNK_ROWS)
+            for record in zip(
+                range(lo, summary.n_samples),
+                *(column[lo : lo + _CSV_CHUNK_ROWS].tolist() for column in columns),
+            )
+        )
+        csv_chunks = _csv_chunks(["index", *_COLUMNS], records)
     return _emit(args, rows, doc, csv_chunks)
 
 

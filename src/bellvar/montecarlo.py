@@ -9,10 +9,10 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
    combination index (lexicographic over parties) as they are made;
 3. uniforms, one per round, pick the joint outcome by inverse CDF over
    the Born distribution of that round's setting combination.  They are
-   drawn chunk by chunk with ``random``, which gives the same stream as
-   one draw of all of them.  Within a chunk, rounds are grouped by
-   combination and each group is binary-searched in its CDF row, which
-   gives exactly the number of CDF entries below the round's uniform.
+   drawn ``_DRAW_CHUNK_ROUNDS`` at a time with ``random``, which gives
+   the same stream as one draw of all of them.  Every round of a chunk is
+   bisected at once in the flat table of CDF rows, ``2**n`` entries each,
+   which gives exactly the number of CDF entries below its uniform.
 
 Joint outcome probabilities are expectations of products of local
 spectral projectors ``(I +- X)/2``: one contraction of every party's
@@ -67,13 +67,9 @@ __all__ = [
     "estimates_to_json_dict",
 ]
 
-# Rounds per chunk of uniforms drawn and searched at once, so the draw's
-# temporaries do not grow with the rounds.  The per-combination term keeps
-# the Python loop over combinations in `_inverse_cdf` amortized: with a flat
-# 2**16, chained-n 128 (16384 combinations) at 10**6 rounds loops over every
-# combination in each of 16 chunks and ran about 6x slower (2 cores).
+# Rounds per chunk of uniforms drawn and bisected at once, so the draw's
+# scratch buffers do not grow with the rounds.
 _DRAW_CHUNK_ROUNDS = 1 << 16
-_DRAW_CHUNK_ROUNDS_PER_COMBO = 64
 
 
 class UndersampledError(ValueError):
@@ -203,12 +199,12 @@ def simulate_rounds(
         combo_idx += rng.integers(0, s, size=rounds, dtype=np.min_scalar_type(s - 1))
     outcome_idx = np.empty(rounds, dtype=np.min_scalar_type(2**n - 1))
     flat = np.zeros(cdfs.size, dtype=np.int64)
-    chunk = max(_DRAW_CHUNK_ROUNDS, _DRAW_CHUNK_ROUNDS_PER_COMBO * len(cdfs))
+    chunk = min(rounds, _DRAW_CHUNK_ROUNDS)
+    scratch = (np.empty(chunk, dtype=np.intp), np.empty(chunk), np.empty(chunk, dtype=bool))
     for lo in range(0, rounds, chunk):
         combos = combo_idx[lo : lo + chunk]
-        outcomes = _inverse_cdf(cdfs, combos, rng.random(len(combos)))
-        outcome_idx[lo : lo + chunk] = outcomes
-        flat += np.bincount(combos.astype(np.intp) * 2**n + outcomes, minlength=cdfs.size)
+        outcome_idx[lo : lo + chunk] = _inverse_cdf(cdfs, combos, rng.random(len(combos)), scratch)
+        flat += np.bincount(scratch[0][: len(combos)], minlength=cdfs.size)
 
     return SampleBatch(
         family=family,
@@ -221,25 +217,29 @@ def simulate_rounds(
     )
 
 
-def _inverse_cdf(cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _inverse_cdf(
+    cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray, scratch=None
+) -> np.ndarray:
     """Outcome index per round: how many entries of its combination's CDF row lie below its uniform.
 
-    Rounds are grouped by combination with one stable sort (a radix sort
-    when ``combo_idx`` comes in a narrow dtype, as the sampler passes it)
-    and each group is binary-searched in its CDF row.  The left-side search
-    counts exactly the entries ``< u``, also at ties and at ``u == 0``.  A
-    row is non-decreasing except that its last entry, set to 1.0, may sit
-    below a predecessor rounded above 1; every uniform is below 1.0, so the
-    entries ``>= u`` still form a suffix and the search stays exact.  The
-    result comes in the narrowest unsigned dtype that holds a row index.
+    Every round is bisected at once: from ``pos = c * 2**n`` in the flat CDF
+    table, each ``step = 2**(n-1) .. 1`` adds ``step`` where ``flat[pos +
+    step - 1] < u``, which counts exactly the entries ``< u`` (every ``u <
+    1``), also at ties, at ``u == 0`` and on a last 1.0 below a predecessor
+    rounded above 1.  ``scratch``, optional (intp, float, bool) buffers at
+    least as long as ``uniforms``, ends with ``pos`` in its first.  No step
+    makes a temporary: spent floats take the increments, ``take`` clips (as
+    ``"raise"`` copies ``out``), and the result takes the narrowest unsigned dtype.
     """
-    order = np.argsort(combo_idx, kind="stable")
-    ends = np.cumsum(np.bincount(combo_idx, minlength=len(cdfs))).tolist()
-    outcome_idx = np.empty(len(order), dtype=np.min_scalar_type(cdfs.shape[1] - 1))
-    for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
-        group = order[lo:hi]
-        outcome_idx[group] = np.searchsorted(cdfs[c], uniforms[group], side="left")
-    return outcome_idx
+    m, width = len(uniforms), cdfs.shape[1]
+    keys, values, below = scratch or (np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, bool))
+    keys, values, below = keys[:m], values[:m], below[:m]
+    np.multiply(combo_idx, width, out=keys, dtype=np.intp)
+    step = width
+    while step := step // 2:
+        np.take(cdfs.ravel()[step - 1 :], keys, out=values, mode="clip")
+        keys += np.multiply(np.less(values, uniforms, out=below), step, out=values.view(np.intp))
+    return np.bitwise_and(keys, width - 1, dtype=np.min_scalar_type(width - 1), casting="unsafe")
 
 
 def _outcome_signs(n: int) -> np.ndarray:

@@ -87,7 +87,8 @@ class ScanSummary:
 
     ``violations`` counts samples whose slack is not at or above the
     rounding floor ``bounds.SLACK_FLOOR``, NaN included; a NaN slack also
-    propagates into ``min_slack``.  ``min_slack``/``mean_slack`` are None
+    propagates into ``min_slack``.  ``non_finite`` counts the NaN and
+    infinite slacks on their own.  ``min_slack``/``mean_slack`` are None
     for an empty scan.  ``rows`` optionally keeps the per-instance rows for
     CSV export, stored by column: one length-``n_samples`` array per name in
     ``bounds._COLUMNS``, instance i at position i.  It is not part of the
@@ -99,6 +100,7 @@ class ScanSummary:
     min_slack: float | None
     mean_slack: float | None
     violations: int
+    non_finite: int
     seed: int
     rows: dict[str, np.ndarray] | None = field(default=None, compare=False)
 
@@ -294,6 +296,7 @@ def random_scan(
         min_slack=float(np.min(slack)) if n_samples else None,
         mean_slack=float(np.mean(slack)) if n_samples else None,
         violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
+        non_finite=int(np.count_nonzero(~np.isfinite(slack))),
         seed=int(seed),
         rows=columns if keep_rows else None,
     )

@@ -13,12 +13,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellvar.bounds import chsh_report, mk_report
 from bellvar.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, haar_random_ket
 from bellvar.montecarlo import (
     _DRAW_CHUNK_ROUNDS,
-    _DRAW_CHUNK_ROUNDS_PER_COMBO,
     EmpiricalCheck,
     UndersampledError,
     _inverse_cdf,
@@ -413,22 +413,64 @@ def _assert_matches_rounds_reference(name, rounds, seed):
 
 @pytest.mark.parametrize("name", ["chsh-optimal", "mk-ghz-3"])
 def test_simulate_rounds_at_draw_chunk_boundaries(name):
-    # few combinations: the flat term sets the chunk; the reference draws its
-    # uniforms in one call
-    _, scenario, _ = _instance(name)
-    assert _DRAW_CHUNK_ROUNDS_PER_COMBO * np.prod(scenario.settings_per_party) < _DRAW_CHUNK_ROUNDS
+    # the reference draws its uniforms in one call
     chunk = _DRAW_CHUNK_ROUNDS
     for seed, rounds in enumerate((chunk - 1, chunk, chunk + 1, 2 * chunk + 3)):
         _assert_matches_rounds_reference(name, rounds, seed)
 
 
 def test_simulate_rounds_many_combinations_in_one_chunk():
-    # 48**2 combinations: the per-combination term sets the chunk, above the flat term
+    # 48**2 combinations share each flat chunk, and the draw crosses a chunk boundary
     _, scenario, _ = _instance("chained-n-48")
-    chunk = _DRAW_CHUNK_ROUNDS_PER_COMBO * int(np.prod(scenario.settings_per_party))
-    assert chunk > _DRAW_CHUNK_ROUNDS
-    for seed, rounds in enumerate((chunk, chunk + 1)):
+    assert int(np.prod(scenario.settings_per_party)) == 2304
+    chunk = _DRAW_CHUNK_ROUNDS
+    for seed, rounds in enumerate((chunk + 1, 2 * chunk + 3)):
         _assert_matches_rounds_reference("chained-n-48", rounds, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width_exp=st.integers(1, 8),
+    n_combos=st.integers(1, 300),
+    plateaus=st.booleans(),
+    overshoot=st.booleans(),
+)
+def test_inverse_cdf_matches_row_compare(seed, width_exp, n_combos, plateaus, overshoot):
+    rng = np.random.Generator(np.random.Philox(seed))
+    width = 2**width_exp
+    weights = rng.random((n_combos, width))
+    if plateaus:  # zero-probability outcomes repeat a CDF entry
+        weights[rng.random((n_combos, width)) < 0.5] = 0.0
+        weights[:, 0] += 1e-3
+    cdfs = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    if overshoot:  # a tail of entries per row rounded above 1 before the final 1.0
+        tail = np.arange(width) >= rng.integers(0, width, n_combos)[:, None]
+        cdfs[tail] = np.nextafter(1.0, 2.0)
+    cdfs[:, -1] = 1.0
+
+    # every entry and its float neighbours in its own row, then 0.0 and the largest uniform
+    values = cdfs.ravel()
+    top = np.nextafter(1.0, 0.0)
+    uniforms = np.concatenate(
+        [values, np.nextafter(values, -1.0), np.nextafter(values, 2.0), [0.0, top]]
+    )
+    uniforms = np.clip(uniforms, 0.0, top)
+    rows = np.repeat(np.arange(n_combos), width)
+    combo_idx = np.concatenate([rows, rows, rows, [0, n_combos - 1]])
+    combo_idx = combo_idx.astype(np.min_scalar_type(n_combos - 1))
+
+    want = _row_compare(cdfs, combo_idx, uniforms)
+    got = _inverse_cdf(cdfs, combo_idx, uniforms)
+    assert got.dtype == np.min_scalar_type(width - 1)
+    np.testing.assert_array_equal(got, want)
+
+    # with longer scratch buffers, as the sampler passes them: the first holds the flat keys
+    m = len(uniforms) + 3
+    scratch = (np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool))
+    np.testing.assert_array_equal(_inverse_cdf(cdfs, combo_idx, uniforms, scratch), want)
+    keys = combo_idx.astype(np.intp) * width + want
+    np.testing.assert_array_equal(scratch[0][: len(uniforms)], keys)
 
 
 def test_simulate_rounds_memory():

@@ -185,6 +185,7 @@ def test_random_scan_no_violations_and_deterministic():
     s2 = random_scan(chsh_family(), n_samples=200, seed=11)
     assert s1 == s2
     assert s1.violations == 0
+    assert s1.non_finite == 0
     assert s1.min_slack >= -1e-9
     assert s1.mean_slack >= s1.min_slack
     assert s1.n_samples == 200
@@ -197,6 +198,7 @@ def test_random_scan_empty_and_rows():
     assert empty.min_slack is None
     assert empty.mean_slack is None
     assert empty.violations == 0
+    assert empty.non_finite == 0
     kept = random_scan(chained_family(3), n_samples=10, seed=1, keep_rows=True)
     # the rows are stored by column; the index of a row is its position
     assert kept.rows is not None
@@ -234,6 +236,7 @@ def test_random_scan_counts_nan_slack(monkeypatch):
     summary = random_scan(chsh_family(), n_samples=5, seed=3)
     assert summary.violations == 5
     assert math.isnan(summary.min_slack)
+    assert summary.non_finite == 5
 
 
 def _scan_reference(family, n_samples, seed):

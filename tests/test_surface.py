@@ -5,7 +5,9 @@ The benchmark tracer (``bench/tracer.py``) wraps the functions named in its
 function deleted from the package breaks every traced benchmark run.  The
 ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source, and
 so are the rules that ``operator_from_tensor`` is never called once per
-instance and that the report kernel takes images only, never an operator.
+instance, that the report kernel takes images only, never an operator, and
+that the sampler's inverse-CDF draw neither sorts, searches nor loops over
+combinations.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
 
@@ -96,6 +98,21 @@ def test_operator_from_tensor_never_called_per_instance():
                 if isinstance(node, ast.Call) and name == "operator_from_tensor":
                     found.append((path.stem, node.lineno))
     assert found == []
+
+
+def test_inverse_cdf_has_no_sort_search_or_loop():
+    tree = ast.parse((PACKAGE / "montecarlo.py").read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_inverse_cdf"
+    ]
+    called = set()
+    for node in ast.walk(func):
+        assert not isinstance(node, (ast.For, *_COMPREHENSIONS)), f"loop at line {node.lineno}"
+        if isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    assert called & {"argsort", "searchsorted", "sort"} == set()
 
 
 def test_report_kernel_builds_no_operator():
