@@ -10,9 +10,9 @@ carries a schema_version field, CSV as a leading comment line).
 (party, setting) from one-site block images, building no joint operator;
 a family from ``--family`` or the file must fit the table, as for report.
 
-Each subcommand imports the layers it runs (bounds, optimize, montecarlo,
-avdecomp) when it is called.  At import this module loads only scenarios,
-linalg and presets, which parsing, ``--preset`` and output need.
+Each subcommand imports its layers when called (``optimize`` the search
+module, ``scan`` it and the bounds).  At import this module loads only
+scenarios, linalg and presets, which parsing, ``--preset`` and output need.
 
 BLAS runs on one thread: before numpy is first imported this module sets
 ``OMP_NUM_THREADS=1`` unless the caller has set it.  No operator is larger

@@ -12,7 +12,8 @@ The see-saw alternates two exact coordinate maximizations:
   the coefficient tensor over the other parties' settings, gives ``g`` for
   all of the party's settings at once.  No term holds two settings of one
   party, so updating them together is exact; the value is linear in the
-  Bloch vector, so the normalized gradient is the exact argmax.
+  Bloch vector, so the normalized gradient is the exact argmax.  A sweep
+  builds one density and folds each updated party into a shared prefix.
 
 Both steps can only increase the objective, so the recorded history is
 nondecreasing up to rounding.  All randomness (initial settings, scan
@@ -26,13 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _COLUMNS, SLACK_FLOOR, _columns
 from .linalg import _DICHOTOMY_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
 from .scenarios import (
     FamilySpec,
     Scenario,
-    _expectations,
+    _contract,
+    _density,
+    _flat,
     _philox,
+    _real,
     bloch_observable,
     bloch_of,
     chsh_coefficients,
@@ -57,7 +60,7 @@ __all__ = [
 CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
-_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULIS = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
 # A scan reports its instances in chunks of at most this many instances x dim (images are dim-long).
 _SCAN_CHUNK = 2**10
 
@@ -136,6 +139,7 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     start = random_scenario(family, rng)
     observables = [list(row) for row in start.observables]
     coeff = coefficient_tensor(family)
+    flats = [_flat(row) for row in observables]
 
     history: list[float] = []
     state = None
@@ -146,16 +150,19 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     for _ in range(max_iters):
         iterations += 1
         _, state = top_eigenpair(operator_from_tensor(coeff, observables))
+        prefix = _density(state, family.n_parties)
         for p in range(family.n_parties):
             others = [q for q in range(family.n_parties) if q != p]
-            stacks = observables[:p] + [_PAULIS] + observables[p + 1 :]
-            grads = np.tensordot(coeff, _expectations(stacks, state), axes=(others, others))
+            expectations = _real(_contract(prefix, [_flat(_PAULIS), *flats[p + 1 :]]))
+            grads = np.tensordot(coeff, expectations, axes=(others, others))
             for s, g in enumerate(grads):
                 norm = float(np.linalg.norm(g))
                 if norm < _GRADIENT_EPS:
                     continue
                 observables[p][s] = bloch_observable(g / norm)
-        value = float(np.sum(coeff * _expectations(observables, state)))
+            flats[p] = _flat(observables[p])
+            prefix = _contract(prefix, [flats[p]])
+        value = float(np.sum(coeff * _real(prefix)))
         history.append(value)
         if value - prev < CONVERGENCE_EPS:
             stall += 1
@@ -263,6 +270,8 @@ def random_scan(
     triple of norm at most 1e-12, which ``uniform_bloch`` would redraw,
     raises ``ArithmeticError`` (probability below 1e-36).
     """
+    from .bounds import _COLUMNS, SLACK_FLOOR, _columns
+
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     rng = _philox(seed)

@@ -311,22 +311,31 @@ def _contract(tensor: np.ndarray, stacks) -> np.ndarray:
     return value.reshape(*tensor.shape[len(stacks) :], *rest)
 
 
-def _expectations(stacks, state: np.ndarray) -> np.ndarray:
-    """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
-
-    Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack.  ``|state><state|``, one axis of size 4
-    per party, is folded against the stacks flattened to ``(4, K_p)``, so no operator is built.
-    An imaginary part above 1e-10 raises ``ArithmeticError``.
-    """
-    n_parties = len(stacks)
+def _density(state: np.ndarray, n_parties: int) -> np.ndarray:
+    """``|state><state|`` with one axis of size 4 per party: party p's (row, column) pair."""
     rho = np.multiply.outer(state.conj(), state).reshape((2,) * (2 * n_parties))
     order = [axis for p in range(n_parties) for axis in (p, n_parties + p)]
-    rho = rho.transpose(order).reshape((4,) * n_parties)
-    flat = [np.asarray(stack, dtype=complex).reshape(-1, 4).T for stack in stacks]
-    values = _contract(rho, flat)
+    return rho.transpose(order).reshape((4,) * n_parties)
+
+
+def _flat(stack) -> np.ndarray:
+    """A ``(K, 2, 2)`` stack as the ``(4, K)`` matrix folded against one density axis."""
+    return np.asarray(stack, dtype=complex).reshape(-1, 4).T
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """Real part of folded expectations; an imaginary part above 1e-10 raises ArithmeticError."""
     if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
         raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
     return values.real
+
+
+def _expectations(stacks, state: np.ndarray) -> np.ndarray:
+    """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
+
+    Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack; no operator is built.  Raises as ``_real``.
+    """
+    return _real(_contract(_density(state, len(stacks)), [_flat(stack) for stack in stacks]))
 
 
 # The MK recursion at inner split 1: the products X_x T_t, in (x, t) order, to the pair (B, B').

@@ -444,9 +444,9 @@ def _nan_slack_columns(columns):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_scan_non_finite_slack_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
-    import bellvar.optimize
+    import bellvar.bounds
 
-    monkeypatch.setattr(bellvar.optimize, "_columns", _nan_slack_columns(bellvar.optimize._columns))
+    monkeypatch.setattr(bellvar.bounds, "_columns", _nan_slack_columns(bellvar.bounds._columns))
     out_path = tmp_path / f"scan.{fmt}"
     argv = ["scan", "--family", "chsh", "--samples", "5", "--format", fmt, "--out", str(out_path)]
     assert main(argv) == 3

@@ -8,7 +8,7 @@ import pytest
 from bellvar import optimize
 from bellvar.avdecomp import av_decompose
 from bellvar.bounds import SLACK_FLOOR, chained_report, chsh_report, report_for
-from bellvar.linalg import ID2, haar_random_ket
+from bellvar.linalg import ID2, haar_random_ket, top_eigenpair
 from bellvar.optimize import (
     CONVERGENCE_EPS,
     random_scan,
@@ -18,12 +18,18 @@ from bellvar.optimize import (
 )
 from bellvar.presets import chained_optimal_settings
 from bellvar.scenarios import (
+    FamilySpec,
     Scenario,
+    _expectations,
+    _philox,
     bell_state,
+    bloch_observable,
     chained_family,
     chsh_coefficients,
     chsh_family,
+    coefficient_tensor,
     mk_family,
+    operator_from_tensor,
     random_scenario,
 )
 
@@ -96,6 +102,81 @@ def test_seesaw_respects_iteration_budget():
     assert not result.converged
     with pytest.raises(ValueError):
         seesaw_max(chsh_family(), seed=0, max_iters=0)
+
+
+def _seesaw_reference(family, seed, max_iters=300):
+    """The see-saw whose setting step refolds the whole density per party and for the value.
+
+    Returns ``(value, history, iterations, converged, state, observables)``.
+    """
+    start = random_scenario(family, _philox(seed))
+    observables = [list(row) for row in start.observables]
+    coeff = coefficient_tensor(family)
+    history, prev, stall, converged = [], -np.inf, 0, False
+    for _ in range(max_iters):
+        _, state = top_eigenpair(operator_from_tensor(coeff, observables))
+        for p in range(family.n_parties):
+            others = [q for q in range(family.n_parties) if q != p]
+            stacks = observables[:p] + [optimize._PAULIS] + observables[p + 1 :]
+            grads = np.tensordot(coeff, _expectations(stacks, state), axes=(others, others))
+            for s, g in enumerate(grads):
+                norm = float(np.linalg.norm(g))
+                if norm < optimize._GRADIENT_EPS:
+                    continue
+                observables[p][s] = bloch_observable(g / norm)
+        value = float(np.sum(coeff * _expectations(observables, state)))
+        history.append(value)
+        if value - prev < CONVERGENCE_EPS:
+            stall += 1
+            if stall >= optimize._STALL_SWEEPS:
+                converged = True
+                prev = max(prev, value)
+                break
+        else:
+            stall = 0
+        prev = max(prev, value)
+    return prev, tuple(history), len(history), converged, state, observables
+
+
+_SEESAW_FAMILIES = [
+    chsh_family(),
+    *(chained_family(n) for n in range(3, 7)),
+    *(FamilySpec("mk", n, k) for n in range(2, 8) for k in (1, 2) if k < n),
+]
+
+
+@pytest.mark.parametrize("family", _SEESAW_FAMILIES, ids=repr)
+def test_seesaw_matches_full_fold_reference_bit_for_bit(family):
+    for seed in range(4):
+        result = seesaw_max(family, seed)
+        value, history, iterations, converged, state, observables = _seesaw_reference(family, seed)
+        assert (result.value, result.history) == (value, history)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert result.state.tobytes() == state.tobytes()
+        for got, want in zip(result.scenario.observables, observables, strict=True):
+            assert [op.tobytes() for op in got] == [op.tobytes() for op in want]
+
+
+def test_seesaw_matches_reference_when_the_budget_runs_out():
+    result = seesaw_max(mk_family(4), seed=0, max_iters=2)
+    value, history, iterations, converged, state, _ = _seesaw_reference(mk_family(4), 0, 2)
+    assert not result.converged and not converged
+    assert (result.value, result.history, result.iterations) == (value, history, iterations)
+    assert result.state.tobytes() == state.tobytes()
+
+
+def test_seesaw_builds_one_density_per_sweep(monkeypatch):
+    calls = []
+    density = optimize._density
+
+    def counted(state, n_parties):
+        calls.append(n_parties)
+        return density(state, n_parties)
+
+    monkeypatch.setattr(optimize, "_density", counted)
+    result = seesaw_max(mk_family(5), seed=1)
+    assert calls == [5] * result.iterations
+    assert result.iterations > 1
 
 
 def test_chained_optimal_settings_saturate_for_all_n():
@@ -225,14 +306,16 @@ def test_random_scan_covers_other_families():
 
 
 def test_random_scan_counts_nan_slack(monkeypatch):
-    columns = optimize._columns
+    import bellvar.bounds
+
+    columns = bellvar.bounds._columns
 
     def nan_slack_columns(family, stacks, states):
         cols = columns(family, stacks, states)
         cols["slack"] = np.full_like(cols["slack"], np.nan)
         return cols
 
-    monkeypatch.setattr(optimize, "_columns", nan_slack_columns)
+    monkeypatch.setattr(bellvar.bounds, "_columns", nan_slack_columns)
     summary = random_scan(chsh_family(), n_samples=5, seed=3)
     assert summary.violations == 5
     assert math.isnan(summary.min_slack)

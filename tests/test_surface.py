@@ -7,7 +7,8 @@ ROADMAP rule "no ``np.kron`` loops in hot paths" is checked on the source, and
 so are the rules that ``operator_from_tensor`` is never called once per
 instance, that the report kernel takes images only, never an operator, and
 that the sampler's inverse-CDF draw neither sorts, searches nor loops over
-combinations.
+combinations.  The see-saw folds through ``scenarios._contract`` only, never
+refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
 
@@ -115,6 +116,28 @@ def test_inverse_cdf_has_no_sort_search_or_loop():
     assert called & {"argsort", "searchsorted", "sort"} == set()
 
 
+def test_seesaw_shares_the_one_fold():
+    tree = ast.parse((PACKAGE / "optimize.py").read_text(encoding="utf-8"))
+    matmuls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert matmuls == []
+    (func,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "seesaw_max"
+    ]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+    }
+    assert "_expectations" not in called
+    assert "_contract" in called
+
+
 def test_report_kernel_builds_no_operator():
     tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
     names = set()
@@ -212,7 +235,7 @@ _LAYERS_OF = {
     "report --preset chsh-optimal": {"bellvar.bounds", "bellvar.avdecomp"},
     "report --preset mk-ghz --n 3": {"bellvar.bounds", "bellvar.avdecomp"},
     "scan --family chsh --samples 10": _SEESAW_LAYERS,
-    "optimize --family chsh --max-iters 5": _SEESAW_LAYERS,
+    "optimize --family chsh --max-iters 5": {"bellvar.optimize"},
     "decompose --scenario scenario.json": {"bellvar.avdecomp"},
 }
 
