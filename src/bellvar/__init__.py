@@ -17,7 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# defining submodule -> the public names it exports (each module's __all__)
+# defining submodule -> the public names it exports; each module reads its __all__ from here
 _EXPORTS = {
     "avdecomp": (
         "SPREAD_EPS",

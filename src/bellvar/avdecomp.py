@@ -25,18 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import _IMAG_ATOL
 
-__all__ = [
-    "SPREAD_EPS",
-    "DegenerateSpreadError",
-    "AVDecomposition",
-    "CorrelatorSplit",
-    "av_decompose",
-    "reconstruction_residual",
-    "correlator_split",
-    "pearson",
-]
+__all__ = list(_EXPORTS["avdecomp"])
 
 # Below this absolute spread the fluctuation direction is undefined.
 SPREAD_EPS = 1e-9

@@ -22,7 +22,9 @@ The reported ``slack = bound_statistical + local_part - bell_value`` is
 non-negative for quantum states up to rounding, and zero exactly at the
 saturating configurations.  ``random_scan`` reports whole chunks of
 random instances through ``_columns``; every single report here is the
-stack-of-one case, read off instance 0.
+stack-of-one case, read off instance 0.  The CHSH report, its saturation
+flags and its Pearson variant are readers of one kernel pass,
+``_chsh_blocks``, so ``bellvar report`` splits a CHSH instance once.
 
 Family specifics:
 
@@ -48,34 +50,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .avdecomp import SPREAD_EPS, DegenerateSpreadError, _split
 from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _check_instance,
     _images,
-    check_family_scenario,
     chsh_coefficients,
     coefficient_tensor,
     family_to_json_dict,
 )
 
-__all__ = [
-    "SATURATION_ATOL",
-    "SLACK_FLOOR",
-    "TSIRELSON_CHSH",
-    "BellReport",
-    "ChainGeometry",
-    "SaturationFlags",
-    "PearsonChshReport",
-    "chsh_report",
-    "pearson_chsh_report",
-    "saturation_check",
-    "chained_report",
-    "mk_report",
-    "report_for",
-    "report_to_json_dict",
-]
+__all__ = list(_EXPORTS["bounds"])
 
 # Saturation checks run at a fixed tolerance on purpose: loosening it is a
 # code change, not a configuration knob.
@@ -217,14 +205,20 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     """The kernel and the family's fluctuation budget on a stack of instances.
 
     ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
-    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.  Returns one
-    length-N array per name in ``_COLUMNS``; chained adds
-    ``bound_statistical_loose`` and the ``(N, n)`` array ``cos_lambda``.
+    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.
     """
     mk = family.name == "mk"
     k = family.split_k if mk else 1
     coeff = chsh_coefficients() if mk else coefficient_tensor(family)
-    blocks = _two_block(stacks[:, :k], stacks[:, k:], states, coeff)
+    return _budget(family, _two_block(stacks[:, :k], stacks[:, k:], states, coeff))
+
+
+def _budget(family: FamilySpec, blocks: _TwoBlock) -> dict:
+    """The family's fluctuation budget read off one kernel pass.
+
+    Returns one length-N array per name in ``_COLUMNS``; chained adds
+    ``bound_statistical_loose`` and the ``(N, n)`` array ``cos_lambda``.
+    """
     spread_a = blocks.a_split[1]
     _, spread_b, perp_b = blocks.b_split
     rms_a = np.sqrt(np.sum(spread_a**2, axis=1))
@@ -252,12 +246,14 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
 
 def _stack_of_one(family: FamilySpec, scenario: Scenario, state: np.ndarray):
     """The observables and the state as a stack of one instance, after the shape checks."""
-    check_family_scenario(family, scenario)
-    if state.shape != (2**scenario.n_parties,):
-        raise ValueError(
-            f"state of length {state.shape[0]} does not fit {scenario.n_parties} qubit parties"
-        )
+    _check_instance(family, scenario, state)
     return np.asarray(scenario.observables)[None], state[None]
+
+
+def _chsh_blocks(scenario: Scenario, state: np.ndarray) -> _TwoBlock:
+    """The one kernel pass every CHSH reader below reads."""
+    stacks, states = _stack_of_one(_CHSH, scenario, state)
+    return _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
 
 
 def _report(family: FamilySpec, cols: dict, bound_tsirelson: float, bound_lhv: float, **extra):
@@ -275,8 +271,11 @@ def _report(family: FamilySpec, cols: dict, bound_tsirelson: float, bound_lhv: f
 
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
     """CHSH value, local part, and the sqrt(2)*rms_a*rms_b bound."""
-    cols = _columns(_CHSH, *_stack_of_one(_CHSH, scenario, state))
-    return _report(_CHSH, cols, TSIRELSON_CHSH, 2.0)
+    return _chsh_report(_chsh_blocks(scenario, state))
+
+
+def _chsh_report(blocks: _TwoBlock) -> BellReport:
+    return _report(_CHSH, _budget(_CHSH, blocks), TSIRELSON_CHSH, 2.0)
 
 
 def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshReport:
@@ -285,8 +284,10 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     Raises ``DegenerateSpreadError`` when any of the four settings has
     zero spread in the state (the Pearson correlator is undefined there).
     """
-    stacks, states = _stack_of_one(_CHSH, scenario, state)
-    blocks = _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
+    return _pearson(_chsh_blocks(scenario, state))
+
+
+def _pearson(blocks: _TwoBlock) -> PearsonChshReport:
     _, spread_a, perp_a = (v[0] for v in blocks.a_split)
     _, spread_b, perp_b = (v[0] for v in blocks.b_split)
     if not np.all(np.concatenate([spread_a, spread_b]) >= SPREAD_EPS):
@@ -323,8 +324,10 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     * ``overlap_orthogonal``: the B-side fluctuation directions are
       orthogonal (needs both B spreads).
     """
-    stacks, states = _stack_of_one(_CHSH, scenario, state)
-    blocks = _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
+    return _saturation(_chsh_blocks(scenario, state))
+
+
+def _saturation(blocks: _TwoBlock) -> SaturationFlags:
     a_img, b_img = blocks.a_img[0], blocks.b_img[0]
     _, spread_a, perp_a = (v[0] for v in blocks.a_split)
     _, spread_b, perp_b = (v[0] for v in blocks.b_split)

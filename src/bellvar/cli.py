@@ -234,26 +234,28 @@ def _cmd_decompose(args) -> int:
 
 
 def _report_document(family, scenario, state) -> dict:
+    from .avdecomp import DegenerateSpreadError
     from .bounds import (
         SATURATION_ATOL,
         SLACK_FLOOR,
+        _chsh_blocks,
+        _chsh_report,
+        _pearson,
+        _saturation,
         chained_report,
-        chsh_report,
         mk_report,
-        pearson_chsh_report,
         report_to_json_dict,
-        saturation_check,
     )
 
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if family.name == "chsh":
-        report = chsh_report(scenario, state)
-        doc["saturation"] = dataclasses.asdict(saturation_check(scenario, state))
+        blocks = _chsh_blocks(scenario, state)
+        report = _chsh_report(blocks)
+        doc["saturation"] = dataclasses.asdict(_saturation(blocks))
         try:
-            pr = pearson_chsh_report(scenario, state)
-            doc["pearson"] = dataclasses.asdict(pr)
+            doc["pearson"] = dataclasses.asdict(_pearson(blocks))
             del doc["pearson"]["bound_tsirelson"]
-        except ValueError:
+        except DegenerateSpreadError:
             doc["pearson"] = None
     elif family.name == "chained":
         report, geometry = chained_report(family.n, scenario, state)

@@ -14,22 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "DIM_CAP",
-    "ID2",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "as_ket",
-    "as_hermitian",
-    "is_dichotomic",
-    "tensor_product",
-    "expectation",
-    "top_eigenpair",
-    "fix_global_phase",
-    "haar_random_ket",
-    "random_hermitian",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["linalg"])
 
 DIM_CAP = 2**12
 

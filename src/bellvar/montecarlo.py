@@ -41,31 +41,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import ID2
 from .scenarios import (
     _CSV_CHUNK_ROWS,
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _check_instance,
     _csv_chunks,
     _expectations,
     _philox,
-    check_family_scenario,
     coefficient_tensor,
     family_to_json_dict,
 )
 
-__all__ = [
-    "SampleBatch",
-    "EmpiricalEstimates",
-    "EmpiricalCheck",
-    "UndersampledError",
-    "simulate_rounds",
-    "estimate",
-    "empirical_check",
-    "batch_to_csv",
-    "estimates_to_json_dict",
-]
+__all__ = list(_EXPORTS["montecarlo"])
 
 # Rounds per chunk of uniforms drawn and bisected at once, so the draw's
 # scratch buffers do not grow with the rounds.
@@ -167,14 +158,10 @@ def simulate_rounds(
     Reproducible bit for bit for identical inputs; see the module
     docstring for the exact draw order.
     """
-    check_family_scenario(family, scenario)
+    _check_instance(family, scenario, state)
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     n = scenario.n_parties
-    if state.shape != (2**n,):
-        raise ValueError(
-            f"state of length {state.shape[0]} does not fit {n} qubit parties"
-        )
     settings = scenario.settings_per_party
     # party p's stack runs setting-major, then outcome (+1 first)
     projectors = [

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import _DICHOTOMY_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
 from .scenarios import (
     FamilySpec,
@@ -45,16 +46,7 @@ from .scenarios import (
     random_scenario,
 )
 
-__all__ = [
-    "CONVERGENCE_EPS",
-    "OptimizationResult",
-    "ScanSummary",
-    "StationarityReport",
-    "seesaw_max",
-    "statistical_chsh_surface",
-    "stationarity_check",
-    "random_scan",
-]
+__all__ = list(_EXPORTS["optimize"])
 
 # An improvement below this, three sweeps running, counts as converged.
 CONVERGENCE_EPS = 1e-12

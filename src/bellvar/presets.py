@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
 from .scenarios import (
     FamilySpec,
@@ -28,7 +29,7 @@ from .scenarios import (
     operator_from_tensor,
 )
 
-__all__ = ["PRESET_NAMES", "Preset", "chained_optimal_settings", "preset"]
+__all__ = list(_EXPORTS["presets"])
 
 PRESET_NAMES = ("chsh-optimal", "chained-n", "mk-ghz")
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import (
     _DICHOTOMY_ATOL,
     _IMAG_ATOL,
@@ -41,34 +42,7 @@ from .linalg import (
     is_dichotomic,
 )
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "MK_MAX_PARTIES",
-    "LHV_ENUMERATION_CAP_BITS",
-    "Scenario",
-    "FamilySpec",
-    "MKOperatorPair",
-    "chsh_family",
-    "chained_family",
-    "mk_family",
-    "bloch_observable",
-    "bloch_of",
-    "from_bloch_table",
-    "chsh_coefficients",
-    "chained_coefficients",
-    "mk_coefficient_pair",
-    "coefficient_tensor",
-    "operator_from_tensor",
-    "mk_operators",
-    "lhv_max",
-    "uniform_bloch",
-    "random_scenario",
-    "bell_state",
-    "ghz_state",
-    "scenario_to_json_dict",
-    "scenario_from_json_dict",
-    "load_scenario_file",
-]
+__all__ = list(_EXPORTS["scenarios"])
 
 SCHEMA_VERSION = 1
 MK_MAX_PARTIES = 8
@@ -84,11 +58,6 @@ def _csv_chunks(keys: list[str], records) -> Iterator[str]:
     yield f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"
     while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
         yield "".join(",".join(map(repr, rec)) + "\n" for rec in chunk)
-
-
-def _csv_text(keys: list[str], records) -> str:
-    """The whole CSV text of :func:`_csv_chunks`."""
-    return "".join(_csv_chunks(keys, records))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +204,15 @@ def check_family_scenario(family: FamilySpec, scenario: Scenario) -> None:
         raise ValueError(
             f"scenario shape {scenario.settings_per_party} does not match "
             f"family {family.name} (expected {expected})"
+        )
+
+
+def _check_instance(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> None:
+    """Raise unless the scenario matches the family and the state fits its qubit parties."""
+    check_family_scenario(family, scenario)
+    if state.shape != (2**scenario.n_parties,):
+        raise ValueError(
+            f"state of length {state.shape[0]} does not fit {scenario.n_parties} qubit parties"
         )
 
 

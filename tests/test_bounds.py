@@ -37,6 +37,7 @@ from bellvar.linalg import (
     haar_random_ket,
     top_eigenpair,
 )
+from bellvar.montecarlo import simulate_rounds
 from bellvar.scenarios import (
     FamilySpec,
     SCHEMA_VERSION,
@@ -48,6 +49,7 @@ from bellvar.scenarios import (
     coefficient_tensor,
     family_to_json_dict,
     from_bloch_table,
+    ghz_state,
     mk_family,
     mk_operators,
     random_scenario,
@@ -127,6 +129,33 @@ def test_chsh_report_product_state_keeps_slack():
 def test_chsh_report_state_dim_checked():
     with pytest.raises(ValueError):
         chsh_report(optimal_chsh_scenario(), np.array([1.0, 0.0], dtype=complex))
+
+
+_CHAINED3 = from_bloch_table([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]] * 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mk_report(3, random_scenario(mk_family(3), np.random.default_rng(0)), bell_state()),
+        lambda: chsh_report(optimal_chsh_scenario(), ghz_state(3)),
+        lambda: saturation_check(optimal_chsh_scenario(), ghz_state(3)),
+        lambda: pearson_chsh_report(optimal_chsh_scenario(), ghz_state(3)),
+        lambda: chained_report(3, _CHAINED3, ghz_state(3)),
+        lambda: simulate_rounds(chsh_family(), optimal_chsh_scenario(), ghz_state(3), 10, 0),
+    ],
+    ids=[
+        "mk_report",
+        "chsh_report",
+        "saturation_check",
+        "pearson_chsh_report",
+        "chained_report",
+        "simulate_rounds",
+    ],
+)
+def test_state_that_does_not_fit_is_rejected(call):
+    with pytest.raises(ValueError, match="does not fit"):
+        call()
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,6 +4,7 @@ Most cases drive ``main(argv)`` in process (fast, capsys-friendly); one
 smoke test goes through the interpreter to cover the module entry point.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bellvar
-from bellvar.avdecomp import av_decompose, reconstruction_residual
-from bellvar.bounds import pearson_chsh_report
+from bellvar.avdecomp import DegenerateSpreadError, av_decompose, reconstruction_residual
+from bellvar.bounds import chsh_report, pearson_chsh_report, report_to_json_dict, saturation_check
 from bellvar.linalg import haar_random_ket
-from bellvar.cli import main
+from bellvar.cli import _report_document, main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
 from bellvar.scenarios import (
@@ -84,6 +85,54 @@ def test_report_pearson_block_matches_library(tmp_path, capsys):
     assert block["r_chsh"] == want.r_chsh
     assert block["cos_lambda_b"] == want.cos_lambda_b
     assert block["bound_geometric"] == want.bound_geometric
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "chsh-optimal"],
+        ["--preset", "chained-n", "--n", "4"],
+        ["--preset", "mk-ghz", "--n", "5"],
+    ],
+    ids=["chsh", "chained", "mk"],
+)
+def test_report_runs_the_kernel_once(capsys, monkeypatch, argv):
+    kernel = bellvar.bounds._two_block
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(bellvar.bounds, "_two_block", counted)
+    assert main(["report", *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pinned=st.sampled_from([(), (0,), (1,), (0, 1)]))
+@example(seed=0, pinned=(0, 1))
+def test_report_document_reads_as_the_public_chsh_functions(seed, pinned):
+    rng = np.random.default_rng(seed)
+    table = [[uniform_bloch(rng) for _ in range(2)] for _ in range(2)]
+    psi = haar_random_ket(4, rng)
+    if pinned:
+        # each pinned party measures z in setting 0, and |00> gives that setting zero spread
+        psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        for p in pinned:
+            table[p][0] = [0.0, 0.0, 1.0]
+    scen = from_bloch_table(table)
+    doc = _report_document(chsh_family(), scen, psi)
+    assert doc["report"] == report_to_json_dict(chsh_report(scen, psi))
+    assert doc["saturation"] == dataclasses.asdict(saturation_check(scen, psi))
+    try:
+        want = dataclasses.asdict(pearson_chsh_report(scen, psi))
+        del want["bound_tsirelson"]
+    except DegenerateSpreadError:
+        want = None
+    assert doc["pearson"] == want
+    assert (want is None) == bool(pinned)
 
 
 def test_report_chained_preset(tmp_path, capsys):

@@ -32,7 +32,7 @@ from bellvar.presets import preset
 from bellvar.scenarios import (
     SCHEMA_VERSION,
     Scenario,
-    _csv_text,
+    _csv_chunks,
     _expectations,
     bell_state,
     chained_family,
@@ -346,7 +346,7 @@ def _csv_reference(batch):
         for lo in range(0, batch.rounds, _REFERENCE_CHUNK)
         for rec in np.column_stack([col[lo : lo + _REFERENCE_CHUNK] for col in columns]).tolist()
     )
-    return _csv_text(keys, records)
+    return "".join(_csv_chunks(keys, records))
 
 
 _RANDOM_FAMILIES = {

@@ -12,10 +12,11 @@ refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
 
-The package namespace is lazy: its ``_EXPORTS`` table must list exactly the
-seven modules' ``__all__``, and each name must resolve to the defining
-module's object.  A fresh interpreter running one subcommand loads only the
-layers that subcommand runs.
+The package namespace is lazy: its ``_EXPORTS`` table is the one list of
+public names.  Each of the seven modules reads its ``__all__`` from it, never
+a literal list of its own, so a star import of a module binds exactly its row,
+and each name must resolve to the defining module's object.  A fresh
+interpreter running one subcommand loads only the layers that subcommand runs.
 """
 
 import ast
@@ -174,6 +175,27 @@ def test_export_table_is_the_modules_all():
     for mod in _MODULES:
         assert sorted(bellvar._EXPORTS[mod]) == sorted(importlib.import_module(f"bellvar.{mod}").__all__)
     assert len(bellvar.__all__) == len(set(bellvar.__all__))
+
+
+@pytest.mark.parametrize("mod", _MODULES)
+def test_module_star_import_binds_its_table_row(mod):
+    namespace: dict = {}
+    exec(f"from bellvar.{mod} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bellvar._EXPORTS[mod])
+
+
+def test_modules_read_all_from_the_table():
+    literal = []
+    for mod in _MODULES:
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                if isinstance(node.value, (ast.List, ast.Tuple)):
+                    literal.append((mod, node.lineno))
+    assert literal == []
 
 
 def test_lazy_names_are_the_defining_objects():
