@@ -7,24 +7,25 @@ overlap::
 
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
-One kernel, ``_two_block``, works on a stack of N instances: it takes
-the images ``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks
-from ``scenarios._images``, splits each image into mean, spread and
-fluctuation direction, and sums the
-Bell value ``sum_xy c_xy <A_x B_y>`` and its local part ``sum_xy c_xy
-<A_x><B_y>`` under the expression's coefficient matrix, one value per
-instance.  One function, ``_columns``, holds every family's budget that
-bounds the fluctuation term::
+One kernel, ``_two_block``, works on a stack of N instances: it picks
+the family's block split and coefficients, takes the images
+``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks from
+``scenarios._images``, splits each image into mean, spread and
+fluctuation direction, and sums the Bell value ``sum_xy c_xy <A_x B_y>``
+and its local part ``sum_xy c_xy <A_x><B_y>``, one value per instance.
+One function, ``_budget``, holds every family's budget that bounds the
+fluctuation term::
 
     bell_value - local_part <= bound_statistical
 
 The reported ``slack = bound_statistical + local_part - bell_value`` is
 non-negative for quantum states up to rounding, and zero exactly at the
 saturating configurations.  ``random_scan`` reports whole chunks of
-random instances through ``_columns``; every single report here is the
-stack-of-one case, read off instance 0.  The CHSH report, its saturation
-flags and its Pearson variant are readers of one kernel pass,
-``_chsh_blocks``, so ``bellvar report`` splits a CHSH instance once.
+random instances through ``_columns``.  A single instance takes one
+path: ``_blocks`` runs the kernel on a stack of one, and ``_bell_report``
+reads instance 0 as a ``BellReport`` next to the family's reference
+bounds.  Every family's report, the CHSH saturation flags and Pearson
+variant, and ``bellvar report`` read that one pass.
 
 Family specifics:
 
@@ -46,7 +47,7 @@ Family specifics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -99,8 +100,8 @@ class BellReport:
     bound_tsirelson: float
     bound_lhv: float
     slack: float
-    bound_statistical_loose: float | None = None
     tsirelson_is_reference: bool = False
+    bound_statistical_loose: float | None = None
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,7 @@ class SaturationFlags:
     overlap_orthogonal: bool | None
 
     def all_true(self) -> bool:
-        return all(
-            flag is True
-            for flag in (
-                self.perp_alignment,
-                self.ratio_condition,
-                self.anticommutator_zero,
-                self.operator_relation,
-                self.overlap_orthogonal,
-            )
-        )
+        return all(flag is True for flag in astuple(self))
 
 
 @dataclass(frozen=True)
@@ -178,17 +170,22 @@ class _TwoBlock:
     local: np.ndarray
 
 
-def _two_block(a_sites, b_sites, states, coeff) -> _TwoBlock:
-    """Images, splits, Bell value and local part of ``sum_xy coeff[x, y] A_x B_y`` per instance.
+def _two_block(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> _TwoBlock:
+    """Images, splits, Bell value and local part of the family's expression per instance.
 
-    ``a_sites`` of shape ``(N, k, S, 2, 2)`` are the site stacks of the
-    leading ``k`` tensor factors and ``b_sites`` those of the rest;
-    ``states`` has shape ``(N, dim)``.  Each block's images come from
-    ``scenarios._images``, the correlators are ``Re(A_img^* B_img^T)``, and
-    no operator is ever formed.
+    ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
+    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.  Block A is
+    the leading party, or the leading ``split_k`` parties of an MK
+    expression, whose two block pairs take the CHSH coefficients; block B
+    is the rest.  Each block's images come from ``scenarios._images``,
+    the correlators are ``Re(A_img^* B_img^T)``, and no operator is ever
+    formed.
     """
-    a_img = _images(a_sites, states, 0)
-    b_img = _images(b_sites, states, a_sites.shape[1])
+    mk = family.name == "mk"
+    k = family.split_k if mk else 1
+    coeff = chsh_coefficients() if mk else coefficient_tensor(family)
+    a_img = _images(stacks[:, :k], states, 0)
+    b_img = _images(stacks[:, k:], states, k)
     corr = (a_img.conj() @ b_img.swapaxes(-1, -2)).real
     a_split = _split(a_img, states)
     b_split = _split(b_img, states)
@@ -202,15 +199,8 @@ _COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "
 
 
 def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict:
-    """The kernel and the family's fluctuation budget on a stack of instances.
-
-    ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
-    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.
-    """
-    mk = family.name == "mk"
-    k = family.split_k if mk else 1
-    coeff = chsh_coefficients() if mk else coefficient_tensor(family)
-    return _budget(family, _two_block(stacks[:, :k], stacks[:, k:], states, coeff))
+    """The kernel and the family's fluctuation budget on a stack of instances (see ``_two_block``)."""
+    return _budget(family, _two_block(family, stacks, states))
 
 
 def _budget(family: FamilySpec, blocks: _TwoBlock) -> dict:
@@ -244,38 +234,46 @@ def _budget(family: FamilySpec, blocks: _TwoBlock) -> dict:
     return cols
 
 
-def _stack_of_one(family: FamilySpec, scenario: Scenario, state: np.ndarray):
-    """The observables and the state as a stack of one instance, after the shape checks."""
+def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> _TwoBlock:
+    """The one kernel pass every report reads: the instance as a stack of one, after the shape checks."""
     _check_instance(family, scenario, state)
-    return np.asarray(scenario.observables)[None], state[None]
+    return _two_block(family, np.asarray(scenario.observables)[None], state[None])
 
 
-def _chsh_blocks(scenario: Scenario, state: np.ndarray) -> _TwoBlock:
-    """The one kernel pass every CHSH reader below reads."""
-    stacks, states = _stack_of_one(_CHSH, scenario, state)
-    return _two_block(stacks[:, :1], stacks[:, 1:], states, chsh_coefficients())
+def _bell_report(family: FamilySpec, blocks: _TwoBlock) -> tuple[BellReport, dict]:
+    """Instance 0 of one kernel pass as the family's report, and the budget columns it reads.
 
-
-def _report(family: FamilySpec, cols: dict, bound_tsirelson: float, bound_lhv: float, **extra):
-    """Instance 0 of the kernel columns as a report, next to the family's reference bounds."""
+    The Tsirelson and local-hidden-variable values of every family live
+    here.  For chained(n) the Tsirelson value ``2n cos(pi/2n)`` is a
+    reference only: the statistical route does not derive it for n > 2.
+    """
+    cols = _budget(family, blocks)
     values = {name: float(cols[name][0]) for name in _COLUMNS}
-    return BellReport(
+    n, extra = family.n, {}
+    if family.name == "chsh":
+        tsirelson, lhv = TSIRELSON_CHSH, 2.0
+    elif family.name == "mk":
+        tsirelson, lhv = float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1))
+    else:
+        tsirelson, lhv = float(2.0 * n * np.cos(np.pi / (2 * n))), float(2 * n - 2)
+        extra = {
+            "bound_statistical_loose": float(cols["bound_statistical_loose"][0]),
+            "tsirelson_is_reference": True,
+        }
+    report = BellReport(
         family=family,
         nonlocal_amount=values["bell_value"] - values["local_part"],
-        bound_tsirelson=bound_tsirelson,
-        bound_lhv=bound_lhv,
+        bound_tsirelson=tsirelson,
+        bound_lhv=lhv,
         **values,
         **extra,
     )
+    return report, cols
 
 
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
     """CHSH value, local part, and the sqrt(2)*rms_a*rms_b bound."""
-    return _chsh_report(_chsh_blocks(scenario, state))
-
-
-def _chsh_report(blocks: _TwoBlock) -> BellReport:
-    return _report(_CHSH, _budget(_CHSH, blocks), TSIRELSON_CHSH, 2.0)
+    return report_for(_CHSH, scenario, state)
 
 
 def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshReport:
@@ -284,7 +282,7 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     Raises ``DegenerateSpreadError`` when any of the four settings has
     zero spread in the state (the Pearson correlator is undefined there).
     """
-    return _pearson(_chsh_blocks(scenario, state))
+    return _pearson(_blocks(_CHSH, scenario, state))
 
 
 def _pearson(blocks: _TwoBlock) -> PearsonChshReport:
@@ -324,7 +322,7 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     * ``overlap_orthogonal``: the B-side fluctuation directions are
       orthogonal (needs both B spreads).
     """
-    return _saturation(_chsh_blocks(scenario, state))
+    return _saturation(_blocks(_CHSH, scenario, state))
 
 
 def _saturation(blocks: _TwoBlock) -> SaturationFlags:
@@ -389,15 +387,7 @@ def chained_report(
     exactly to the CHSH report.
     """
     family = FamilySpec(name="chained", n=n)
-    cols = _columns(family, *_stack_of_one(family, scenario, state))
-    report = _report(
-        family,
-        cols,
-        float(2.0 * n * np.cos(np.pi / (2 * n))),
-        float(2 * n - 2),
-        bound_statistical_loose=float(cols["bound_statistical_loose"][0]),
-        tsirelson_is_reference=True,
-    )
+    report, cols = _bell_report(family, _blocks(family, scenario, state))
     return report, ChainGeometry(cos_lambda=tuple(cols["cos_lambda"][0].tolist()))
 
 
@@ -413,18 +403,12 @@ def mk_report(
     applied to the four block means, and the bound multiplies the block
     fluctuation aggregates ``sqrt(dB^2 + dB'^2)``.
     """
-    family = FamilySpec(name="mk", n=n, split_k=split_k)
-    cols = _columns(family, *_stack_of_one(family, scenario, state))
-    return _report(family, cols, float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1)))
+    return report_for(FamilySpec(name="mk", n=n, split_k=split_k), scenario, state)
 
 
 def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> BellReport:
-    """Dispatch to the family's report (dropping chained geometry)."""
-    if family.name == "chsh":
-        return chsh_report(scenario, state)
-    if family.name == "chained":
-        return chained_report(family.n, scenario, state)[0]
-    return mk_report(family.n, scenario, state, split_k=family.split_k)
+    """The family's report off one kernel pass (for chained, without its geometry)."""
+    return _bell_report(family, _blocks(family, scenario, state))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +416,10 @@ def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> Bel
 
 
 def report_to_json_dict(report: BellReport) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(report.family),
-        "bell_value": report.bell_value,
-        "local_part": report.local_part,
-        "nonlocal_amount": report.nonlocal_amount,
-        "rms_a": report.rms_a,
-        "rms_b": report.rms_b,
-        "bound_statistical": report.bound_statistical,
-        "bound_tsirelson": report.bound_tsirelson,
-        "bound_lhv": report.bound_lhv,
-        "slack": report.slack,
-        "tsirelson_is_reference": report.tsirelson_is_reference,
-    }
-    if report.bound_statistical_loose is not None:
-        out["bound_statistical_loose"] = report.bound_statistical_loose
+    out = {"schema_version": SCHEMA_VERSION, **asdict(report)}
+    out["family"] = family_to_json_dict(report.family)
+    if report.bound_statistical_loose is None:
+        del out["bound_statistical_loose"]
     if report.tsirelson_is_reference:
         out["bound_tsirelson_note"] = "reference value"
     return out

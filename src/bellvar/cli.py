@@ -238,19 +238,17 @@ def _report_document(family, scenario, state) -> dict:
     from .bounds import (
         SATURATION_ATOL,
         SLACK_FLOOR,
-        _chsh_blocks,
-        _chsh_report,
+        _bell_report,
+        _blocks,
         _pearson,
         _saturation,
-        chained_report,
-        mk_report,
         report_to_json_dict,
     )
 
+    blocks = _blocks(family, scenario, state)
+    report, cols = _bell_report(family, blocks)
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if family.name == "chsh":
-        blocks = _chsh_blocks(scenario, state)
-        report = _chsh_report(blocks)
         doc["saturation"] = dataclasses.asdict(_saturation(blocks))
         try:
             doc["pearson"] = dataclasses.asdict(_pearson(blocks))
@@ -258,10 +256,7 @@ def _report_document(family, scenario, state) -> dict:
         except DegenerateSpreadError:
             doc["pearson"] = None
     elif family.name == "chained":
-        report, geometry = chained_report(family.n, scenario, state)
-        doc["cos_lambda"] = list(geometry.cos_lambda)
-    else:
-        report = mk_report(family.n, scenario, state, split_k=family.split_k)
+        doc["cos_lambda"] = cols["cos_lambda"][0].tolist()
     doc["report"] = report_to_json_dict(report)
     doc["scenario"] = scenario_to_json_dict(scenario, family)
     doc["tolerances"] = {"slack_floor": SLACK_FLOOR, "saturation_atol": SATURATION_ATOL}
