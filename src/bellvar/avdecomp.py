@@ -10,6 +10,12 @@ where ``<A>`` is the expectation, ``dA = sqrt(<A^2> - <A>^2)`` the spread
 ``|psi>``.  The decomposition is unique; when the spread vanishes there is
 no fluctuation direction and ``perp`` is absent.
 
+The spread is computed as the norm ``||A|psi> - <A>|psi>||`` of the
+fluctuation part, never as the difference of moments: for a state that
+is an eigenstate normalized only to rounding, ``<A^2> - <A>^2`` is
+rounding noise of order 1e-16, and its square root (about 1e-8) would
+pass the ``SPREAD_EPS`` test although no fluctuation direction exists.
+
 For two observables the identity lifts to the correlator::
 
     <AB> = <A><B> + dA dB <psi_A_perp|psi_B_perp>
@@ -104,11 +110,9 @@ def _split(images: np.ndarray, states: np.ndarray):
     if not np.all(np.abs(raw_mean.imag) <= _IMAG_ATOL):
         raise ArithmeticError(f"mean has imaginary part {np.abs(raw_mean.imag).max():.3e}")
     mean = raw_mean.real
-    # <A^2> = ||A psi||^2 for Hermitian A.
-    second_moment = np.einsum("isd,isd->is", images.conj(), images).real
-    spread = np.sqrt(np.maximum(second_moment - mean * mean, 0.0))
-    degenerate = spread < SPREAD_EPS
     fluct = images - mean[..., None] * states[:, None]
+    spread = np.linalg.norm(fluct, axis=-1)
+    degenerate = spread < SPREAD_EPS
     perp = fluct / np.where(degenerate, 1.0, spread)[..., None]
     perp[degenerate] = 0.0
     return mean, spread, perp

@@ -73,7 +73,7 @@ SATURATION_ATOL = 1e-8
 # Quantum slacks may dip this far below zero from rounding, never more.
 SLACK_FLOOR = -1e-9
 
-TSIRELSON_CHSH = 2.0 * np.sqrt(2.0)
+TSIRELSON_CHSH = float(2.0 * np.sqrt(2.0))
 
 _CHSH = FamilySpec(name="chsh", n=2)
 
@@ -159,7 +159,7 @@ class _TwoBlock:
     are the flattened images ``(A_x x I)|psi_i>`` and ``(I x B_y)|psi_i>``;
     ``a_split``/``b_split`` hold their ``(mean, spread, perp)`` arrays;
     ``bell`` and ``local`` are the expression and its product-of-means
-    counterpart under ``coeff``, one value per instance.
+    counterpart under the family's coefficients, one value per instance.
     """
 
     a_img: np.ndarray
@@ -349,9 +349,7 @@ def _saturation(blocks: _TwoBlock) -> SaturationFlags:
         weighted = [spread_b[0] * perp_b[0], spread_b[1] * perp_b[1]]
         combo = [weighted[0] + weighted[1], weighted[0] - weighted[1]]
         norms = [float(np.linalg.norm(v)) for v in combo]
-        if min(norms) < 1e-12:
-            perp_alignment = None
-        else:
+        if min(norms) >= 1e-12:
             residuals = [
                 float(np.linalg.norm(perp_a[x] - combo[x] / norms[x])) for x in range(2)
             ]

@@ -51,7 +51,6 @@ import numpy as np
 from .linalg import as_ket
 from .presets import PRESET_NAMES, preset
 from .scenarios import (
-    _CSV_CHUNK_ROWS,
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
@@ -267,22 +266,10 @@ def _cmd_report(args) -> int:
     family, scenario, state = _resolve_instance(args)
     doc = _report_document(family, scenario, state)
     report = doc["report"]
+    keys = [k for k in report if k not in ("family", "schema_version")]
     rows = [("family", f"{family.name} (n={family.n})")]
-    for key in (
-        "bell_value",
-        "local_part",
-        "nonlocal_amount",
-        "rms_a",
-        "rms_b",
-        "bound_statistical",
-        "bound_tsirelson",
-        "bound_lhv",
-        "slack",
-    ):
-        rows.append((key, _fmt(report[key])))
-    if "bound_statistical_loose" in report:
-        rows.append(("bound_statistical_loose", _fmt(report["bound_statistical_loose"])))
-    if report.get("tsirelson_is_reference"):
+    rows += [(k, _fmt(report[k])) for k in keys if isinstance(report[k], float)]
+    if report["tsirelson_is_reference"]:
         rows.append(("tsirelson note", "reference value"))
     if "saturation" in doc:
         flags = doc["saturation"]
@@ -297,8 +284,7 @@ def _cmd_report(args) -> int:
         rows.append(("cos_lambda", " ".join(_fmt(c) for c in doc["cos_lambda"])))
     csv_chunks = None
     if args.format == "csv":
-        keys = [k for k in report if k not in ("family", "schema_version")]
-        csv_chunks = _csv_chunks(keys, [[report[k] for k in keys]])
+        csv_chunks = _csv_chunks(keys, [[report[k]] for k in keys])
     return _emit(args, rows, doc, csv_chunks)
 
 
@@ -379,16 +365,8 @@ def _cmd_scan(args) -> int:
     }
     csv_chunks = None
     if want_rows:
-        columns = [summary.rows[name] for name in _COLUMNS]
-        records = (
-            record
-            for lo in range(0, summary.n_samples, _CSV_CHUNK_ROWS)
-            for record in zip(
-                range(lo, summary.n_samples),
-                *(column[lo : lo + _CSV_CHUNK_ROWS].tolist() for column in columns),
-            )
-        )
-        csv_chunks = _csv_chunks(["index", *_COLUMNS], records)
+        columns = [range(summary.n_samples), *(summary.rows[name] for name in _COLUMNS)]
+        csv_chunks = _csv_chunks(["index", *_COLUMNS], columns)
     return _emit(args, rows, doc, csv_chunks)
 
 

@@ -345,7 +345,7 @@ def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
     suffix = [""] * batch.counts.size
     for key in np.flatnonzero(batch.counts).tolist():
         suffix[key] = setting_text[key >> n] + outcome_text[key & (2**n - 1)]
-    yield from _csv_chunks(keys, ())
+    yield from _csv_chunks(keys)
     for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
         rows = batch.combo_idx[lo:hi].astype(np.intp) * 2**n + batch.outcome_idx[lo:hi]

@@ -22,7 +22,6 @@ Families:
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -52,12 +51,17 @@ _BLOCH_NORM_ATOL = 1e-9
 _CSV_CHUNK_ROWS = 1 << 14
 
 
-def _csv_chunks(keys: list[str], records) -> Iterator[str]:
-    """CSV text in chunks: schema_version comment and header, then one ``repr`` row per record."""
-    rows = iter(records)
+def _csv_chunks(keys: list[str], columns=()) -> Iterator[str]:
+    """CSV text in chunks: schema_version comment and header, then row i of the columns per line.
+
+    Each column is sliced ``_CSV_CHUNK_ROWS`` rows at a time and each cell
+    written with ``repr`` of its Python value, so one chunk of cells at most
+    is held as Python objects.
+    """
     yield f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        yield "".join(",".join(map(repr, rec)) + "\n" for rec in chunk)
+    for lo in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK_ROWS):
+        cells = (np.asarray(column[lo : lo + _CSV_CHUNK_ROWS]).tolist() for column in columns)
+        yield "".join(",".join(map(repr, row)) + "\n" for row in zip(*cells))
 
 
 # ---------------------------------------------------------------------------

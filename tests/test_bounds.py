@@ -249,6 +249,21 @@ def test_pearson_chsh_requires_fluctuations():
         pearson_chsh_report(scen, KET00)
 
 
+def test_eigenstate_normalized_to_rounding_has_zero_spread():
+    # |0> x a Haar qubit is an eigenstate of A's z setting, but normalized
+    # only to rounding: sqrt(<A^2> - <A>^2) reads about 1e-8 there, the norm
+    # of the fluctuation part reads rounding
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        table = [[[0, 0, 1], uniform_bloch(rng)], [uniform_bloch(rng), uniform_bloch(rng)]]
+        scen = from_bloch_table(table)
+        psi = np.kron([1.0, 0.0], haar_random_ket(2, rng))
+        with pytest.raises(DegenerateSpreadError):
+            pearson_chsh_report(scen, psi)
+        flags = saturation_check(scen, psi)
+        assert (flags.perp_alignment, flags.ratio_condition, flags.operator_relation) == (None,) * 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_pearson_chsh_bound_chain(seed):

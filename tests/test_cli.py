@@ -21,14 +21,24 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bellvar
 from bellvar.avdecomp import DegenerateSpreadError, av_decompose, reconstruction_residual
-from bellvar.bounds import chsh_report, pearson_chsh_report, report_to_json_dict, saturation_check
+from bellvar.bounds import (
+    chained_report,
+    chsh_report,
+    mk_report,
+    pearson_chsh_report,
+    report_to_json_dict,
+    saturation_check,
+)
 from bellvar.linalg import haar_random_ket
 from bellvar.cli import _report_document, main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
 from bellvar.scenarios import (
+    chained_family,
     chsh_family,
     from_bloch_table,
+    mk_family,
+    random_scenario,
     scenario_to_json_dict,
     uniform_bloch,
 )
@@ -133,6 +143,52 @@ def test_report_document_reads_as_the_public_chsh_functions(seed, pinned):
         want = None
     assert doc["pearson"] == want
     assert (want is None) == bool(pinned)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [chained_family(n) for n in range(2, 6)]
+    + [mk_family(n, k) for n in range(2, 6) for k in range(1, n)],
+    ids=lambda f: f"{f.name}-n{f.n}-k{f.split_k}",
+)
+def test_report_document_reads_as_the_family_reports(family):
+    rng = np.random.default_rng(family.n * 10 + family.split_k)
+    for _ in range(5):
+        scen = random_scenario(family, rng)
+        psi = haar_random_ket(2**scen.n_parties, rng)
+        doc = _report_document(family, scen, psi)
+        if family.name == "chained":
+            report, geometry = chained_report(family.n, scen, psi)
+            assert doc["cos_lambda"] == list(geometry.cos_lambda)
+        else:
+            report = mk_report(family.n, scen, psi, split_k=family.split_k)
+            assert "cos_lambda" not in doc
+        assert doc["report"] == report_to_json_dict(report)
+        assert "saturation" not in doc and "pearson" not in doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "chsh-optimal"],
+        ["--preset", "chained-n", "--n", "4"],
+        ["--preset", "mk-ghz", "--n", "5"],
+        ["--scenario", "SCENARIO", "--state", "0.3,0.1,-0.5,0.7"],
+    ],
+    ids=["chsh", "chained", "mk", "chsh-file"],
+)
+def test_report_csv_cells_are_plain_values(tmp_path, capsys, scenario_file, argv):
+    argv = [str(scenario_file) if a == "SCENARIO" else a for a in argv]
+    out_path = tmp_path / "report.csv"
+    assert main(["report", *argv, "--format", "csv", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    comment, header, row, *rest = out_path.read_text(encoding="utf-8").splitlines()
+    assert rest == []
+    for key, cell in zip(header.split(","), row.split(","), strict=True):
+        if key == "bound_tsirelson_note":
+            assert cell == "'reference value'"
+        elif cell not in ("True", "False"):
+            float(cell)
 
 
 def test_report_chained_preset(tmp_path, capsys):
@@ -460,7 +516,6 @@ def test_scan_requires_samples(capsys):
 
 def test_scan_csv_is_written_a_chunk_at_a_time(tmp_path, capsys, monkeypatch):
     # 32 CSV chunks of 2**9 rows, so that one chunk costs little next to the table
-    monkeypatch.setattr(bellvar.cli, "_CSV_CHUNK_ROWS", 2**9)
     monkeypatch.setattr(bellvar.scenarios, "_CSV_CHUNK_ROWS", 2**9)
     n = 2**14
     peaks = {}

@@ -340,13 +340,8 @@ def _csv_reference(batch):
     """The rounds CSV with every cell of every row formatted by ``repr``."""
     n = batch.n_parties
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
-    columns = (np.arange(batch.rounds), batch.round_settings, batch.round_outcomes)
-    records = (
-        rec
-        for lo in range(0, batch.rounds, _REFERENCE_CHUNK)
-        for rec in np.column_stack([col[lo : lo + _REFERENCE_CHUNK] for col in columns]).tolist()
-    )
-    return "".join(_csv_chunks(keys, records))
+    columns = [np.arange(batch.rounds), *batch.round_settings.T, *batch.round_outcomes.T]
+    return "".join(_csv_chunks(keys, columns))
 
 
 _RANDOM_FAMILIES = {

@@ -10,7 +10,9 @@ that the sampler's inverse-CDF draw neither sorts, searches nor loops over
 combinations.  The see-saw folds through ``scenarios._contract`` only, never
 refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
-``mk-ghz`` preset builds ``B`` with it rather than the MK pair.
+``mk-ghz`` preset builds ``B`` with it rather than the MK pair.  Every
+report takes one path: ``bounds`` builds a ``BellReport`` at one site, and
+the command line calls none of the family reports.
 
 The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
@@ -139,17 +141,34 @@ def test_seesaw_shares_the_one_fold():
     assert "_contract" in called
 
 
-def test_report_kernel_builds_no_operator():
-    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+def _names(path: Path) -> set[str]:
+    """Every name, attribute and imported name in a module's source."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+    return names
+
+
+def test_report_kernel_builds_no_operator():
+    names = _names(PACKAGE / "bounds.py")
     assert names & {"_operators", "operator_from_tensor", "mk_operators"} == set()
+
+
+def test_one_report_path():
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    builds = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BellReport"
+    ]
+    assert len(builds) == 1
+    family_reports = {"chsh_report", "chained_report", "mk_report", "report_for"}
+    assert family_reports & _names(PACKAGE / "cli.py") == set()
 
 
 def test_operator_from_tensor_is_the_one_operator_fold():
