@@ -54,7 +54,6 @@ _EXPORTS = {
         "as_hermitian",
         "as_ket",
         "expectation",
-        "fix_global_phase",
         "haar_random_ket",
         "is_dichotomic",
         "random_hermitian",

@@ -7,25 +7,24 @@ overlap::
 
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
-One kernel, ``_two_block``, works on a stack of N instances: it picks
-the family's block split and coefficients, takes the images
-``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks from
-``scenarios._images``, splits each image into mean, spread and
-fluctuation direction, and sums the Bell value ``sum_xy c_xy <A_x B_y>``
-and its local part ``sum_xy c_xy <A_x><B_y>``, one value per instance.
-One function, ``_budget``, holds every family's budget that bounds the
-fluctuation term::
+One kernel pass, ``_columns``, works on a stack of N instances: it picks
+the family's block split and coefficients, takes the images ``A_x|psi>``
+and ``B_y|psi>`` of each block's site stacks from ``scenarios._images``,
+splits each image into mean, spread and fluctuation direction with
+``avdecomp._split``, and sums the Bell value ``sum_xy c_xy <A_x B_y>``, its
+local part ``sum_xy c_xy <A_x><B_y>`` and the family's budget that bounds
+the fluctuation term::
 
     bell_value - local_part <= bound_statistical
 
 The reported ``slack = bound_statistical + local_part - bell_value`` is
 non-negative for quantum states up to rounding, and zero exactly at the
-saturating configurations.  ``random_scan`` reports whole chunks of
-random instances through ``_columns``.  A single instance takes one
-path: ``_blocks`` runs the kernel on a stack of one, and ``_bell_report``
-reads instance 0 as a ``BellReport`` next to the family's reference
-bounds.  Every family's report, the CHSH saturation flags and Pearson
-variant, and ``bellvar report`` read that one pass.
+saturating configurations.  Everything else reads that pass.
+``random_scan`` copies whole chunks of its columns.  A single instance
+runs it as a stack of one (``_blocks``): ``_bell_report`` reads instance
+0 as a ``BellReport`` next to the family's reference bounds, and the
+CHSH saturation flags, the Pearson variant, the chained geometry and
+``bellvar report`` read the same record.
 
 Family specifics:
 
@@ -151,69 +150,40 @@ class PearsonChshReport:
     bound_tsirelson: float
 
 
-@dataclass(frozen=True)
-class _TwoBlock:
-    """What every report reads off a two-block split of a stack of states.
-
-    Axis 0 runs over the instances.  ``a_img[i, x]`` and ``b_img[i, y]``
-    are the flattened images ``(A_x x I)|psi_i>`` and ``(I x B_y)|psi_i>``;
-    ``a_split``/``b_split`` hold their ``(mean, spread, perp)`` arrays;
-    ``bell`` and ``local`` are the expression and its product-of-means
-    counterpart under the family's coefficients, one value per instance.
-    """
-
-    a_img: np.ndarray
-    b_img: np.ndarray
-    a_split: tuple[np.ndarray, np.ndarray, np.ndarray]
-    b_split: tuple[np.ndarray, np.ndarray, np.ndarray]
-    bell: np.ndarray
-    local: np.ndarray
+# The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
+_COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
 
 
-def _two_block(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> _TwoBlock:
-    """Images, splits, Bell value and local part of the family's expression per instance.
+def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict:
+    """The one kernel pass: the family's expression and budget on a stack of instances.
 
     ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
     2)``, and ``states`` the kets, shape ``(N, 2**parties)``.  Block A is
     the leading party, or the leading ``split_k`` parties of an MK
     expression, whose two block pairs take the CHSH coefficients; block B
-    is the rest.  Each block's images come from ``scenarios._images``,
-    the correlators are ``Re(A_img^* B_img^T)``, and no operator is ever
-    formed.
+    is the rest.  The correlators are ``Re(A_img^* B_img^T)``, and no
+    operator is ever formed.
+
+    Returns one length-N array per name in ``_COLUMNS``, the images
+    ``a_img[i, x] = (A_x x I)|psi_i>`` and ``b_img[i, y] = (I x B_y)|psi_i>``,
+    and their ``(mean, spread, perp)`` arrays ``a_split``/``b_split``;
+    chained adds ``bound_statistical_loose`` and the ``(N, n)`` array
+    ``cos_lambda``.
     """
     mk = family.name == "mk"
     k = family.split_k if mk else 1
     coeff = chsh_coefficients() if mk else coefficient_tensor(family)
     a_img = _images(stacks[:, :k], states, 0)
     b_img = _images(stacks[:, k:], states, k)
-    corr = (a_img.conj() @ b_img.swapaxes(-1, -2)).real
     a_split = _split(a_img, states)
     b_split = _split(b_img, states)
-    bell = np.sum(coeff * corr, axis=(1, 2))
-    local = np.einsum("xy,ix,iy->i", coeff, a_split[0], b_split[0])
-    return _TwoBlock(a_img, b_img, a_split, b_split, bell, local)
-
-
-# The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
-_COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
-
-
-def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict:
-    """The kernel and the family's fluctuation budget on a stack of instances (see ``_two_block``)."""
-    return _budget(family, _two_block(family, stacks, states))
-
-
-def _budget(family: FamilySpec, blocks: _TwoBlock) -> dict:
-    """The family's fluctuation budget read off one kernel pass.
-
-    Returns one length-N array per name in ``_COLUMNS``; chained adds
-    ``bound_statistical_loose`` and the ``(N, n)`` array ``cos_lambda``.
-    """
-    spread_a = blocks.a_split[1]
-    _, spread_b, perp_b = blocks.b_split
+    (mean_a, spread_a, _), (mean_b, spread_b, perp_b) = a_split, b_split
+    bell = np.sum(coeff * (a_img.conj() @ b_img.swapaxes(-1, -2)).real, axis=(1, 2))
+    local = np.einsum("xy,ix,iy->i", coeff, mean_a, mean_b)
     rms_a = np.sqrt(np.sum(spread_a**2, axis=1))
     rms_b = np.sqrt(np.sum(spread_b**2, axis=1))
-    cols = {"bell_value": blocks.bell, "local_part": blocks.local, "rms_a": rms_a, "rms_b": rms_b}
+    cols = {"a_img": a_img, "b_img": b_img, "a_split": a_split, "b_split": b_split}
+    cols.update(bell_value=bell, local_part=local, rms_a=rms_a, rms_b=rms_b)
     if family.name == "chained":
         overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
         # The closing pair (n-1, 0) enters the expression with the
@@ -230,24 +200,23 @@ def _budget(family: FamilySpec, blocks: _TwoBlock) -> dict:
     else:
         bound = np.sqrt(2.0) * rms_a * rms_b
     cols["bound_statistical"] = bound
-    cols["slack"] = bound + blocks.local - blocks.bell
+    cols["slack"] = bound + local - bell
     return cols
 
 
-def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> _TwoBlock:
-    """The one kernel pass every report reads: the instance as a stack of one, after the shape checks."""
+def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> dict:
+    """The kernel pass every report reads: the instance as a stack of one, after the shape checks."""
     _check_instance(family, scenario, state)
-    return _two_block(family, np.asarray(scenario.observables)[None], state[None])
+    return _columns(family, np.asarray(scenario.observables)[None], state[None])
 
 
-def _bell_report(family: FamilySpec, blocks: _TwoBlock) -> tuple[BellReport, dict]:
-    """Instance 0 of one kernel pass as the family's report, and the budget columns it reads.
+def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
+    """Instance 0 of one kernel pass as the family's report.
 
     The Tsirelson and local-hidden-variable values of every family live
     here.  For chained(n) the Tsirelson value ``2n cos(pi/2n)`` is a
     reference only: the statistical route does not derive it for n > 2.
     """
-    cols = _budget(family, blocks)
     values = {name: float(cols[name][0]) for name in _COLUMNS}
     n, extra = family.n, {}
     if family.name == "chsh":
@@ -260,7 +229,7 @@ def _bell_report(family: FamilySpec, blocks: _TwoBlock) -> tuple[BellReport, dic
             "bound_statistical_loose": float(cols["bound_statistical_loose"][0]),
             "tsirelson_is_reference": True,
         }
-    report = BellReport(
+    return BellReport(
         family=family,
         nonlocal_amount=values["bell_value"] - values["local_part"],
         bound_tsirelson=tsirelson,
@@ -268,7 +237,6 @@ def _bell_report(family: FamilySpec, blocks: _TwoBlock) -> tuple[BellReport, dic
         **values,
         **extra,
     )
-    return report, cols
 
 
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
@@ -285,9 +253,9 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     return _pearson(_blocks(_CHSH, scenario, state))
 
 
-def _pearson(blocks: _TwoBlock) -> PearsonChshReport:
-    _, spread_a, perp_a = (v[0] for v in blocks.a_split)
-    _, spread_b, perp_b = (v[0] for v in blocks.b_split)
+def _pearson(cols: dict) -> PearsonChshReport:
+    _, spread_a, perp_a = (v[0] for v in cols["a_split"])
+    _, spread_b, perp_b = (v[0] for v in cols["b_split"])
     if not np.all(np.concatenate([spread_a, spread_b]) >= SPREAD_EPS):
         raise DegenerateSpreadError("Pearson CHSH undefined: a setting has zero spread")
     r = (perp_a.conj() @ perp_b.T).real
@@ -325,10 +293,10 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     return _saturation(_blocks(_CHSH, scenario, state))
 
 
-def _saturation(blocks: _TwoBlock) -> SaturationFlags:
-    a_img, b_img = blocks.a_img[0], blocks.b_img[0]
-    _, spread_a, perp_a = (v[0] for v in blocks.a_split)
-    _, spread_b, perp_b = (v[0] for v in blocks.b_split)
+def _saturation(cols: dict) -> SaturationFlags:
+    a_img, b_img = cols["a_img"][0], cols["b_img"][0]
+    _, spread_a, perp_a = (v[0] for v in cols["a_split"])
+    _, spread_b, perp_b = (v[0] for v in cols["b_split"])
     a_ok = bool(np.all(spread_a >= SPREAD_EPS))
     b_ok = bool(np.all(spread_b >= SPREAD_EPS))
 
@@ -385,8 +353,8 @@ def chained_report(
     exactly to the CHSH report.
     """
     family = FamilySpec(name="chained", n=n)
-    report, cols = _bell_report(family, _blocks(family, scenario, state))
-    return report, ChainGeometry(cos_lambda=tuple(cols["cos_lambda"][0].tolist()))
+    cols = _blocks(family, scenario, state)
+    return _bell_report(family, cols), ChainGeometry(tuple(cols["cos_lambda"][0].tolist()))
 
 
 def mk_report(
@@ -406,7 +374,7 @@ def mk_report(
 
 def report_for(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> BellReport:
     """The family's report off one kernel pass (for chained, without its geometry)."""
-    return _bell_report(family, _blocks(family, scenario, state))[0]
+    return _bell_report(family, _blocks(family, scenario, state))
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,12 @@ def _fmt(x: float) -> str:
 def _parse_family(args) -> FamilySpec:
     if args.family is None:
         raise InputError("--family is required (or use --preset)")
-    name = args.family
+    name, n = args.family, args.n
     if name == "chsh":
-        return FamilySpec(name="chsh", n=2)
-    n = args.n
-    if n is None:
+        n = 2
+    elif n is None:
         raise InputError(f"--n is required for family {name!r}")
-    if name == "chained":
-        return FamilySpec(name="chained", n=n)
-    if name == "mk":
-        return FamilySpec(name="mk", n=n, split_k=args.split_k)
-    raise InputError(f"unknown family {name!r}")
+    return FamilySpec(name=name, n=n, split_k=args.split_k if name == "mk" else 1)
 
 
 def _load_scenario(args) -> tuple[Scenario, FamilySpec | None]:
@@ -244,19 +239,18 @@ def _report_document(family, scenario, state) -> dict:
         report_to_json_dict,
     )
 
-    blocks = _blocks(family, scenario, state)
-    report, cols = _bell_report(family, blocks)
+    cols = _blocks(family, scenario, state)
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if family.name == "chsh":
-        doc["saturation"] = dataclasses.asdict(_saturation(blocks))
+        doc["saturation"] = dataclasses.asdict(_saturation(cols))
         try:
-            doc["pearson"] = dataclasses.asdict(_pearson(blocks))
+            doc["pearson"] = dataclasses.asdict(_pearson(cols))
             del doc["pearson"]["bound_tsirelson"]
         except DegenerateSpreadError:
             doc["pearson"] = None
     elif family.name == "chained":
         doc["cos_lambda"] = cols["cos_lambda"][0].tolist()
-    doc["report"] = report_to_json_dict(report)
+    doc["report"] = report_to_json_dict(_bell_report(family, cols))
     doc["scenario"] = scenario_to_json_dict(scenario, family)
     doc["tolerances"] = {"slack_floor": SLACK_FLOOR, "saturation_atol": SATURATION_ATOL}
     return doc
@@ -266,7 +260,7 @@ def _cmd_report(args) -> int:
     family, scenario, state = _resolve_instance(args)
     doc = _report_document(family, scenario, state)
     report = doc["report"]
-    keys = [k for k in report if k not in ("family", "schema_version")]
+    keys = [k for k in report if k not in ("family", "schema_version", "bound_tsirelson_note")]
     rows = [("family", f"{family.name} (n={family.n})")]
     rows += [(k, _fmt(report[k])) for k in keys if isinstance(report[k], float)]
     if report["tsirelson_is_reference"]:

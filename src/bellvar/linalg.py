@@ -118,12 +118,12 @@ def expectation(op: np.ndarray, ket: np.ndarray) -> float:
     return float(val.real)
 
 
-def fix_global_phase(vec: np.ndarray) -> np.ndarray:
+def _fix_global_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first nonzero amplitude is real positive.
 
     The first amplitude with modulus above 1e-12 (in basis order) sets the
-    phase.  Used wherever a vector is defined only up to phase, e.g.
-    eigenvectors; the zero vector is returned unchanged.
+    phase.  ``top_eigenpair`` fixes its eigenvector's phase this way; the
+    zero vector is returned unchanged.
     """
     for amp in vec:
         if abs(amp) > _PHASE_ATOL:
@@ -142,7 +142,7 @@ def top_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
     op = as_hermitian(op)
     vals, vecs = np.linalg.eigh(op)
     w = float(vals[-1])
-    v = fix_global_phase(vecs[:, -1])
+    v = _fix_global_phase(vecs[:, -1])
     residual = np.linalg.norm(op @ v - w * v)
     if residual > _EIG_RESIDUAL_ATOL * max(1.0, abs(w)):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} above tolerance")

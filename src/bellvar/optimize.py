@@ -290,6 +290,7 @@ def random_scan(
         cols = _columns(family, np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states)
         for name, column in columns.items():
             column[start : start + m] = cols[name]
+        del cols  # it holds the chunk's images and splits: free them before the next pass
     slack = columns["slack"]
     return ScanSummary(
         family=family,

@@ -107,14 +107,14 @@ def test_report_pearson_block_matches_library(tmp_path, capsys):
     ids=["chsh", "chained", "mk"],
 )
 def test_report_runs_the_kernel_once(capsys, monkeypatch, argv):
-    kernel = bellvar.bounds._two_block
+    kernel = bellvar.bounds._columns
     calls = []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(bellvar.bounds, "_two_block", counted)
+    monkeypatch.setattr(bellvar.bounds, "_columns", counted)
     assert main(["report", *argv]) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -185,9 +185,7 @@ def test_report_csv_cells_are_plain_values(tmp_path, capsys, scenario_file, argv
     comment, header, row, *rest = out_path.read_text(encoding="utf-8").splitlines()
     assert rest == []
     for key, cell in zip(header.split(","), row.split(","), strict=True):
-        if key == "bound_tsirelson_note":
-            assert cell == "'reference value'"
-        elif cell not in ("True", "False"):
+        if cell not in ("True", "False"):
             float(cell)
 
 

@@ -15,10 +15,10 @@ from bellvar.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _fix_global_phase,
     as_hermitian,
     as_ket,
     expectation,
-    fix_global_phase,
     haar_random_ket,
     is_dichotomic,
     random_hermitian,
@@ -131,12 +131,12 @@ def test_expectation_rejects_complex_value():
 
 def test_fix_global_phase_first_amplitude_real_positive():
     v = np.array([0.0, 1j / np.sqrt(2), -1 / np.sqrt(2), 0.0])
-    w = fix_global_phase(v)
+    w = _fix_global_phase(v)
     idx = np.flatnonzero(np.abs(w) > 1e-12)[0]
     assert w[idx].real > 0
     assert abs(w[idx].imag) < 1e-12
     # applying twice changes nothing
-    np.testing.assert_allclose(fix_global_phase(w), w, atol=0)
+    np.testing.assert_allclose(_fix_global_phase(w), w, atol=0)
     # norm preserved
     assert np.linalg.norm(w) == pytest.approx(1.0)
 

@@ -322,6 +322,26 @@ def test_random_scan_counts_nan_slack(monkeypatch):
     assert summary.non_finite == 5
 
 
+@pytest.mark.parametrize(
+    "family", [chsh_family(), chained_family(5), mk_family(6)], ids=["chsh", "chained5", "mk6"]
+)
+def test_random_scan_runs_the_kernel_once_per_chunk(monkeypatch, family):
+    import bellvar.bounds
+
+    kernel = bellvar.bounds._columns
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(bellvar.bounds, "_columns", counted)
+    n_samples = 600
+    chunk = max(1, optimize._SCAN_CHUNK // 2**family.n_parties)
+    random_scan(family, n_samples=n_samples, seed=2, keep_rows=True)
+    assert len(calls) == math.ceil(n_samples / chunk)
+
+
 def _scan_reference(family, n_samples, seed):
     """Rows and violation count of the per-instance scan the batched one replaced."""
     rng = np.random.Generator(np.random.Philox(seed))

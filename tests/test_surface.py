@@ -11,8 +11,10 @@ combinations.  The see-saw folds through ``scenarios._contract`` only, never
 refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.  Every
-report takes one path: ``bounds`` builds a ``BellReport`` at one site, and
-the command line calls none of the family reports.
+report takes one path: one kernel pass, ``bounds._columns``, is the only
+function in ``bounds`` that takes images or splits them, ``bounds`` builds
+a ``BellReport`` at one site, and the command line calls none of the
+family reports.
 
 The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
@@ -169,6 +171,18 @@ def test_one_report_path():
     assert len(builds) == 1
     family_reports = {"chsh_report", "chained_report", "mk_report", "report_for"}
     assert family_reports & _names(PACKAGE / "cli.py") == set()
+
+
+def test_one_kernel_pass():
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_images", "_split")
+    }
+    assert callers == {"_columns"}
 
 
 def test_operator_from_tensor_is_the_one_operator_fold():
