@@ -22,26 +22,34 @@ non-negative for quantum states up to rounding, and zero exactly at the
 saturating configurations.  Everything else reads that pass.
 ``random_scan`` copies whole chunks of its columns.  A single instance
 runs it as a stack of one (``_blocks``): ``_bell_report`` reads instance
-0 as a ``BellReport`` next to the family's reference bounds, and the
-CHSH saturation flags, the Pearson variant, the chained geometry and
+0 as a ``BellReport`` next to the family's Tsirelson and LHV values, and
+the CHSH saturation flags, the Pearson variant, the chained geometry and
 ``bellvar report`` read the same record.
 
 Family specifics:
 
 * CHSH: the blocks are the two parties; ``bound_statistical = sqrt(2) *
-  rms_a * rms_b`` with ``rms = sqrt(dX0^2 + dX1^2)`` per side; Tsirelson
-  bound ``2 sqrt(2)``.  The saturation flags and the Pearson variant read
-  the same images and fluctuation directions.
+  rms_a * rms_b`` with ``rms = sqrt(dX0^2 + dX1^2)`` per side.  The
+  saturation flags and the Pearson variant read the same images and
+  fluctuation directions.
 * chained(n): the cross terms pick up the overlap angles of consecutive
   fluctuation directions (``cos_lambda``), with the wrap-around term
-  sign-flipped; a looser variant replaces every ``cos_lambda`` by 1.  The
-  Tsirelson value ``2n cos(pi/2n)`` is attached as a reference value, the
-  statistical route does not derive it for n > 2.
+  sign-flipped; a looser variant replaces every ``cos_lambda`` by 1.
 * mk(n): the blocks are the two halves of the top-level MK recursion,
   carrying the block pairs with the CHSH coefficients; ``rms_a``/``rms_b``
   hold the block aggregates ``sqrt(dB^2 + dB'^2)``.  Each side's images
   ``(B_m|psi>, B_m'|psi>)`` are carried through its sites by the recursion,
   so no block operator is formed.
+
+The budget bounds the quantum maximum of both bipartite families.  With
+coefficient matrix ``C``, mean vectors ``m_a``, ``m_b`` and the B-side
+fluctuation vectors ``F_b = (dB_y perp_y)``, the local part is
+``m_a^T C m_b <= ||C||_2 |m_a| |m_b|`` and ``bound_statistical = rms_a
+||C F_b||_F <= ||C||_2 rms_a rms_b``.  Each dichotomic setting has ``<X>^2
++ dX^2 = 1``, so ``|m|^2 + rms^2 = n`` on each side, and Cauchy-Schwarz
+on ``(|m|, rms)`` gives ``local_part + bound_statistical <= n ||C||_2``:
+``2 sqrt(2)`` for CHSH and ``2n cos(pi/2n)`` for chained(n), the
+``bound_tsirelson`` of each report.
 """
 
 from __future__ import annotations
@@ -84,9 +92,7 @@ class BellReport:
     ``nonlocal_amount = bell_value - local_part`` and
     ``slack = bound_statistical + local_part - bell_value``.
     ``bound_statistical_loose`` is only set for the chained family (every
-    overlap angle replaced by its extreme).  ``tsirelson_is_reference``
-    marks families whose Tsirelson entry is attached for orientation
-    rather than derived from the statistical route.
+    overlap angle replaced by its extreme).
     """
 
     family: FamilySpec
@@ -99,7 +105,6 @@ class BellReport:
     bound_tsirelson: float
     bound_lhv: float
     slack: float
-    tsirelson_is_reference: bool = False
     bound_statistical_loose: float | None = None
 
 
@@ -147,7 +152,6 @@ class PearsonChshReport:
     r_chsh: float
     cos_lambda_b: float
     bound_geometric: float
-    bound_tsirelson: float
 
 
 # The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
@@ -214,8 +218,7 @@ def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
     """Instance 0 of one kernel pass as the family's report.
 
     The Tsirelson and local-hidden-variable values of every family live
-    here.  For chained(n) the Tsirelson value ``2n cos(pi/2n)`` is a
-    reference only: the statistical route does not derive it for n > 2.
+    here.
     """
     values = {name: float(cols[name][0]) for name in _COLUMNS}
     n, extra = family.n, {}
@@ -225,10 +228,7 @@ def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
         tsirelson, lhv = float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1))
     else:
         tsirelson, lhv = float(2.0 * n * np.cos(np.pi / (2 * n))), float(2 * n - 2)
-        extra = {
-            "bound_statistical_loose": float(cols["bound_statistical_loose"][0]),
-            "tsirelson_is_reference": True,
-        }
+        extra = {"bound_statistical_loose": float(cols["bound_statistical_loose"][0])}
     return BellReport(
         family=family,
         nonlocal_amount=values["bell_value"] - values["local_part"],
@@ -268,7 +268,6 @@ def _pearson(cols: dict) -> PearsonChshReport:
         r_chsh=float(np.sum(chsh_coefficients() * r)),
         cos_lambda_b=cos_b,
         bound_geometric=bound,
-        bound_tsirelson=TSIRELSON_CHSH,
     )
 
 
@@ -386,6 +385,4 @@ def report_to_json_dict(report: BellReport) -> dict:
     out["family"] = family_to_json_dict(report.family)
     if report.bound_statistical_loose is None:
         del out["bound_statistical_loose"]
-    if report.tsirelson_is_reference:
-        out["bound_tsirelson_note"] = "reference value"
     return out

@@ -55,6 +55,7 @@ from .scenarios import (
     FamilySpec,
     Scenario,
     _complex_pair,
+    _complex_pairs,
     _csv_chunks,
     _images,
     bell_state,
@@ -138,7 +139,7 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
             with open(spec, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
             vec = np.array([_complex_pair(pair) for pair in raw], dtype=complex)
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"cannot read state file {spec!r}: {exc}") from exc
     else:
         try:
@@ -209,7 +210,7 @@ def _cmd_decompose(args) -> int:
                 "mean": m,
                 "spread": dx,
                 "degenerate": degenerate,
-                "perp": None if degenerate else [[float(a.real), float(a.imag)] for a in v],
+                "perp": None if degenerate else _complex_pairs(v),
                 "reconstruction_residual": r,
             }
         )
@@ -221,7 +222,7 @@ def _cmd_decompose(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_json_dict(scenario),
-        "state": [[float(a.real), float(a.imag)] for a in state],
+        "state": _complex_pairs(state),
         "decompositions": entries,
     }
     return _emit(args, rows, doc)
@@ -245,7 +246,6 @@ def _report_document(family, scenario, state) -> dict:
         doc["saturation"] = dataclasses.asdict(_saturation(cols))
         try:
             doc["pearson"] = dataclasses.asdict(_pearson(cols))
-            del doc["pearson"]["bound_tsirelson"]
         except DegenerateSpreadError:
             doc["pearson"] = None
     elif family.name == "chained":
@@ -260,11 +260,9 @@ def _cmd_report(args) -> int:
     family, scenario, state = _resolve_instance(args)
     doc = _report_document(family, scenario, state)
     report = doc["report"]
-    keys = [k for k in report if k not in ("family", "schema_version", "bound_tsirelson_note")]
+    keys = [k for k in report if k not in ("family", "schema_version")]
     rows = [("family", f"{family.name} (n={family.n})")]
-    rows += [(k, _fmt(report[k])) for k in keys if isinstance(report[k], float)]
-    if report["tsirelson_is_reference"]:
-        rows.append(("tsirelson note", "reference value"))
+    rows += [(k, _fmt(report[k])) for k in keys]
     if "saturation" in doc:
         flags = doc["saturation"]
         shown = ", ".join(
@@ -322,7 +320,7 @@ def _cmd_optimize(args) -> int:
             "value": best.value,
             "history": list(best.history),
             "scenario": scenario_to_json_dict(best.scenario, family),
-            "state": [[float(a.real), float(a.imag)] for a in best.state],
+            "state": _complex_pairs(best.state),
         },
     }
     return _emit(args, rows, doc)

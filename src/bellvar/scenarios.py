@@ -478,9 +478,7 @@ def ghz_state(n: int) -> np.ndarray:
 def _observable_to_json(op: np.ndarray, bloch_vec: np.ndarray | None):
     if bloch_vec is not None:
         return {"bloch": [float(c) for c in bloch_vec]}
-    return {
-        "matrix": [[[float(entry.real), float(entry.imag)] for entry in row] for row in op]
-    }
+    return {"matrix": [_complex_pairs(row) for row in op]}
 
 
 def _json_number(value) -> float:
@@ -505,6 +503,11 @@ def _complex_pair(node) -> complex:
     if not isinstance(node, list) or len(node) != 2:
         raise ValueError(f"expected an [re, im] pair of two numbers, got {node!r}")
     return complex(_json_number(node[0]), _json_number(node[1]))
+
+
+def _complex_pairs(values) -> list:
+    """Complex values as the ``[re, im]`` pairs that ``_complex_pair`` reads back."""
+    return [[float(a.real), float(a.imag)] for a in values]
 
 
 def _observable_from_json(node) -> tuple[np.ndarray, np.ndarray | None]:
@@ -570,7 +573,7 @@ def scenario_from_json_dict(node) -> tuple[Scenario, FamilySpec | None]:
     obs_rows = []
     bloch_rows = []
     for party in node["parties"]:
-        if not isinstance(party, dict) or "observables" not in party:
+        if not isinstance(party, dict) or not isinstance(party.get("observables"), list):
             raise ValueError("each party needs an 'observables' list")
         ops = []
         blochs = []
@@ -592,6 +595,6 @@ def load_scenario_file(path) -> tuple[Scenario, FamilySpec | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             node = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed scenario file {path}: {exc}") from exc
     return scenario_from_json_dict(node)

@@ -20,6 +20,8 @@ from bellvar.bounds import (
     SLACK_FLOOR,
     TSIRELSON_CHSH,
     BellReport,
+    _bell_report,
+    _blocks,
     chained_report,
     chsh_report,
     mk_report,
@@ -38,6 +40,7 @@ from bellvar.linalg import (
     top_eigenpair,
 )
 from bellvar.montecarlo import simulate_rounds
+from bellvar.presets import preset
 from bellvar.scenarios import (
     FamilySpec,
     SCHEMA_VERSION,
@@ -103,7 +106,7 @@ def test_chsh_report_at_maximal_violation():
     assert abs(rep.slack) <= 1e-10
     assert rep.bound_lhv == 2.0
     assert rep.bound_statistical_loose is None
-    assert not rep.tsirelson_is_reference
+    assert rep.local_part + rep.bound_statistical == pytest.approx(rep.bound_tsirelson, abs=1e-9)
 
 
 def test_chsh_report_deterministic_product_case():
@@ -238,7 +241,7 @@ def test_pearson_chsh_frozen_at_optimum():
     assert rep.r_chsh == pytest.approx(TSIRELSON_CHSH, abs=1e-10)
     assert rep.cos_lambda_b == pytest.approx(0.0, abs=1e-10)
     assert rep.bound_geometric == pytest.approx(TSIRELSON_CHSH, abs=1e-10)
-    assert rep.bound_tsirelson == TSIRELSON_CHSH
+    assert not hasattr(rep, "bound_tsirelson")
     flat = [r for row in rep.r_values for r in row]
     assert flat == pytest.approx([INV_SQRT2] * 3 + [-INV_SQRT2], abs=1e-10)
 
@@ -315,10 +318,59 @@ def test_chained_report_at_planar_optimum():
     assert abs(rep.slack) <= 1e-9
     assert rep.bound_lhv == 4.0
     assert rep.bound_tsirelson == pytest.approx(want)
-    assert rep.tsirelson_is_reference
+    assert rep.local_part + rep.bound_statistical == pytest.approx(rep.bound_tsirelson, abs=1e-9)
     assert rep.bound_statistical_loose is not None
     assert rep.bound_statistical_loose >= rep.bound_statistical - 1e-12
     np.testing.assert_allclose(geom.cos_lambda, [0.5, 0.5, 0.5], atol=1e-10)
+
+
+# chsh, and chained(n) for every n the budget tests below reach
+_BIPARTITE = [chsh_family()] + [chained_family(n) for n in range(2, 9)]
+
+
+def _family_id(family: FamilySpec) -> str:
+    return f"{family.name}{family.n}"
+
+
+def _bipartite_preset(family: FamilySpec):
+    return preset("chsh-optimal") if family.name == "chsh" else preset("chained-n", family.n)
+
+
+@pytest.mark.parametrize(
+    "family", [chsh_family()] + [chained_family(n) for n in range(2, 13)], ids=_family_id
+)
+def test_tsirelson_value_is_settings_times_coefficient_norm(family):
+    p = _bipartite_preset(family)
+    rep = report_for(family, p.scenario, p.state)
+    want = family.n * np.linalg.norm(coefficient_tensor(family), 2)
+    assert rep.bound_tsirelson == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(_BIPARTITE))
+def test_budget_bounds_the_bipartite_tsirelson_value(seed, family):
+    # local_part <= ||C|| |m_a| |m_b| and bound_statistical <= ||C|| rms_a rms_b;
+    # with |m|^2 + rms^2 = n on each side, Cauchy-Schwarz caps their sum at n ||C||
+    rng = np.random.default_rng(seed)
+    scen = random_scenario(family, rng)
+    psi = haar_random_ket(4, rng)
+    cols = _blocks(family, scen, psi)
+    rep = _bell_report(family, cols)
+    norm = np.linalg.norm(coefficient_tensor(family), 2)
+    mean_a, mean_b = cols["a_split"][0][0], cols["b_split"][0][0]
+    assert np.sum(mean_a**2) + rep.rms_a**2 == pytest.approx(family.n, abs=1e-9)
+    assert np.sum(mean_b**2) + rep.rms_b**2 == pytest.approx(family.n, abs=1e-9)
+    assert rep.local_part <= norm * np.linalg.norm(mean_a) * np.linalg.norm(mean_b) + 1e-9
+    assert rep.bound_statistical <= norm * rep.rms_a * rep.rms_b + 1e-9
+    assert rep.local_part + rep.bound_statistical <= rep.bound_tsirelson + 1e-9
+
+
+@pytest.mark.parametrize("family", _BIPARTITE, ids=_family_id)
+def test_optimal_presets_reach_the_budgeted_tsirelson_value(family):
+    p = _bipartite_preset(family)
+    rep = report_for(family, p.scenario, p.state)
+    assert rep.local_part + rep.bound_statistical == pytest.approx(rep.bound_tsirelson, abs=1e-9)
+    assert rep.bell_value == pytest.approx(rep.bound_tsirelson, abs=1e-9)
 
 
 def test_chained_report_degenerate_overlaps_are_zeroed():
@@ -460,8 +512,7 @@ def test_report_json_roundtrip():
         doc = json.loads(json.dumps(report_to_json_dict(report)))
         assert doc.pop("schema_version") == SCHEMA_VERSION
         assert doc.pop("family") == family_to_json_dict(report.family)
-        if report.tsirelson_is_reference:
-            assert doc.pop("bound_tsirelson_note") == "reference value"
+        assert "bound_tsirelson_note" not in doc and "tsirelson_is_reference" not in doc
         fields = dataclasses.asdict(report)
         del fields["family"]
         # every report field is written exactly; a missing loose bound is left out

@@ -138,7 +138,6 @@ def test_report_document_reads_as_the_public_chsh_functions(seed, pinned):
     assert doc["saturation"] == dataclasses.asdict(saturation_check(scen, psi))
     try:
         want = dataclasses.asdict(pearson_chsh_report(scen, psi))
-        del want["bound_tsirelson"]
     except DegenerateSpreadError:
         want = None
     assert doc["pearson"] == want
@@ -185,8 +184,7 @@ def test_report_csv_cells_are_plain_values(tmp_path, capsys, scenario_file, argv
     comment, header, row, *rest = out_path.read_text(encoding="utf-8").splitlines()
     assert rest == []
     for key, cell in zip(header.split(","), row.split(","), strict=True):
-        if cell not in ("True", "False"):
-            float(cell)
+        float(cell)
 
 
 def test_report_chained_preset(tmp_path, capsys):
@@ -196,12 +194,15 @@ def test_report_chained_preset(tmp_path, capsys):
     )
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "tsirelson note" in stdout
+    assert "tsirelson note" not in stdout
     assert "cos_lambda" in stdout
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(doc["cos_lambda"]) == 4
     assert "bound_statistical_loose" in doc["report"]
-    assert doc["report"]["bound_tsirelson_note"] == "reference value"
+    assert "bound_tsirelson_note" not in doc["report"]
+    assert "tsirelson_is_reference" not in doc["report"]
+    budget = doc["report"]["local_part"] + doc["report"]["bound_statistical"]
+    assert budget == pytest.approx(doc["report"]["bound_tsirelson"], abs=1e-9)
     want = 8.0 * np.cos(np.pi / 8.0)
     assert doc["report"]["bell_value"] == pytest.approx(want, abs=1e-9)
 
@@ -904,6 +905,139 @@ def test_scenario_file_rejects_non_integer_fields(tmp_path, capsys, command, cas
     assert main(argv) == 2
     assert "must be a JSON integer" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+# The scenario-reading subcommands, each with the arguments it needs beyond the file.
+_SCENARIO_COMMANDS = {
+    "report": ["report"],
+    "decompose": ["decompose"],
+    "sample": ["sample", "--rounds", "2000"],
+}
+# 3000 nested lists: json.load runs out of recursion depth before it sees a value.
+_DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize("observables", [5, None], ids=["number", "null"])
+@pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+def test_scenario_party_observables_must_be_a_list(tmp_path, capsys, command, observables):
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    doc["parties"][1]["observables"] = observables
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "each party needs an 'observables' list" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+def test_deeply_nested_scenario_file_is_input_error(tmp_path, capsys, command):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(_DEEP, encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "malformed scenario file" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "decompose"])
+def test_deeply_nested_state_file_is_input_error(scenario_file, tmp_path, capsys, command):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(_DEEP, encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [command, "--scenario", str(scenario_file), "--state", str(state_path)]
+    assert main(argv + ["--out", str(out_path)]) == 2
+    assert "cannot read state file" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root's ``()`` first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield from _json_paths(node[key], (*path, key))
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+# Any JSON value, with NaN and Infinity tokens, huge integers, empty containers and
+# (through the "DEEP" marker) nesting beyond the recursion limit.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), "DEEP"])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+_MUTATION_EXAMPLES = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _replace_node(doc, data, path_file: Path) -> bool:
+    """Write ``doc`` with one node, drawn by ``data``, replaced by an arbitrary JSON value.
+
+    True when the new value cannot leave the document valid: nesting beyond the
+    recursion limit, or a value of another JSON kind than the node it replaces.
+    """
+    paths = list(_json_paths(doc))
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(_JSON_VALUES, label="value")
+    if path:
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        old, parent[path[-1]] = parent[path[-1]], value
+    else:
+        old, doc = doc, value
+    path_file.write_text(json.dumps(doc).replace('"DEEP"', _DEEP), encoding="utf-8")
+    return '"DEEP"' in json.dumps(value) or _json_kind(value) != _json_kind(old)
+
+
+def _check_fails_closed(argv, out_path: Path, must_fail: bool) -> None:
+    with np.errstate(all="ignore"):
+        code = main([*argv, "--out", str(out_path)])
+    if code == 0 and not must_fail:
+        # the replacement left a valid document, e.g. a number swapped for another
+        json.loads(out_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        out_path.unlink()
+    else:
+        assert code in (2, 3)
+        assert not out_path.exists()
+
+
+@_MUTATION_EXAMPLES
+@given(command=st.sampled_from(list(_SCENARIO_COMMANDS)), data=st.data())
+def test_scenario_file_with_any_node_replaced_fails_closed(tmp_path, capsys, command, data):
+    scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]], [[0, 0, 1], [0.6, 0, 0.8]]])
+    doc = scenario_to_json_dict(scen, chsh_family())
+    doc["parties"][1]["observables"][0] = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
+    scenario_path = tmp_path / "scenario.json"
+    must_fail = _replace_node(doc, data, scenario_path)
+    argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path)]
+    _check_fails_closed(argv, tmp_path / "out.json", must_fail)
+    capsys.readouterr()
+
+
+@_MUTATION_EXAMPLES
+@given(command=st.sampled_from(["report", "decompose"]), data=st.data())
+def test_state_file_with_any_node_replaced_fails_closed(
+    scenario_file, tmp_path, capsys, command, data
+):
+    state_path = tmp_path / "state.json"
+    must_fail = _replace_node([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]], data, state_path)
+    argv = [command, "--scenario", str(scenario_file), "--state", str(state_path)]
+    _check_fails_closed(argv, tmp_path / "out.json", must_fail)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
