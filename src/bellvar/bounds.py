@@ -8,48 +8,50 @@ overlap::
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
 One kernel pass, ``_columns``, works on a stack of N instances: it picks
-the family's block split and coefficients, takes the images ``A_x|psi>``
-and ``B_y|psi>`` of each block's site stacks from ``scenarios._images``,
-splits each image into mean, spread and fluctuation direction with
-``avdecomp._split``, and sums the Bell value ``sum_xy c_xy <A_x B_y>``, its
-local part ``sum_xy c_xy <A_x><B_y>`` and the family's budget that bounds
-the fluctuation term::
+the family's block split and coefficient matrix ``C``, takes the images
+``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks from
+``scenarios._images``, splits each image into mean, spread and
+fluctuation direction with ``avdecomp._split``, and sums the Bell value
+``sum_xy c_xy <A_x B_y>``, its local part ``sum_xy c_xy <A_x><B_y>`` and
+one budget for every family.  With the B-side fluctuation vectors ``F_b
+= (dB_y psi_B_y_perp)`` and the rows ``v_x`` of ``C F_b``, ``bell_value -
+local_part = sum_x dA_x Re<psi_A_x_perp|v_x>``, and Cauchy-Schwarz gives::
 
-    bell_value - local_part <= bound_statistical
+    bell_value - local_part <= bound_statistical = rms_a ||C F_b||_F
 
-The reported ``slack = bound_statistical + local_part - bell_value`` is
-non-negative for quantum states up to rounding, and zero exactly at the
-saturating configurations.  Everything else reads that pass.
-``random_scan`` copies whole chunks of its columns.  A single instance
-runs it as a stack of one (``_blocks``): ``_bell_report`` reads instance
-0 as a ``BellReport`` next to the family's Tsirelson and LHV values, and
-the CHSH saturation flags, the Pearson variant, the chained geometry and
+with ``rms = sqrt(sum_x dX_x^2)`` per side.  The reported ``slack =
+bound_statistical + local_part - bell_value`` is non-negative for
+quantum states up to rounding, and zero exactly at the saturating
+configurations.  Everything else reads that pass.  ``random_scan``
+copies whole chunks of its columns.  A single instance runs it as a
+stack of one (``_blocks``): ``_bell_report`` reads instance 0 as a
+``BellReport`` next to the family's Tsirelson and LHV values, and the
+CHSH saturation flags, the Pearson variant, the chained geometry and
 ``bellvar report`` read the same record.
 
-Family specifics:
+Closed forms follow from the one budget:
 
-* CHSH: the blocks are the two parties; ``bound_statistical = sqrt(2) *
-  rms_a * rms_b`` with ``rms = sqrt(dX0^2 + dX1^2)`` per side.  The
-  saturation flags and the Pearson variant read the same images and
-  fluctuation directions.
-* chained(n): the cross terms pick up the overlap angles of consecutive
-  fluctuation directions (``cos_lambda``), with the wrap-around term
-  sign-flipped; a looser variant replaces every ``cos_lambda`` by 1.
-* mk(n): the blocks are the two halves of the top-level MK recursion,
-  carrying the block pairs with the CHSH coefficients; ``rms_a``/``rms_b``
-  hold the block aggregates ``sqrt(dB^2 + dB'^2)``.  Each side's images
-  ``(B_m|psi>, B_m'|psi>)`` are carried through its sites by the recursion,
-  so no block operator is formed.
+* CHSH and mk(n): ``C^T C = 2I``, so ``bound_statistical = sqrt(2) rms_a
+  rms_b``.  For mk the blocks are the two halves of the top-level
+  recursion, whose block pairs carry the CHSH coefficients, and
+  ``rms_a``/``rms_b`` hold the block aggregates ``sqrt(dB^2 + dB'^2)``;
+  each side's images ``(B_m|psi>, B_m'|psi>)`` are carried through its
+  sites by the recursion, so no block operator is formed.
+* chained(n): each row of ``C`` pairs consecutive settings, so the budget
+  is ``sqrt(2) rms_a sqrt(rms_b^2 + sum_j dB_j dB_{j+1} cos_lambda_j)``
+  with the overlap angles of consecutive fluctuation directions
+  (``cos_lambda``), the wrap-around term sign-flipped.  The loose variant
+  puts every direction on one common unit vector: every ``cos_lambda``
+  is 1.
 
 The budget bounds the quantum maximum of both bipartite families.  With
-coefficient matrix ``C``, mean vectors ``m_a``, ``m_b`` and the B-side
-fluctuation vectors ``F_b = (dB_y perp_y)``, the local part is
-``m_a^T C m_b <= ||C||_2 |m_a| |m_b|`` and ``bound_statistical = rms_a
-||C F_b||_F <= ||C||_2 rms_a rms_b``.  Each dichotomic setting has ``<X>^2
-+ dX^2 = 1``, so ``|m|^2 + rms^2 = n`` on each side, and Cauchy-Schwarz
-on ``(|m|, rms)`` gives ``local_part + bound_statistical <= n ||C||_2``:
-``2 sqrt(2)`` for CHSH and ``2n cos(pi/2n)`` for chained(n), the
-``bound_tsirelson`` of each report.
+mean vectors ``m_a`` and ``m_b``, the local part is ``m_a^T C m_b <=
+||C||_2 |m_a| |m_b|`` and ``bound_statistical <= ||C||_2 rms_a rms_b``.
+Each dichotomic setting has ``<X>^2 + dX^2 = 1``, so ``|m|^2 + rms^2 =
+n`` on each side, and Cauchy-Schwarz on ``(|m|, rms)`` gives
+``local_part + bound_statistical <= n ||C||_2``: ``2 sqrt(2)`` for CHSH
+and ``2n cos(pi/2n)`` for chained(n), the ``bound_tsirelson`` of each
+report.
 """
 
 from __future__ import annotations
@@ -188,6 +190,8 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     rms_b = np.sqrt(np.sum(spread_b**2, axis=1))
     cols = {"a_img": a_img, "b_img": b_img, "a_split": a_split, "b_split": b_split}
     cols.update(bell_value=bell, local_part=local, rms_a=rms_a, rms_b=rms_b)
+    # the one budget: rms_a ||C F_b||_F, the rows of F_b being dB_y perp_y
+    bound = rms_a * np.linalg.norm(coeff @ (spread_b[..., None] * perp_b), axis=(1, 2))
     if family.name == "chained":
         overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
         # The closing pair (n-1, 0) enters the expression with the
@@ -195,14 +199,11 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
         overlap[:, -1] *= -1.0
         degenerate = spread_b < SPREAD_EPS
         cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
-        pairs = spread_b * np.roll(spread_b, -1, axis=1)
-        cross = np.sum(pairs * cos_lambda, axis=1)
-        cross_loose = np.sum(pairs, axis=1)
-        bound = np.sqrt(2.0) * rms_a * np.sqrt(np.maximum(rms_b**2 + cross, 0.0))
-        loose = np.sqrt(2.0) * rms_a * np.sqrt(np.maximum(rms_b**2 + cross_loose, 0.0))
+        # every perp_y replaced by one common unit vector
+        loose = rms_a * np.linalg.norm(
+            np.sum(np.abs(coeff) * spread_b[:, None, :], axis=2), axis=1
+        )
         cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
-    else:
-        bound = np.sqrt(2.0) * rms_a * rms_b
     cols["bound_statistical"] = bound
     cols["slack"] = bound + local - bell
     return cols
@@ -313,23 +314,17 @@ def _saturation(cols: dict) -> SaturationFlags:
         overlap_orthogonal = bool(abs(overlap) <= SATURATION_ATOL)
 
     if a_ok and b_ok:
-        weighted = [spread_b[0] * perp_b[0], spread_b[1] * perp_b[1]]
-        combo = [weighted[0] + weighted[1], weighted[0] - weighted[1]]
-        norms = [float(np.linalg.norm(v)) for v in combo]
-        if min(norms) >= 1e-12:
-            residuals = [
-                float(np.linalg.norm(perp_a[x] - combo[x] / norms[x])) for x in range(2)
-            ]
-            perp_alignment = bool(max(residuals) <= SATURATION_ATOL)
-        ratio_condition = bool(
-            abs(norms[0] / spread_a[0] - norms[1] / spread_a[1]) <= SATURATION_ATOL
-        )
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        rel = [
-            float(np.linalg.norm(a_img[x] - inv_sqrt2 * (b_img[0] + (-1.0) ** x * b_img[1])))
-            for x in range(2)
-        ]
-        operator_relation = bool(max(rel) <= SATURATION_ATOL)
+        # the budget's fluctuation vectors v_x = sum_y c_xy dB_y perp_y
+        coeff = chsh_coefficients()
+        v = coeff @ (spread_b[:, None] * perp_b)
+        norms = np.linalg.norm(v, axis=1)
+        if norms.min() >= 1e-12:
+            residuals = np.linalg.norm(perp_a - v / norms[:, None], axis=1)
+            perp_alignment = bool(residuals.max() <= SATURATION_ATOL)
+        ratios = norms / spread_a
+        ratio_condition = bool(abs(ratios[0] - ratios[1]) <= SATURATION_ATOL)
+        rel = np.linalg.norm(a_img - coeff @ b_img / np.sqrt(2.0), axis=1)
+        operator_relation = bool(rel.max() <= SATURATION_ATOL)
 
     return SaturationFlags(
         perp_alignment=perp_alignment,
@@ -345,11 +340,11 @@ def chained_report(
 ) -> tuple[BellReport, ChainGeometry]:
     """Cyclic n-setting report with overlap-aware and loose bounds.
 
-    The statistical bound is ``sqrt(2) * rms_a * sqrt(rms_b^2 + sum_j
-    dB_j dB_{j+1} cos_lambda_j)`` with indices wrapping and the closing
-    overlap sign-flipped; the loose variant replaces every
-    ``cos_lambda_j`` by 1.  The wrap term is what makes n = 2 reduce
-    exactly to the CHSH report.
+    The one budget ``rms_a ||C F_b||_F`` reads here as ``sqrt(2) * rms_a *
+    sqrt(rms_b^2 + sum_j dB_j dB_{j+1} cos_lambda_j)``, with indices
+    wrapping and the closing overlap sign-flipped; the loose variant
+    replaces every ``cos_lambda_j`` by 1.  The wrap term is what makes
+    n = 2 reduce exactly to the CHSH report.
     """
     family = FamilySpec(name="chained", n=n)
     cols = _blocks(family, scenario, state)

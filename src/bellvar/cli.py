@@ -22,9 +22,11 @@ caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
 a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
-usage errors), 3 a domain validation failure (dimension mismatch, cap
-exceeded, degenerate spread, undersampled batch, a non-finite scan slack
-or JSON value), 1 unexpected internal error.
+usage errors, and ``--preset`` with ``--family``, ``--scenario`` or a
+``--split-k`` other than 1), 3 a domain validation failure (dimension
+mismatch, cap exceeded, degenerate spread, undersampled batch, a
+non-finite scan slack or JSON value, chsh with an ``--n`` other than 2),
+1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits),
 ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
@@ -104,7 +106,7 @@ def _parse_family(args) -> FamilySpec:
     if args.family is None:
         raise InputError("--family is required (or use --preset)")
     name, n = args.family, args.n
-    if name == "chsh":
+    if name == "chsh" and n is None:
         n = 2
     elif n is None:
         raise InputError(f"--n is required for family {name!r}")
@@ -163,6 +165,8 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
 def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
     """(family, scenario, state) from --preset or --family/--scenario/--state."""
     if args.preset is not None:
+        if args.family is not None or args.split_k != 1 or args.scenario is not None:
+            raise InputError("--preset fixes the instance: drop --family, --split-k and --scenario")
         if args.preset not in PRESET_NAMES:
             raise InputError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"

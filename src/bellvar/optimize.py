@@ -23,6 +23,7 @@ that reproduces across platforms for a given integer seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,37 +212,21 @@ def stationarity_check(step: float = 1e-4) -> StationarityReport:
     def f(v: np.ndarray) -> float:
         return statistical_chsh_surface(v[:2], v[2:])
 
-    origin = np.zeros(4)
-    f0 = f(origin)
-    gradient = []
-    second = []
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = step
-        up, down = f(origin + e), f(origin - e)
-        gradient.append((up - down) / (2.0 * step))
-        second.append((up - 2.0 * f0 + down) / step**2)
-    hessian = np.zeros((4, 4))
-    for i in range(4):
-        hessian[i, i] = second[i]
-        for j in range(i + 1, 4):
-            ei = np.zeros(4)
-            ej = np.zeros(4)
-            ei[i] = step
-            ej[j] = step
-            mixed = (
-                f(origin + ei + ej)
-                - f(origin + ei - ej)
-                - f(origin - ei + ej)
-                + f(origin - ei - ej)
-            ) / (4.0 * step**2)
-            hessian[i, j] = hessian[j, i] = mixed
-    eigs = np.linalg.eigvalsh(hessian)
+    f0 = f(np.zeros(4))
+    axes = np.eye(4) * step
+    up = np.array([f(e) for e in axes])
+    down = np.array([f(-e) for e in axes])
+    second = (up - 2.0 * f0 + down) / step**2
+    hessian = np.diag(second)
+    for i, j in itertools.combinations(range(4), 2):
+        ei, ej = axes[i], axes[j]
+        mixed = f(ei + ej) - f(ei - ej) - f(ej - ei) + f(-ei - ej)
+        hessian[i, j] = hessian[j, i] = mixed / (4.0 * step**2)
     return StationarityReport(
         value_at_origin=f0,
-        gradient=tuple(float(g) for g in gradient),
-        second_partials=tuple(float(s) for s in second),
-        hessian_eigenvalues=tuple(float(w) for w in eigs),
+        gradient=tuple(((up - down) / (2.0 * step)).tolist()),
+        second_partials=tuple(second.tolist()),
+        hessian_eigenvalues=tuple(np.linalg.eigvalsh(hessian).tolist()),
         step=float(step),
     )
 

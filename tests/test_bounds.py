@@ -48,6 +48,7 @@ from bellvar.scenarios import (
     bell_state,
     bloch_observable,
     chained_family,
+    chsh_coefficients,
     chsh_family,
     coefficient_tensor,
     family_to_json_dict,
@@ -371,6 +372,53 @@ def test_optimal_presets_reach_the_budgeted_tsirelson_value(family):
     rep = report_for(family, p.scenario, p.state)
     assert rep.local_part + rep.bound_statistical == pytest.approx(rep.bound_tsirelson, abs=1e-9)
     assert rep.bell_value == pytest.approx(rep.bound_tsirelson, abs=1e-9)
+
+
+# chsh, chained(2..8) and mk(2..6) at every split
+_BUDGET_FAMILIES = _BIPARTITE + [
+    FamilySpec(name="mk", n=n, split_k=k) for n in range(2, 7) for k in range(1, n)
+]
+
+
+def _random_record(family: FamilySpec, seed: int):
+    rng = np.random.default_rng(seed)
+    scen = random_scenario(family, rng)
+    cols = _blocks(family, scen, haar_random_ket(2**family.n_parties, rng))
+    return cols, _bell_report(family, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(_BUDGET_FAMILIES))
+def test_one_budget_reduces_to_each_family_closed_form(seed, family):
+    cols, rep = _random_record(family, seed)
+    if family.name != "chained":
+        # C^T C = 2I for chsh and for each MK block pair
+        want = np.sqrt(2.0) * rep.rms_a * rep.rms_b
+        assert rep.bound_statistical == pytest.approx(want, rel=1e-12)
+        return
+    spread_b = cols["b_split"][1][0]
+    pairs = spread_b * np.roll(spread_b, -1)
+    cross = np.sum(pairs * cols["cos_lambda"][0])
+    want = np.sqrt(2.0) * rep.rms_a * np.sqrt(rep.rms_b**2 + cross)
+    loose = np.sqrt(2.0) * rep.rms_a * np.sqrt(rep.rms_b**2 + np.sum(pairs))
+    assert rep.bound_statistical == pytest.approx(want, rel=1e-12)
+    assert rep.bound_statistical_loose == pytest.approx(loose, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(_BUDGET_FAMILIES))
+def test_fluctuation_term_pairs_the_a_directions_with_the_budget_vectors(seed, family):
+    # bell - local = sum_x dA_x Re<perp_A,x|v_x>, v_x = sum_y c_xy dB_y perp_B,y
+    cols, rep = _random_record(family, seed)
+    _, spread_a, perp_a = (v[0] for v in cols["a_split"])
+    _, spread_b, perp_b = (v[0] for v in cols["b_split"])
+    coeff = chsh_coefficients() if family.name == "mk" else coefficient_tensor(family)
+    want = 0.0
+    for x, row in enumerate(coeff):
+        v_x = sum(c * spread_b[y] * perp_b[y] for y, c in enumerate(row))
+        want += spread_a[x] * np.vdot(perp_a[x], v_x).real
+    scale = max(abs(rep.bell_value), abs(rep.local_part), 1.0)
+    assert rep.nonlocal_amount == pytest.approx(want, rel=0, abs=1e-12 * scale)
 
 
 def test_chained_report_degenerate_overlaps_are_zeroed():

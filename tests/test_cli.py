@@ -262,6 +262,50 @@ def test_report_needs_preset_or_scenario(capsys):
     assert "either --preset or --scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--preset", "mk-ghz", "--n", "4", "--split-k", "2"],
+        ["report", "--preset", "chsh-optimal", "--family", "mk"],
+        ["report", "--preset", "chsh-optimal", "--family", "chsh"],
+        ["sample", "--preset", "mk-ghz", "--split-k", "2", "--rounds", "100"],
+        ["sample", "--preset", "chsh-optimal", "--family", "mk", "--rounds", "100"],
+        ["report", "--preset", "chsh-optimal", "--scenario", "missing.json"],
+    ],
+    ids=[
+        "report-split",
+        "report-family",
+        "report-same-family",
+        "sample-split",
+        "sample-family",
+        "report-scenario",
+    ],
+)
+def test_preset_takes_no_family_split_or_scenario(tmp_path, capsys, argv):
+    # a preset fixes its family, split and scenario; a second one would be dropped unread
+    out_path = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out_path)]) == 2
+    assert "--preset fixes the instance" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert main(["report", "--preset", "mk-ghz", "--n", "4", "--split-k", "1"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lhv"], ["optimize"], ["scan", "--samples", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_chsh_takes_n_only_as_two(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.json"
+    assert main(argv + ["--family", "chsh", "--n", "7", "--out", str(out_path)]) == 3
+    assert "chsh is a 2-setting family" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert main(argv + ["--family", "chsh", "--n", "2", "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text(encoding="utf-8"))["family"]["n"] == 2
+    capsys.readouterr()
+
+
 def test_report_bad_state_spec(scenario_file, capsys):
     assert main(["report", "--scenario", str(scenario_file), "--state", "a,b"]) == 2
     assert (
