@@ -32,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
+from ._kernel import SPREAD_EPS, _split
 from .linalg import _IMAG_ATOL
 
 __all__ = list(_EXPORTS["avdecomp"])
-
-# Below this absolute spread the fluctuation direction is undefined.
-SPREAD_EPS = 1e-9
 
 _COMMUTATOR_ATOL = 1e-8
 
@@ -95,27 +93,6 @@ def av_decompose(op: np.ndarray, state: np.ndarray) -> AVDecomposition:
     mean, spread, perp = (v[0, 0] for v in _split((op @ state)[None, None], state[None]))
     perp = None if spread < SPREAD_EPS else perp
     return AVDecomposition(mean=float(mean), spread=float(spread), perp=perp)
-
-
-def _split(images: np.ndarray, states: np.ndarray):
-    """Mean, spread and fluctuation direction of each image ``A_x|psi_i>`` of a Hermitian ``A_x``.
-
-    ``images`` has shape ``(N, S, d)`` and ``states`` shape ``(N, d)``; the
-    results have shapes ``(N, S)``, ``(N, S)`` and ``(N, S, d)``, with
-    ``perp`` zero where ``spread < SPREAD_EPS``.  Raises ``ArithmeticError``
-    unless every mean ``<psi_i|image>`` has an imaginary part of at most
-    1e-10 (a non-Hermitian operator or a non-finite state slipped through).
-    """
-    raw_mean = np.einsum("id,isd->is", states.conj(), images)
-    if not np.all(np.abs(raw_mean.imag) <= _IMAG_ATOL):
-        raise ArithmeticError(f"mean has imaginary part {np.abs(raw_mean.imag).max():.3e}")
-    mean = raw_mean.real
-    fluct = images - mean[..., None] * states[:, None]
-    spread = np.linalg.norm(fluct, axis=-1)
-    degenerate = spread < SPREAD_EPS
-    perp = fluct / np.where(degenerate, 1.0, spread)[..., None]
-    perp[degenerate] = 0.0
-    return mean, spread, perp
 
 
 def reconstruction_residual(op: np.ndarray, state: np.ndarray, dec: AVDecomposition) -> float:

@@ -7,11 +7,11 @@ overlap::
 
     <A_x B_y> = <A_x><B_y> + dA_x dB_y <psi_A_x_perp|psi_B_y_perp>
 
-One kernel pass, ``_columns``, works on a stack of N instances: it picks
-the family's block split and coefficient matrix ``C``, takes the images
-``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks from
-``scenarios._images``, splits each image into mean, spread and
-fluctuation direction with ``avdecomp._split``, and sums the Bell value
+One kernel pass, ``_kernel._columns``, works on a stack of N instances:
+it picks the family's block split and coefficient matrix ``C``, takes
+the images ``A_x|psi>`` and ``B_y|psi>`` of each block's site stacks
+from ``scenarios._images``, splits each image into mean, spread and
+fluctuation direction with ``_kernel._split``, and sums the Bell value
 ``sum_xy c_xy <A_x B_y>``, its local part ``sum_xy c_xy <A_x><B_y>`` and
 one budget for every family.  With the B-side fluctuation vectors ``F_b
 = (dB_y psi_B_y_perp)`` and the rows ``v_x`` of ``C F_b``, ``bell_value -
@@ -28,6 +28,13 @@ stack of one (``_blocks``): ``_bell_report`` reads instance 0 as a
 ``BellReport`` next to the family's Tsirelson and LHV values, and the
 CHSH saturation flags, the Pearson variant, the chained geometry and
 ``bellvar report`` read the same record.
+
+The pass lives in ``_kernel``, with ``_COLUMNS``, ``SLACK_FLOOR`` and the
+scan that drives it, because ``scan`` and ``decompose`` need the kernel
+and none of the report records.  ``_kernel`` imports only ``linalg`` and
+``scenarios``, so those commands start without compiling this module,
+``avdecomp`` and ``optimize`` or creating their dataclasses, a cost
+larger than a short scan's compute.
 
 Closed forms follow from the one budget:
 
@@ -61,15 +68,14 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .avdecomp import SPREAD_EPS, DegenerateSpreadError, _split
+from ._kernel import _COLUMNS, SLACK_FLOOR, _columns
+from .avdecomp import SPREAD_EPS, DegenerateSpreadError
 from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
     _check_instance,
-    _images,
     chsh_coefficients,
-    coefficient_tensor,
     family_to_json_dict,
 )
 
@@ -78,9 +84,6 @@ __all__ = list(_EXPORTS["bounds"])
 # Saturation checks run at a fixed tolerance on purpose: loosening it is a
 # code change, not a configuration knob.
 SATURATION_ATOL = 1e-8
-
-# Quantum slacks may dip this far below zero from rounding, never more.
-SLACK_FLOOR = -1e-9
 
 TSIRELSON_CHSH = float(2.0 * np.sqrt(2.0))
 
@@ -154,59 +157,6 @@ class PearsonChshReport:
     r_chsh: float
     cos_lambda_b: float
     bound_geometric: float
-
-
-# The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
-_COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
-
-
-def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict:
-    """The one kernel pass: the family's expression and budget on a stack of instances.
-
-    ``stacks`` holds the observables, shape ``(N, parties, settings, 2,
-    2)``, and ``states`` the kets, shape ``(N, 2**parties)``.  Block A is
-    the leading party, or the leading ``split_k`` parties of an MK
-    expression, whose two block pairs take the CHSH coefficients; block B
-    is the rest.  The correlators are ``Re(A_img^* B_img^T)``, and no
-    operator is ever formed.
-
-    Returns one length-N array per name in ``_COLUMNS``, the images
-    ``a_img[i, x] = (A_x x I)|psi_i>`` and ``b_img[i, y] = (I x B_y)|psi_i>``,
-    and their ``(mean, spread, perp)`` arrays ``a_split``/``b_split``;
-    chained adds ``bound_statistical_loose`` and the ``(N, n)`` array
-    ``cos_lambda``.
-    """
-    mk = family.name == "mk"
-    k = family.split_k if mk else 1
-    coeff = chsh_coefficients() if mk else coefficient_tensor(family)
-    a_img = _images(stacks[:, :k], states, 0)
-    b_img = _images(stacks[:, k:], states, k)
-    a_split = _split(a_img, states)
-    b_split = _split(b_img, states)
-    (mean_a, spread_a, _), (mean_b, spread_b, perp_b) = a_split, b_split
-    bell = np.sum(coeff * (a_img.conj() @ b_img.swapaxes(-1, -2)).real, axis=(1, 2))
-    local = np.einsum("xy,ix,iy->i", coeff, mean_a, mean_b)
-    rms_a = np.sqrt(np.sum(spread_a**2, axis=1))
-    rms_b = np.sqrt(np.sum(spread_b**2, axis=1))
-    cols = {"a_img": a_img, "b_img": b_img, "a_split": a_split, "b_split": b_split}
-    cols.update(bell_value=bell, local_part=local, rms_a=rms_a, rms_b=rms_b)
-    # the one budget: rms_a ||C F_b||_F, the rows of F_b being dB_y perp_y
-    bound = rms_a * np.linalg.norm(coeff @ (spread_b[..., None] * perp_b), axis=(1, 2))
-    if family.name == "chained":
-        overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
-        # The closing pair (n-1, 0) enters the expression with the
-        # opposite sign, which flips its effective overlap angle.
-        overlap[:, -1] *= -1.0
-        degenerate = spread_b < SPREAD_EPS
-        cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
-        # every perp_y replaced by one common unit vector
-        loose = rms_a * np.linalg.norm(
-            np.sum(np.abs(coeff) * spread_b[:, None, :], axis=2), axis=1
-        )
-        cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
-    cols["bound_statistical"] = bound
-    cols["slack"] = bound + local - bell
-    return cols
 
 
 def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> dict:

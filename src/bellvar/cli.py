@@ -10,9 +10,12 @@ carries a schema_version field, CSV as a leading comment line).
 (party, setting) from one-site block images, building no joint operator;
 a family from ``--family`` or the file must fit the table, as for report.
 
-Each subcommand imports its layers when called (``optimize`` the search
-module, ``scan`` it and the bounds).  At import this module loads only
-scenarios, linalg and presets, which parsing, ``--preset`` and output need.
+Each subcommand imports its layers when called.  At import this module
+loads only scenarios, linalg and presets, which parsing, ``--preset`` and
+output need; ``lhv`` loads nothing more.  ``scan`` and ``decompose`` load
+the kernel module ``_kernel`` only, ``report`` the bounds and
+decomposition layers with it, ``optimize`` the search module with it,
+and ``sample`` the sampler.
 
 BLAS runs on one thread: before numpy is first imported this module sets
 ``OMP_NUM_THREADS=1`` unless the caller has set it.  No operator is larger
@@ -22,18 +25,21 @@ caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
 a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
-usage errors, and ``--preset`` with ``--family``, ``--scenario`` or a
-``--split-k`` other than 1), 3 a domain validation failure (dimension
-mismatch, cap exceeded, degenerate spread, undersampled batch, a
-non-finite scan slack or JSON value, chsh with an ``--n`` other than 2),
-1 unexpected internal error.
+usage errors, ``--preset`` with ``--family``, ``--scenario``, ``--state``
+or a ``--split-k`` other than 1, and a ``--split-k`` other than 1 that
+the family would drop: chsh, chained, or one that disagrees with an mk
+scenario file's), 3 a domain validation failure (dimension mismatch, cap
+exceeded, degenerate spread, undersampled batch, a non-finite scan slack
+or JSON value, chsh with an ``--n`` other than 2), 1 unexpected internal
+error.
 
-State specifications accepted by ``--state``: ``bell`` (two qubits),
-``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON file holding
-a list of ``[re, im]`` amplitude pairs (each exactly two JSON numbers), or
-an inline comma-separated list of real amplitudes.  Explicit amplitudes
-must be finite, with a sum of squared moduli that does not overflow a
-float (a norm below about 1.34e154), and are normalized.
+State specifications accepted by ``--state``: ``bell`` (two qubits, the
+default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
+file holding a list of ``[re, im]`` amplitude pairs (each exactly two
+JSON numbers), or an inline comma-separated list of real amplitudes.
+Explicit amplitudes must be finite, with a sum of squared moduli that
+does not overflow a float (a norm below about 1.34e154), and are
+normalized.
 """
 
 from __future__ import annotations
@@ -110,7 +116,20 @@ def _parse_family(args) -> FamilySpec:
         n = 2
     elif n is None:
         raise InputError(f"--n is required for family {name!r}")
-    return FamilySpec(name=name, n=n, split_k=args.split_k if name == "mk" else 1)
+    family = FamilySpec(name=name, n=n, split_k=args.split_k if name == "mk" else 1)
+    _check_split_k(args, family)
+    return family
+
+
+def _check_split_k(args, family: FamilySpec) -> None:
+    """Fail closed on a ``--split-k`` the family would drop unread."""
+    if args.split_k == 1 or args.split_k == family.split_k:
+        return
+    if family.name != "mk":
+        raise InputError(f"--split-k applies to mk only, not to {family.name}")
+    raise InputError(
+        f"--split-k {args.split_k} disagrees with the scenario file's split_k {family.split_k}"
+    )
 
 
 def _load_scenario(args) -> tuple[Scenario, FamilySpec | None]:
@@ -121,7 +140,11 @@ def _load_scenario(args) -> tuple[Scenario, FamilySpec | None]:
         raise InputError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return scenario, _parse_family(args) if args.family is not None else family
+    if args.family is not None:
+        return scenario, _parse_family(args)
+    if family is not None:
+        _check_split_k(args, family)
+    return scenario, family
 
 
 def _parse_state(spec: str, n_parties: int) -> np.ndarray:
@@ -162,11 +185,23 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
     return as_ket(vec)
 
 
+def _state_spec(args) -> str:
+    """``--state`` as given, or ``bell`` when it was not."""
+    return "bell" if args.state is None else args.state
+
+
 def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
     """(family, scenario, state) from --preset or --family/--scenario/--state."""
     if args.preset is not None:
-        if args.family is not None or args.split_k != 1 or args.scenario is not None:
-            raise InputError("--preset fixes the instance: drop --family, --split-k and --scenario")
+        if (
+            args.family is not None
+            or args.split_k != 1
+            or args.scenario is not None
+            or args.state is not None
+        ):
+            raise InputError(
+                "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
+            )
         if args.preset not in PRESET_NAMES:
             raise InputError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
@@ -178,7 +213,7 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
     scenario, family = _load_scenario(args)
     if family is None:
         raise InputError("no family given on the command line or in the scenario file")
-    state = _parse_state(args.state, scenario.n_parties)
+    state = _parse_state(_state_spec(args), scenario.n_parties)
     return family, scenario, state
 
 
@@ -187,10 +222,10 @@ def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
 
 
 def _cmd_decompose(args) -> int:
-    from .avdecomp import SPREAD_EPS, _split
+    from ._kernel import SPREAD_EPS, _split
 
     scenario, family = _load_scenario(args)
-    state = _parse_state(args.state, scenario.n_parties)
+    state = _parse_state(_state_spec(args), scenario.n_parties)
     if family is not None:
         check_family_scenario(family, scenario)
     # each party is a one-site block at its own tensor factor
@@ -331,8 +366,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .bounds import _COLUMNS
-    from .optimize import random_scan
+    from ._kernel import _COLUMNS, random_scan
 
     family = _parse_family(args)
     want_rows = args.out is not None and args.format == "csv"
@@ -451,7 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
         if scenario_ok:
             p.add_argument("--scenario", default=None, help="scenario JSON file")
-            p.add_argument("--state", default="bell", help="state specification")
+            p.add_argument(
+                "--state", default=None, help="state specification (default: bell)"
+            )
 
     p = sub.add_parser("decompose", help="mean/spread/perp split of every observable")
     add_common(p, scenario_ok=True)

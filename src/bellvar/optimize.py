@@ -19,17 +19,21 @@ Both steps can only increase the objective, so the recorded history is
 nondecreasing up to rounding.  All randomness (initial settings, scan
 instances) comes from numpy's Philox generator, a counter-based stream
 that reproduces across platforms for a given integer seed.
+
+``random_scan`` and ``ScanSummary`` are defined in ``_kernel``, next to
+the kernel pass the scan drives, and exported from here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from .linalg import _DICHOTOMY_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
+from ._kernel import _PAULIS, ScanSummary, random_scan
+from .linalg import top_eigenpair
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -53,9 +57,6 @@ __all__ = list(_EXPORTS["optimize"])
 CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
-_PAULIS = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
-# A scan reports its instances in chunks of at most this many instances x dim (images are dim-long).
-_SCAN_CHUNK = 2**10
 
 
 @dataclass(frozen=True)
@@ -75,30 +76,6 @@ class OptimizationResult:
     converged: bool
     history: tuple[float, ...]
     seed: int
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    """Slack statistics over random instances of one family.
-
-    ``violations`` counts samples whose slack is not at or above the
-    rounding floor ``bounds.SLACK_FLOOR``, NaN included; a NaN slack also
-    propagates into ``min_slack``.  ``non_finite`` counts the NaN and
-    infinite slacks on their own.  ``min_slack``/``mean_slack`` are None
-    for an empty scan.  ``rows`` optionally keeps the per-instance rows for
-    CSV export, stored by column: one length-``n_samples`` array per name in
-    ``bounds._COLUMNS``, instance i at position i.  It is not part of the
-    summary proper and takes no part in comparisons.
-    """
-
-    family: FamilySpec
-    n_samples: int
-    min_slack: float | None
-    mean_slack: float | None
-    violations: int
-    non_finite: int
-    seed: int
-    rows: dict[str, np.ndarray] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -228,62 +205,4 @@ def stationarity_check(step: float = 1e-4) -> StationarityReport:
         second_partials=tuple(second.tolist()),
         hessian_eigenvalues=tuple(np.linalg.eigvalsh(hessian).tolist()),
         step=float(step),
-    )
-
-
-def random_scan(
-    family: FamilySpec, n_samples: int, seed: int, keep_rows: bool = False
-) -> ScanSummary:
-    """Slack statistics over Haar states and uniform-Bloch settings.
-
-    Instance i consumes the Philox stream exactly as ``random_scenario``
-    followed by ``haar_random_ket`` would: three normals per setting,
-    party by party, each triple normalized to a Bloch vector, then the
-    real and the imaginary parts of the state.  The instances are drawn
-    and reported a chunk at a time (at most ``_SCAN_CHUNK // dim`` of
-    them, at least one) through the stacked report kernel, and only the
-    slacks are kept across chunks.  ``keep_rows=True`` keeps every
-    ``_COLUMNS`` array instead (for CSV export).  A Gaussian
-    triple of norm at most 1e-12, which ``uniform_bloch`` would redraw,
-    raises ``ArithmeticError`` (probability below 1e-36).
-    """
-    from .bounds import _COLUMNS, SLACK_FLOOR, _columns
-
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
-    rng = _philox(seed)
-    shape = (family.n_parties, family.settings_per_party[0])
-    n_bloch = 3 * shape[0] * shape[1]
-    dim = 2**family.n_parties
-    chunk = max(1, _SCAN_CHUNK // dim)
-    columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
-    for start in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - start)
-        normals = rng.standard_normal((m, n_bloch + 2 * dim))
-        bloch = normals[:, :n_bloch].reshape(m, *shape, 3)
-        norms = np.linalg.norm(bloch, axis=-1, keepdims=True)
-        if not np.all(norms > 1e-12):
-            raise ArithmeticError("a Gaussian Bloch triple has norm at most 1e-12")
-        bloch = bloch / norms
-        # |v|^2 = 1 is the dichotomy of v . sigma, which is Hermitian for real v.
-        if not np.all(np.abs(np.sum(bloch**2, axis=-1) - 1.0) <= _DICHOTOMY_ATOL):
-            raise ValueError("a drawn observable is not dichotomic")
-        raw = normals[:, n_bloch : n_bloch + dim] + 1j * normals[:, n_bloch + dim :]
-        states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _NORM_ATOL):
-            raise ValueError("a drawn state is not normalized")
-        cols = _columns(family, np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states)
-        for name, column in columns.items():
-            column[start : start + m] = cols[name]
-        del cols  # it holds the chunk's images and splits: free them before the next pass
-    slack = columns["slack"]
-    return ScanSummary(
-        family=family,
-        n_samples=n_samples,
-        min_slack=float(np.min(slack)) if n_samples else None,
-        mean_slack=float(np.mean(slack)) if n_samples else None,
-        violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
-        non_finite=int(np.count_nonzero(~np.isfinite(slack))),
-        seed=int(seed),
-        rows=columns if keep_rows else None,
     )

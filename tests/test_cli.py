@@ -271,6 +271,10 @@ def test_report_needs_preset_or_scenario(capsys):
         ["sample", "--preset", "mk-ghz", "--split-k", "2", "--rounds", "100"],
         ["sample", "--preset", "chsh-optimal", "--family", "mk", "--rounds", "100"],
         ["report", "--preset", "chsh-optimal", "--scenario", "missing.json"],
+        ["report", "--preset", "chsh-optimal", "--state", "ghz"],
+        ["report", "--preset", "chsh-optimal", "--state", "bell"],
+        ["report", "--preset", "mk-ghz", "--n", "3", "--state", "zero"],
+        ["sample", "--preset", "chsh-optimal", "--rounds", "100", "--state", "zero"],
     ],
     ids=[
         "report-split",
@@ -279,16 +283,68 @@ def test_report_needs_preset_or_scenario(capsys):
         "sample-split",
         "sample-family",
         "report-scenario",
+        "report-state",
+        "report-same-state",
+        "report-mk-state",
+        "sample-state",
     ],
 )
 def test_preset_takes_no_family_split_or_scenario(tmp_path, capsys, argv):
-    # a preset fixes its family, split and scenario; a second one would be dropped unread
+    # a preset fixes its family, split, scenario and state; a second one would be dropped unread
     out_path = tmp_path / "out.json"
     assert main(argv + ["--out", str(out_path)]) == 2
     assert "--preset fixes the instance" in capsys.readouterr().err
     assert not out_path.exists()
     assert main(["report", "--preset", "mk-ghz", "--n", "4", "--split-k", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["report", "sample", "decompose"])
+def test_state_defaults_to_bell(capsys, scenario_file, command):
+    extra = ["--rounds", "100"] if command == "sample" else []
+    argv = [command, "--scenario", str(scenario_file), *extra]
+    assert main(argv) == 0
+    implicit = capsys.readouterr().out
+    assert main([*argv, "--state", "bell"]) == 0
+    assert capsys.readouterr().out == implicit
+    assert main([command, "--help"]) == 0
+    assert "(default: bell)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhv", "--family", "chained", "--n", "4", "--split-k", "3"],
+        ["optimize", "--family", "chsh", "--split-k", "2", "--max-iters", "3"],
+        ["scan", "--family", "chained", "--n", "4", "--split-k", "2", "--samples", "5"],
+        ["report", "--scenario", "scenario.json", "--split-k", "2"],
+        ["report", "--scenario", "scenario.json", "--family", "chained", "--n", "2", "--split-k", "2"],
+    ],
+    ids=["lhv", "optimize", "scan", "report-file-family", "report-given-family"],
+)
+def test_split_k_only_for_mk(tmp_path, capsys, scenario_file, argv):
+    # chsh and chained have no block split: the value would be dropped unread
+    out_path = tmp_path / "out.json"
+    argv = [str(scenario_file) if a == "scenario.json" else a for a in argv]
+    assert main(argv + ["--out", str(out_path)]) == 2
+    assert "--split-k applies to mk only" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_split_k_must_match_an_mk_scenario_file(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "mk4.json"
+    doc = scenario_to_json_dict(random_scenario(mk_family(4, 2), rng), mk_family(4, 2))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["report", "--scenario", str(path), "--state", "ghz"]
+    assert main(argv) == 0
+    from_file = capsys.readouterr().out
+    assert main([*argv, "--split-k", "2"]) == 0
+    assert capsys.readouterr().out == from_file
+    out_path = tmp_path / "out.json"
+    assert main([*argv, "--split-k", "3", "--out", str(out_path)]) == 2
+    assert "disagrees with the scenario file's split_k 2" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(
@@ -591,9 +647,9 @@ def _nan_slack_columns(columns):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_scan_non_finite_slack_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
-    import bellvar.bounds
+    import bellvar._kernel
 
-    monkeypatch.setattr(bellvar.bounds, "_columns", _nan_slack_columns(bellvar.bounds._columns))
+    monkeypatch.setattr(bellvar._kernel, "_columns", _nan_slack_columns(bellvar._kernel._columns))
     out_path = tmp_path / f"scan.{fmt}"
     argv = ["scan", "--family", "chsh", "--samples", "5", "--format", fmt, "--out", str(out_path)]
     assert main(argv) == 3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellvar import optimize
+from bellvar import _kernel, optimize
 from bellvar.avdecomp import av_decompose
 from bellvar.bounds import SLACK_FLOOR, chained_report, chsh_report, report_for
 from bellvar.linalg import ID2, haar_random_ket, top_eigenpair
@@ -306,16 +306,16 @@ def test_random_scan_covers_other_families():
 
 
 def test_random_scan_counts_nan_slack(monkeypatch):
-    import bellvar.bounds
+    import bellvar._kernel
 
-    columns = bellvar.bounds._columns
+    columns = bellvar._kernel._columns
 
     def nan_slack_columns(family, stacks, states):
         cols = columns(family, stacks, states)
         cols["slack"] = np.full_like(cols["slack"], np.nan)
         return cols
 
-    monkeypatch.setattr(bellvar.bounds, "_columns", nan_slack_columns)
+    monkeypatch.setattr(bellvar._kernel, "_columns", nan_slack_columns)
     summary = random_scan(chsh_family(), n_samples=5, seed=3)
     assert summary.violations == 5
     assert math.isnan(summary.min_slack)
@@ -326,18 +326,18 @@ def test_random_scan_counts_nan_slack(monkeypatch):
     "family", [chsh_family(), chained_family(5), mk_family(6)], ids=["chsh", "chained5", "mk6"]
 )
 def test_random_scan_runs_the_kernel_once_per_chunk(monkeypatch, family):
-    import bellvar.bounds
+    import bellvar._kernel
 
-    kernel = bellvar.bounds._columns
+    kernel = bellvar._kernel._columns
     calls = []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(bellvar.bounds, "_columns", counted)
+    monkeypatch.setattr(bellvar._kernel, "_columns", counted)
     n_samples = 600
-    chunk = max(1, optimize._SCAN_CHUNK // 2**family.n_parties)
+    chunk = max(1, _kernel._SCAN_CHUNK // 2**family.n_parties)
     random_scan(family, n_samples=n_samples, seed=2, keep_rows=True)
     assert len(calls) == math.ceil(n_samples / chunk)
 
@@ -387,7 +387,7 @@ def _scan_reference(family, n_samples, seed):
 )
 def test_random_scan_matches_per_instance_reference(family, n_samples):
     # the sample counts cross at least one chunk boundary of the batched scan
-    assert n_samples > max(1, optimize._SCAN_CHUNK // 2**family.n_parties)
+    assert n_samples > max(1, _kernel._SCAN_CHUNK // 2**family.n_parties)
     for seed in (0, 7):
         summary = random_scan(family, n_samples, seed, keep_rows=True)
         rows, violations = _scan_reference(family, n_samples, seed)

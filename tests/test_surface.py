@@ -11,16 +11,18 @@ combinations.  The see-saw folds through ``scenarios._contract`` only, never
 refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds ``B`` with it rather than the MK pair.  Every
-report takes one path: one kernel pass, ``bounds._columns``, is the only
-function in ``bounds`` that takes images or splits them, ``bounds`` builds
-a ``BellReport`` at one site, and the command line calls none of the
-family reports.
+report takes one path: one kernel pass, ``_kernel._columns``, is the only
+function in ``_kernel`` that takes images or splits them and ``bounds``
+does neither, ``bounds`` builds a ``BellReport`` at one site, and the
+command line calls none of the family reports.
 
 The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
 a literal list of its own, so a star import of a module binds exactly its row,
 and each name must resolve to the defining module's object.  A fresh
-interpreter running one subcommand loads only the layers that subcommand runs.
+interpreter running one subcommand loads only the layers that subcommand runs:
+``scan`` and ``decompose`` load the kernel module ``_kernel`` and none of the
+report, decomposition or see-saw modules.
 """
 
 import ast
@@ -157,7 +159,7 @@ def _names(path: Path) -> set[str]:
 
 
 def test_report_kernel_builds_no_operator():
-    names = _names(PACKAGE / "bounds.py")
+    names = _names(PACKAGE / "bounds.py") | _names(PACKAGE / "_kernel.py")
     assert names & {"_operators", "operator_from_tensor", "mk_operators"} == set()
 
 
@@ -173,16 +175,21 @@ def test_one_report_path():
     assert family_reports & _names(PACKAGE / "cli.py") == set()
 
 
-def test_one_kernel_pass():
-    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
-    callers = {
+def _image_callers(path: Path) -> set[str]:
+    """The functions in a module's source that call ``_images`` or ``_split``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_images", "_split")
     }
-    assert callers == {"_columns"}
+
+
+def test_one_kernel_pass():
+    assert _image_callers(PACKAGE / "_kernel.py") == {"_columns"}
+    assert _image_callers(PACKAGE / "bounds.py") == set()
 
 
 def test_operator_from_tensor_is_the_one_operator_fold():
@@ -259,7 +266,8 @@ def test_star_import_binds_every_export():
 
 # loaded by every command line run, besides the layers of the subcommand
 _CLI_BASE = {"bellvar", "bellvar.cli", "bellvar.linalg", "bellvar.presets", "bellvar.scenarios"}
-_SEESAW_LAYERS = {"bellvar.optimize", "bellvar.bounds", "bellvar.avdecomp"}
+_KERNEL = {"bellvar._kernel"}
+_REPORT_LAYERS = {"bellvar.bounds", "bellvar.avdecomp", *_KERNEL}
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -287,11 +295,13 @@ _LAYERS_OF = {
     "lhv --family chsh": set(),
     "sample --preset chsh-optimal --rounds 1000": {"bellvar.montecarlo"},
     "sample --preset chained-n --rounds 1000": {"bellvar.montecarlo"},
-    "report --preset chsh-optimal": {"bellvar.bounds", "bellvar.avdecomp"},
-    "report --preset mk-ghz --n 3": {"bellvar.bounds", "bellvar.avdecomp"},
-    "scan --family chsh --samples 10": _SEESAW_LAYERS,
-    "optimize --family chsh --max-iters 5": {"bellvar.optimize"},
-    "decompose --scenario scenario.json": {"bellvar.avdecomp"},
+    "report --preset chsh-optimal": _REPORT_LAYERS,
+    "report --preset mk-ghz --n 3": _REPORT_LAYERS,
+    "scan --family chsh --samples 10": _KERNEL,
+    "scan --family chained --n 5 --samples 3 --format csv --out scan.csv": _KERNEL,
+    "scan --family mk --n 4 --samples 3": _KERNEL,
+    "optimize --family chsh --max-iters 5": {"bellvar.optimize", *_KERNEL},
+    "decompose --scenario scenario.json": _KERNEL,
 }
 
 
@@ -300,6 +310,7 @@ def test_subcommand_loads_only_its_layers(tmp_path, command):
     scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_json_dict(scen, chsh_family())), encoding="utf-8")
-    argv = [str(path) if a == "scenario.json" else a for a in command.split()]
+    files = {"scenario.json": str(path), "scan.csv": str(tmp_path / "scan.csv")}
+    argv = [files.get(a, a) for a in command.split()]
     code = f"from bellvar.cli import main\nassert main({argv!r}) == 0"
     assert _loaded_modules(code) == _CLI_BASE | _LAYERS_OF[command]
