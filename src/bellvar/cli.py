@@ -26,12 +26,12 @@ a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors, ``--preset`` with ``--family``, ``--scenario``, ``--state``
-or a ``--split-k`` other than 1, and a ``--split-k`` other than 1 that
-the family would drop: chsh, chained, or one that disagrees with an mk
-scenario file's), 3 a domain validation failure (dimension mismatch, cap
-exceeded, degenerate spread, undersampled batch, a non-finite scan slack
-or JSON value, chsh with an ``--n`` other than 2), 1 unexpected internal
-error.
+or any ``--split-k`` but an mk preset's own, and a ``--split-k`` the
+family would drop: other than 1 for chsh or chained, or one, 1 included,
+that disagrees with an mk scenario file's), 3 a domain validation
+failure (dimension mismatch, cap exceeded, degenerate spread,
+undersampled batch, a non-finite scan slack or JSON value, chsh with an
+``--n`` other than 2), 1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits, the
 default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
@@ -116,14 +116,15 @@ def _parse_family(args) -> FamilySpec:
         n = 2
     elif n is None:
         raise InputError(f"--n is required for family {name!r}")
-    family = FamilySpec(name=name, n=n, split_k=args.split_k if name == "mk" else 1)
+    split_k = args.split_k if name == "mk" and args.split_k is not None else 1
+    family = FamilySpec(name=name, n=n, split_k=split_k)
     _check_split_k(args, family)
     return family
 
 
 def _check_split_k(args, family: FamilySpec) -> None:
     """Fail closed on a ``--split-k`` the family would drop unread."""
-    if args.split_k == 1 or args.split_k == family.split_k:
+    if args.split_k is None or args.split_k == family.split_k:
         return
     if family.name != "mk":
         raise InputError(f"--split-k applies to mk only, not to {family.name}")
@@ -193,20 +194,17 @@ def _state_spec(args) -> str:
 def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
     """(family, scenario, state) from --preset or --family/--scenario/--state."""
     if args.preset is not None:
-        if (
-            args.family is not None
-            or args.split_k != 1
-            or args.scenario is not None
-            or args.state is not None
-        ):
-            raise InputError(
-                "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
-            )
+        fixed = "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
+        if args.family is not None or args.scenario is not None or args.state is not None:
+            raise InputError(fixed)
         if args.preset not in PRESET_NAMES:
             raise InputError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
             )
         p = preset(args.preset, args.n)
+        # only an mk preset reads a split, so --split-k may only repeat its own
+        if args.split_k is not None and (p.family.name, args.split_k) != ("mk", p.family.split_k):
+            raise InputError(fixed)
         return p.family, p.scenario, p.state
     if args.scenario is None:
         raise InputError("either --preset or --scenario is required")
@@ -476,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, preset_ok=False, scenario_ok=False, format_ok=False):
         p.add_argument("--family", choices=["chsh", "chained", "mk"], default=None)
         p.add_argument("--n", type=int, default=None, help="settings (chained) or parties (mk)")
-        p.add_argument("--split-k", type=int, default=1, dest="split_k")
+        p.add_argument("--split-k", type=int, default=None, dest="split_k")
         p.add_argument("--seed", type=int, default=0)
         if format_ok:
             p.add_argument("--format", choices=["json", "csv"], default="json")

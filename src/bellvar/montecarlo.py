@@ -335,6 +335,34 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 # serialization
 
 
+def _digit_table() -> np.ndarray:
+    """``(10**4,)`` uint32 table: the four ASCII digits of ``0000 .. 9999`` as one item each."""
+    quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    return np.ascontiguousarray(quads).view(np.uint32)[:, 0]
+
+
+def _decimal_rows(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
+    """Decimal text of ``lo .. hi - 1``, one uint8 row each, right-aligned, leading zeros NUL.
+
+    The rows are ``len(str(hi - 1))`` bytes wide.  Each gathers its 4-digit
+    groups from ``table`` (:func:`_digit_table`).  The rows count up, so the
+    rows that lack a digit at column ``i`` are a prefix.
+    """
+    width = len(str(hi - 1))
+    groups = -(-width // 4)
+    quads = np.empty((hi - lo, groups), dtype=np.uint32)
+    rest = np.arange(lo, hi, dtype=np.int64)
+    for j in reversed(range(groups)):
+        high = rest // 10**4
+        rest -= high * 10**4
+        np.take(table, rest, out=quads[:, j])
+        rest = high
+    digits = quads.view(np.uint8)[:, 4 * groups - width :]
+    for i in range(width - 1):
+        digits[: max(0, 10 ** (width - 1 - i) - lo), i] = 0
+    return digits
+
+
 def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
     """The rounds CSV of :func:`batch_to_csv`, ``_CSV_CHUNK_ROWS`` rows a chunk."""
     n = batch.n_parties
@@ -342,24 +370,34 @@ def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
     setting_text = ["," + ",".join(map(repr, combo)) + "," for combo in np.ndindex(settings)]
     outcome_text = [",".join(map(repr, signs)) + "\n" for signs in _outcome_signs(n).tolist()]
-    suffix = [""] * batch.counts.size
-    for key in np.flatnonzero(batch.counts).tolist():
-        suffix[key] = setting_text[key >> n] + outcome_text[key & (2**n - 1)]
+    # NUL-padded byte items; the padding is deleted from each chunk's bytes
+    setting_text, outcome_text = (np.array(t, dtype=bytes) for t in (setting_text, outcome_text))
+    table = _digit_table()
     yield from _csv_chunks(keys)
     for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
-        rows = batch.combo_idx[lo:hi].astype(np.intp) * 2**n + batch.outcome_idx[lo:hi]
-        yield "".join(f"{r}{suffix[k]}" for r, k in zip(range(lo, hi), rows.tolist()))
+        digits = _decimal_rows(lo, hi, table)
+        row = [("r", f"V{digits.shape[1]}"), ("s", setting_text.dtype), ("o", outcome_text.dtype)]
+        chunk = np.empty(hi - lo, row)
+        chunk["r"] = digits.view(row[0][1])[:, 0]
+        chunk["s"] = np.take(setting_text, batch.combo_idx[lo:hi])
+        chunk["o"] = np.take(outcome_text, batch.outcome_idx[lo:hi])
+        yield chunk.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def batch_to_csv(batch: SampleBatch) -> str:
     """Flat per-round table: round, one setting and one outcome per party.
 
-    A row is ``str(round)`` followed by the suffix of its (combination,
-    outcome) key: the text of the setting combination and of the joint
-    outcome, each table entry formatted once with ``repr``.  A suffix is
-    made only for each key the count table has seen, never more than the
-    rounds.  The command line writes the same chunks as they are made.
+    Each chunk of ``_CSV_CHUNK_ROWS`` rows is one structured array of
+    NUL-padded byte items, filled by numpy calls whose number does not grow
+    with the chunk's rows: the round number, in the width of the chunk's last round, from
+    4-digit groups of a ``10**4``-entry digit table with its leading zeros
+    NUL; the text of the setting combination, gathered by ``combo_idx``;
+    and the text of the joint outcome, gathered by ``outcome_idx``.  The
+    two text tables hold one entry per setting combination and per joint
+    outcome, each formatted once with ``repr``.  Deleting the NUL bytes
+    leaves each row as ``str(round)`` followed by those texts.  The
+    command line writes the same chunks as they are made.
     """
     return "".join(_batch_csv_chunks(batch))
 

@@ -311,6 +311,32 @@ def test_state_defaults_to_bell(capsys, scenario_file, command):
     assert "(default: bell)" in capsys.readouterr().out
 
 
+def test_explicit_split_k_one_must_match_an_mk_scenario_file(tmp_path, capsys):
+    # --split-k 1 given is not --split-k left out: the file's split 2 would win unread
+    rng = np.random.default_rng(4)
+    path = tmp_path / "mk4.json"
+    doc = scenario_to_json_dict(random_scenario(mk_family(4, 2), rng), mk_family(4, 2))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = ["report", "--scenario", str(path), "--state", "ghz", "--split-k", "1"]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    assert "--split-k 1 disagrees with the scenario file's split_k 2" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_preset_takes_no_split_k_it_would_drop(tmp_path, capsys):
+    # chsh has no block split, so the preset would drop even --split-k 1 unread
+    out_path = tmp_path / "out.json"
+    argv = ["report", "--preset", "chsh-optimal", "--split-k", "1", "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "--preset fixes the instance" in capsys.readouterr().err
+    assert not out_path.exists()
+    # an explicit 1 for a chsh or chained family is the split it has
+    assert main(["lhv", "--family", "chsh", "--split-k", "1"]) == 0
+    assert main(["lhv", "--family", "chained", "--n", "4", "--split-k", "1"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1312,8 +1338,10 @@ def test_sample_csv_is_written_as_it_is_made(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     size = out_path.stat().st_size
-    # the file is 2.9 MiB.  Streamed, the peak is about 2.0 MiB, set by the
-    # sampler's draw chunk and one CSV chunk of 2**14 rows; the whole text
-    # held in memory (with its encoded copy) peaked at 6.4 MiB, 2.2x the file.
+    # the file is 2.9 MiB.  Streamed, the peak is about 2.1 MiB (2.07 MiB with
+    # the rows built from fixed-width byte tables, as with the per-row join
+    # before), set by the sampler's draw chunk and one CSV chunk of 2**14
+    # rows; the whole text held in memory (with its encoded copy) peaked at
+    # 6.4 MiB, 2.2x the file.
     # Bound: the file's size, 0.9 MiB above the streamed peak.
     assert peak < size, f"traced peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"
