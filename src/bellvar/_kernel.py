@@ -4,11 +4,13 @@
 ``random_scan`` runs it chunk by chunk over random instances.  The report
 layer (``bounds``), the decomposition records (``avdecomp``) and the
 see-saw (``optimize``) import these names back and export the public
-ones, so ``bellvar.SPREAD_EPS``, ``bellvar.SLACK_FLOOR``,
-``bellvar.ScanSummary`` and ``bellvar.random_scan`` are the objects
-defined here.  This module imports only ``linalg`` and ``scenarios``:
-``scan`` and ``decompose`` reach the kernel without loading the report,
-decomposition and see-saw records they never build.
+ones, so ``bellvar.SPREAD_EPS``, ``bellvar.DegenerateSpreadError``,
+``bellvar.SLACK_FLOOR``, ``bellvar.ScanSummary`` and
+``bellvar.random_scan`` are the objects defined here.  This module
+imports only ``linalg`` and ``scenarios``: ``scan`` and ``decompose``
+reach the kernel without loading the report, decomposition and see-saw
+records they never build, and ``report`` without the decomposition
+records.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ _SCAN_CHUNK = 2**10
 
 # The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
 _COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
+
+
+class DegenerateSpreadError(ValueError):
+    """An operation needed a fluctuation direction but the spread is zero."""
 
 
 def _split(images: np.ndarray, states: np.ndarray):

@@ -32,16 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from ._kernel import SPREAD_EPS, _split
+from ._kernel import SPREAD_EPS, DegenerateSpreadError, _split
 from .linalg import _IMAG_ATOL
 
 __all__ = list(_EXPORTS["avdecomp"])
 
 _COMMUTATOR_ATOL = 1e-8
-
-
-class DegenerateSpreadError(ValueError):
-    """An operation needed a fluctuation direction but the spread is zero."""
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import _EXPORTS
-from ._kernel import _COLUMNS, SLACK_FLOOR, _columns
-from .avdecomp import SPREAD_EPS, DegenerateSpreadError
+from ._kernel import _COLUMNS, SLACK_FLOOR, SPREAD_EPS, DegenerateSpreadError, _columns
 from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,

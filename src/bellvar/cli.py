@@ -1,21 +1,22 @@
 """Command line front end.
 
-Subcommands: decompose, report, optimize, scan, sample, lhv.  A human
-readable table always goes to stdout; ``--out PATH`` also writes a
-machine readable file, canonical JSON by default.  ``report``, ``scan``
-and ``sample`` take ``--format csv`` for a CSV file instead (every format
-carries a schema_version field, CSV as a leading comment line).
+Subcommands: decompose, report, optimize, scan, sample, lhv.  The
+``_COMMANDS`` table names each one's handler and the arguments it reads,
+and the parser offers it only those.  A human readable table always goes
+to stdout; ``--out PATH`` also writes a machine readable file, canonical
+JSON by default.  ``report``, ``scan`` and ``sample`` take ``--format
+csv`` for a CSV file instead (every format carries a schema_version
+field, CSV as a leading comment line).
 
 ``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
 (party, setting) from one-site block images, building no joint operator;
-a family from ``--family`` or the file must fit the table, as for report.
+a family, if one is given, must fit the table, as for report.
 
 Each subcommand imports its layers when called.  At import this module
 loads only scenarios, linalg and presets, which parsing, ``--preset`` and
 output need; ``lhv`` loads nothing more.  ``scan`` and ``decompose`` load
-the kernel module ``_kernel`` only, ``report`` the bounds and
-decomposition layers with it, ``optimize`` the search module with it,
-and ``sample`` the sampler.
+the kernel module ``_kernel`` only, ``report`` the bounds layer with it,
+``optimize`` the search module with it, and ``sample`` the sampler.
 
 BLAS runs on one thread: before numpy is first imported this module sets
 ``OMP_NUM_THREADS=1`` unless the caller has set it.  No operator is larger
@@ -25,13 +26,11 @@ caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
 a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
-usage errors, ``--preset`` with ``--family``, ``--scenario``, ``--state``
-or any ``--split-k`` but an mk preset's own, and a ``--split-k`` the
-family would drop: other than 1 for chsh or chained, or one, 1 included,
-that disagrees with an mk scenario file's), 3 a domain validation
-failure (dimension mismatch, cap exceeded, degenerate spread,
-undersampled batch, a non-finite scan slack or JSON value, chsh with an
-``--n`` other than 2), 1 unexpected internal error.
+usage errors, and any argument given that the resolved instance does not
+read; see ``_check_read``), 3 a domain validation failure (dimension
+mismatch, cap exceeded, degenerate spread, undersampled batch, a
+non-finite scan slack or JSON value, chsh with an ``--n`` other than 2),
+1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits, the
 default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
@@ -110,42 +109,14 @@ def _fmt(x: float) -> str:
 
 def _parse_family(args) -> FamilySpec:
     if args.family is None:
-        raise InputError("--family is required (or use --preset)")
+        raise InputError("--family is required")
     name, n = args.family, args.n
     if name == "chsh" and n is None:
         n = 2
     elif n is None:
         raise InputError(f"--n is required for family {name!r}")
     split_k = args.split_k if name == "mk" and args.split_k is not None else 1
-    family = FamilySpec(name=name, n=n, split_k=split_k)
-    _check_split_k(args, family)
-    return family
-
-
-def _check_split_k(args, family: FamilySpec) -> None:
-    """Fail closed on a ``--split-k`` the family would drop unread."""
-    if args.split_k is None or args.split_k == family.split_k:
-        return
-    if family.name != "mk":
-        raise InputError(f"--split-k applies to mk only, not to {family.name}")
-    raise InputError(
-        f"--split-k {args.split_k} disagrees with the scenario file's split_k {family.split_k}"
-    )
-
-
-def _load_scenario(args) -> tuple[Scenario, FamilySpec | None]:
-    """The ``--scenario`` file and its family: ``--family`` if given, else the file's (or None)."""
-    try:
-        scenario, family = load_scenario_file(args.scenario)
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if args.family is not None:
-        return scenario, _parse_family(args)
-    if family is not None:
-        _check_split_k(args, family)
-    return scenario, family
+    return FamilySpec(name=name, n=n, split_k=split_k)
 
 
 def _parse_state(spec: str, n_parties: int) -> np.ndarray:
@@ -186,44 +157,63 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
     return as_ket(vec)
 
 
-def _state_spec(args) -> str:
-    """``--state`` as given, or ``bell`` when it was not."""
-    return "bell" if args.state is None else args.state
-
-
-def _resolve_instance(args) -> tuple[FamilySpec, Scenario, np.ndarray]:
-    """(family, scenario, state) from --preset or --family/--scenario/--state."""
-    if args.preset is not None:
-        fixed = "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
-        if args.family is not None or args.scenario is not None or args.state is not None:
-            raise InputError(fixed)
-        if args.preset not in PRESET_NAMES:
-            raise InputError(
-                f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
-            )
+def _resolve(args) -> tuple[FamilySpec | None, Scenario | None, np.ndarray | None]:
+    """(family, scenario, state) from ``--preset``; from ``--scenario`` and
+    ``--state``, with ``--family`` over the file's family; or, for a
+    subcommand that takes no ``--scenario``, ``(family, None, None)`` from
+    ``--family`` alone.  Only ``decompose`` runs with no family."""
+    if getattr(args, "preset", None) is not None:
         p = preset(args.preset, args.n)
-        # only an mk preset reads a split, so --split-k may only repeat its own
-        if args.split_k is not None and (p.family.name, args.split_k) != ("mk", p.family.split_k):
-            raise InputError(fixed)
         return p.family, p.scenario, p.state
+    if not hasattr(args, "scenario"):
+        return _parse_family(args), None, None
     if args.scenario is None:
         raise InputError("either --preset or --scenario is required")
-    scenario, family = _load_scenario(args)
-    if family is None:
+    try:
+        scenario, family = load_scenario_file(args.scenario)
+    except OSError as exc:
+        raise InputError(f"cannot read scenario file: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if args.family is not None:
+        family = _parse_family(args)
+    elif family is None and args.command != "decompose":
         raise InputError("no family given on the command line or in the scenario file")
-    state = _parse_state(_state_spec(args), scenario.n_parties)
+    state = _parse_state("bell" if args.state is None else args.state, scenario.n_parties)
     return family, scenario, state
+
+
+def _check_read(args, family: FamilySpec | None) -> None:
+    """Refuse any argument given that the resolved instance does not read:
+    ``--family``, ``--scenario`` or ``--state`` with ``--preset``; ``--n``
+    with ``--scenario`` but no ``--family``; a ``--split-k`` other than an
+    mk instance's own split; ``--format`` without ``--out``.  Runs before
+    any work and any ``--out`` write."""
+    given = {name for name, value in vars(args).items() if value is not None}
+    fixed = "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
+    if "preset" in given and given & {"family", "scenario", "state"}:
+        raise InputError(fixed)
+    if {"n", "scenario"} <= given and "family" not in given:
+        raise InputError("--n is read only with --family or --preset, not from a scenario file")
+    k = args.split_k
+    if k is not None and (family is None or (family.name, family.split_k) != ("mk", k)):
+        if "preset" in given:
+            raise InputError(fixed)
+        if family is None or family.name != "mk":
+            name = family.name if family else "a scenario file with no family"
+            raise InputError(f"--split-k applies to mk only, not to {name}")
+        raise InputError(f"--split-k {k} disagrees with the scenario file's split_k {family.split_k}")
+    if "format" in given and "out" not in given:
+        raise InputError("--format applies only with --out")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args, family, scenario, state) -> int:
     from ._kernel import SPREAD_EPS, _split
 
-    scenario, family = _load_scenario(args)
-    state = _parse_state(_state_spec(args), scenario.n_parties)
     if family is not None:
         check_family_scenario(family, scenario)
     # each party is a one-site block at its own tensor factor
@@ -266,7 +256,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _report_document(family, scenario, state) -> dict:
-    from .avdecomp import DegenerateSpreadError
+    from ._kernel import DegenerateSpreadError
     from .bounds import (
         SATURATION_ATOL,
         SLACK_FLOOR,
@@ -293,8 +283,7 @@ def _report_document(family, scenario, state) -> dict:
     return doc
 
 
-def _cmd_report(args) -> int:
-    family, scenario, state = _resolve_instance(args)
+def _cmd_report(args, family, scenario, state) -> int:
     doc = _report_document(family, scenario, state)
     report = doc["report"]
     keys = [k for k in report if k not in ("family", "schema_version")]
@@ -317,10 +306,9 @@ def _cmd_report(args) -> int:
     return _emit(args, rows, doc, csv_chunks)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, family, *_) -> int:
     from .optimize import seesaw_max
 
-    family = _parse_family(args)
     if args.seeds < 1:
         raise ValueError(f"seeds must be positive, got {args.seeds}")
     results = [
@@ -363,11 +351,10 @@ def _cmd_optimize(args) -> int:
     return _emit(args, rows, doc)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, family, *_) -> int:
     from ._kernel import _COLUMNS, random_scan
 
-    family = _parse_family(args)
-    want_rows = args.out is not None and args.format == "csv"
+    want_rows = args.format == "csv"
     summary = random_scan(family, args.samples, args.seed, keep_rows=want_rows)
     if summary.non_finite:
         raise ValueError(f"{summary.non_finite} of {summary.n_samples} scan slacks are not finite")
@@ -398,7 +385,7 @@ def _cmd_scan(args) -> int:
     return _emit(args, rows, doc, csv_chunks)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args, family, scenario, state) -> int:
     from .montecarlo import (
         _batch_csv_chunks,
         empirical_check,
@@ -410,7 +397,6 @@ def _cmd_sample(args) -> int:
     # checked for every family, although only chsh runs the empirical check
     if not 0.0 <= args.z < np.inf:
         raise ValueError(f"z must be finite and non-negative, got {args.z}")
-    family, scenario, state = _resolve_instance(args)
     batch = simulate_rounds(family, scenario, state, rounds=args.rounds, seed=args.seed)
     est = estimate(batch)
     check = None
@@ -445,8 +431,7 @@ def _cmd_sample(args) -> int:
     return _emit(args, rows, doc, csv_chunks)
 
 
-def _cmd_lhv(args) -> int:
-    family = _parse_family(args)
+def _cmd_lhv(args, family, *_) -> int:
     value = lhv_max(family)
     rows = [
         ("family", f"{family.name} (n={family.n})"),
@@ -463,6 +448,57 @@ def _cmd_lhv(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# every argument of any subcommand: flag -> add_argument keywords; with no default it is None
+_ARGUMENTS = {
+    "--preset": {"choices": PRESET_NAMES},
+    "--scenario": {"help": "scenario JSON file"},
+    "--state": {"help": "state specification (default: bell)"},
+    "--family": {"choices": ("chsh", "chained", "mk")},
+    "--n": {"type": int, "help": "settings (chained) or parties (mk)"},
+    "--split-k": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--seeds": {"type": int, "default": 1, "help": "number of consecutive seeds"},
+    "--max-iters": {"type": int, "default": 300},
+    "--samples": {"type": int},
+    "--rounds": {"type": int},
+    "--z": {"type": float, "default": 5.0},
+    "--format": {"choices": ("json", "csv")},
+    "--out": {"help": "write machine output here"},
+}
+_FAMILY = ("--family", "--n", "--split-k")
+_INSTANCE = ("--preset", "--scenario", "--state", *_FAMILY)
+
+# subcommand -> (handler, help, required arguments, optional arguments): all it reads but
+# --out, which every subcommand takes
+_COMMANDS = {
+    "decompose": (
+        _cmd_decompose,
+        "mean/spread/perp split of every observable",
+        ("--scenario",),
+        ("--state", *_FAMILY),
+    ),
+    "report": (_cmd_report, "Bell value, local part and bounds", (), (*_INSTANCE, "--format")),
+    "optimize": (
+        _cmd_optimize,
+        "see-saw maximization over seeds",
+        (),
+        (*_FAMILY, "--seed", "--seeds", "--max-iters"),
+    ),
+    "scan": (
+        _cmd_scan,
+        "slack statistics over random instances",
+        ("--samples",),
+        (*_FAMILY, "--seed", "--format"),
+    ),
+    "sample": (
+        _cmd_sample,
+        "Born-rule rounds, estimates, bound check",
+        ("--rounds",),
+        (*_INSTANCE, "--seed", "--z", "--format"),
+    ),
+    "lhv": (_cmd_lhv, "exact deterministic-strategy maximum", (), _FAMILY),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -470,52 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Variance-based bounds on Bell inequality violations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, preset_ok=False, scenario_ok=False, format_ok=False):
-        p.add_argument("--family", choices=["chsh", "chained", "mk"], default=None)
-        p.add_argument("--n", type=int, default=None, help="settings (chained) or parties (mk)")
-        p.add_argument("--split-k", type=int, default=None, dest="split_k")
-        p.add_argument("--seed", type=int, default=0)
-        if format_ok:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--out", default=None, help="write machine output here")
-        if preset_ok:
-            p.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
-        if scenario_ok:
-            p.add_argument("--scenario", default=None, help="scenario JSON file")
-            p.add_argument(
-                "--state", default=None, help="state specification (default: bell)"
-            )
-
-    p = sub.add_parser("decompose", help="mean/spread/perp split of every observable")
-    add_common(p, scenario_ok=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("report", help="Bell value, local part and bounds")
-    add_common(p, preset_ok=True, scenario_ok=True, format_ok=True)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("optimize", help="see-saw maximization over seeds")
-    add_common(p)
-    p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    p.add_argument("--max-iters", type=int, default=300, dest="max_iters")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("scan", help="slack statistics over random instances")
-    add_common(p, format_ok=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("sample", help="Born-rule rounds, estimates, bound check")
-    add_common(p, preset_ok=True, scenario_ok=True, format_ok=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--z", type=float, default=5.0)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("lhv", help="exact deterministic-strategy maximum")
-    add_common(p)
-    p.set_defaults(func=_cmd_lhv)
-
+    for name, (func, text, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in (*required, *optional, "--out"):
+            p.add_argument(flag, required=flag in required, **_ARGUMENTS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -526,16 +521,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except InputError as exc:
+        family, scenario, state = _resolve(args)
+        _check_read(args, family)
+        return args.func(args, family, scenario, state)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -331,10 +331,10 @@ def test_preset_takes_no_split_k_it_would_drop(tmp_path, capsys):
     assert main(argv) == 2
     assert "--preset fixes the instance" in capsys.readouterr().err
     assert not out_path.exists()
-    # an explicit 1 for a chsh or chained family is the split it has
-    assert main(["lhv", "--family", "chsh", "--split-k", "1"]) == 0
-    assert main(["lhv", "--family", "chained", "--n", "4", "--split-k", "1"]) == 0
-    capsys.readouterr()
+    # only mk reads a split, so an explicit 1 for a chsh or chained family is refused too
+    assert main(["lhv", "--family", "chsh", "--split-k", "1"]) == 2
+    assert main(["lhv", "--family", "chained", "--n", "4", "--split-k", "1"]) == 2
+    assert capsys.readouterr().err.count("--split-k applies to mk only") == 2
 
 
 @pytest.mark.parametrize(
@@ -371,6 +371,45 @@ def test_split_k_must_match_an_mk_scenario_file(tmp_path, capsys):
     assert main([*argv, "--split-k", "3", "--out", str(out_path)]) == 2
     assert "disagrees with the scenario file's split_k 2" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["decompose"], "the following arguments are required: --scenario"),
+        (["report", "--scenario", "scenario.json", "--n", "4"], "--n is read only with --family"),
+        (
+            ["sample", "--scenario", "scenario.json", "--rounds", "100", "--n", "3"],
+            "--n is read only with --family",
+        ),
+        (["report", "--preset", "chsh-optimal", "--seed", "5"], "unrecognized arguments: --seed"),
+        (["decompose", "--scenario", "scenario.json", "--seed", "5"], "unrecognized arguments: --seed"),
+        (["lhv", "--family", "chsh", "--seed", "3"], "unrecognized arguments: --seed"),
+    ],
+    ids=["decompose-no-scenario", "report-n", "sample-n", "report-seed", "decompose-seed", "lhv-seed"],
+)
+def test_argument_the_instance_does_not_read_exits_two(tmp_path, capsys, scenario_file, argv, error):
+    out_path = tmp_path / "out.json"
+    argv = [str(scenario_file) if a == "scenario.json" else a for a in argv]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--preset", "chsh-optimal"],
+        ["scan", "--family", "chsh", "--samples", "3"],
+        ["sample", "--preset", "chsh-optimal", "--rounds", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_without_out_exits_two(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--format", "csv"]) == 2
+    assert "--format applies only with --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1164,6 +1203,96 @@ def test_state_file_with_any_node_replaced_fails_closed(
     argv = [command, "--scenario", str(scenario_file), "--state", str(state_path)]
     _check_fails_closed(argv, tmp_path / "out.json", must_fail)
     capsys.readouterr()
+
+
+# The CLI grammar: each subcommand's instance sources, required arguments and other
+# arguments, then the values every argument may take, valid and invalid.  Sizes stay
+# small: the grammar test runs every argv in process.
+_INSTANCE_ARGS = ("--state", "--family", "--n", "--split-k")
+_GRAMMAR = {
+    "decompose": (("--scenario",), (), _INSTANCE_ARGS),
+    "report": (("--preset", "--scenario"), (), (*_INSTANCE_ARGS, "--format")),
+    "optimize": (("--family",), (), ("--n", "--split-k", "--seed", "--seeds")),
+    "scan": (("--family",), ("--samples",), ("--n", "--split-k", "--seed", "--format")),
+    "sample": (
+        ("--preset", "--scenario"),
+        ("--rounds",),
+        (*_INSTANCE_ARGS, "--seed", "--z", "--format"),
+    ),
+    "lhv": (("--family",), (), ("--n", "--split-k")),
+}
+# flag -> (valid values, invalid values)
+_GRAMMAR_VALUES = {
+    "--preset": (("chsh-optimal", "chained-n", "mk-ghz"), ("nope",)),
+    "--scenario": (("chsh.json", "mk3.json", "bare.json"), ("bad.json", "missing.json")),
+    "--state": (("bell", "ghz", "zero", "1,0,0,1", "state.json"), ("nan,0,0,0", "a,b")),
+    "--family": (("chsh", "chained", "mk"), ("nope",)),
+    "--n": (("2", "3", "4"), ("0", "-1", "x")),
+    "--split-k": (("1", "2"), ("0", "x")),
+    "--seed": (("0", "3"), ("-1", "x")),
+    "--seeds": (("1", "2"), ("0",)),
+    "--max-iters": (("1", "5"), ("0",)),
+    "--samples": (("1", "20"), ("0", "-3")),
+    "--rounds": (("100", "2000"), ("0", "x")),
+    "--z": (("5", "0"), ("nan", "-1")),
+    "--format": (("json", "csv"), ("xml",)),
+}
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """A subcommand with mostly one instance source and its required arguments,
+    some of its other arguments, sometimes one argument of any subcommand, and
+    maybe ``--out``; a value is seldom invalid.  ``optimize`` always gets
+    ``--max-iters``, so that no run takes the default 300 iterations."""
+    command = draw(st.sampled_from(list(_GRAMMAR)))
+    sources, required, others = _GRAMMAR[command]
+    flags = [draw(st.sampled_from([*sources, *sources, *sources, None]))]
+    flags += [f for f in required if draw(st.sampled_from([True, True, True, False]))]
+    flags += [f for f in others if draw(st.sampled_from([True, False, False]))]
+    if draw(st.sampled_from([False, False, False, True])):
+        flags.append(draw(st.sampled_from(list(_GRAMMAR_VALUES))))
+    if command == "optimize":
+        flags.append("--max-iters")
+    argv = [command]
+    for flag in filter(None, flags):
+        valid, invalid = _GRAMMAR_VALUES[flag]
+        argv += [flag, draw(st.sampled_from([*valid * 4, *invalid]))]
+    return argv + draw(st.sampled_from([[], ["--out", "out"]]))
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    """The files the grammar's values name; ``missing.json`` is never written."""
+    root = tmp_path_factory.mktemp("grammar")
+    table = from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2)
+    mk3 = mk_family(3, 2)
+    docs = {
+        "chsh.json": scenario_to_json_dict(table, chsh_family()),
+        "mk3.json": scenario_to_json_dict(random_scenario(mk3, np.random.default_rng(3)), mk3),
+        "bare.json": scenario_to_json_dict(table),
+        "state.json": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]],
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc), encoding="utf-8")
+    (root / "bad.json").write_text("{oops", encoding="utf-8")
+    return root
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_cli_argv())
+@example(argv=["decompose"])
+@example(argv=["decompose", "--out", "out"])
+def test_any_cli_argv_exits_0_2_or_3_and_fails_closed(grammar_dir, capsys, argv):
+    out_path = grammar_dir / "out"
+    code = main([str(grammar_dir / a) if a == "out" or a.endswith(".json") else a for a in argv])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code:
+        assert not out_path.exists()
+    out_path.unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

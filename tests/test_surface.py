@@ -22,7 +22,8 @@ a literal list of its own, so a star import of a module binds exactly its row,
 and each name must resolve to the defining module's object.  A fresh
 interpreter running one subcommand loads only the layers that subcommand runs:
 ``scan`` and ``decompose`` load the kernel module ``_kernel`` and none of the
-report, decomposition or see-saw modules.
+report, decomposition or see-saw modules, and ``report`` loads no decomposition
+module.
 """
 
 import ast
@@ -267,7 +268,7 @@ def test_star_import_binds_every_export():
 # loaded by every command line run, besides the layers of the subcommand
 _CLI_BASE = {"bellvar", "bellvar.cli", "bellvar.linalg", "bellvar.presets", "bellvar.scenarios"}
 _KERNEL = {"bellvar._kernel"}
-_REPORT_LAYERS = {"bellvar.bounds", "bellvar.avdecomp", *_KERNEL}
+_REPORT_LAYERS = {"bellvar.bounds", *_KERNEL}
 
 
 def _loaded_modules(code: str) -> set[str]:
