@@ -26,11 +26,11 @@ caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
 a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
-usage errors, and any argument given that the resolved instance does not
-read; see ``_check_read``), 3 a domain validation failure (dimension
-mismatch, cap exceeded, degenerate spread, undersampled batch, a
-non-finite scan slack or JSON value, chsh with an ``--n`` other than 2),
-1 unexpected internal error.
+usage errors, an empty ``--out``, and any argument given that the
+resolved instance does not read; see ``_check_read``), 3 a domain
+validation failure (dimension mismatch, cap exceeded, degenerate spread,
+undersampled batch, a non-finite scan slack or JSON value, chsh with an
+``--n`` other than 2), 1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits, the
 default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
@@ -187,8 +187,8 @@ def _check_read(args, family: FamilySpec | None) -> None:
     """Refuse any argument given that the resolved instance does not read:
     ``--family``, ``--scenario`` or ``--state`` with ``--preset``; ``--n``
     with ``--scenario`` but no ``--family``; a ``--split-k`` other than an
-    mk instance's own split; ``--format`` without ``--out``.  Runs before
-    any work and any ``--out`` write."""
+    mk instance's own split; ``--format`` without ``--out``; an empty
+    ``--out``.  Runs before any work and any ``--out`` write."""
     given = {name for name, value in vars(args).items() if value is not None}
     fixed = "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
     if "preset" in given and given & {"family", "scenario", "state"}:
@@ -205,6 +205,8 @@ def _check_read(args, family: FamilySpec | None) -> None:
         raise InputError(f"--split-k {k} disagrees with the scenario file's split_k {family.split_k}")
     if "format" in given and "out" not in given:
         raise InputError("--format applies only with --out")
+    if args.out == "":
+        raise InputError("--out needs a file path, not an empty string")
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +430,7 @@ def _cmd_sample(args, family, scenario, state) -> int:
     if check is not None:
         doc["empirical_check"] = dataclasses.asdict(check)
     csv_chunks = _batch_csv_chunks(batch) if args.format == "csv" else None
+    del batch  # JSON needs no per-round arrays: free them before its text is made
     return _emit(args, rows, doc, csv_chunks)
 
 

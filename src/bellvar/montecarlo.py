@@ -44,7 +44,6 @@ import numpy as np
 from . import _EXPORTS
 from .linalg import ID2
 from .scenarios import (
-    _CSV_CHUNK_ROWS,
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
@@ -336,35 +335,13 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
 
 
 def _digit_table() -> np.ndarray:
-    """``(10**4,)`` uint32 table: the four ASCII digits of ``0000 .. 9999`` as one item each."""
+    """``(10**4,)`` ``S4`` table: the four ASCII digits of ``0000 .. 9999``."""
     quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-    return np.ascontiguousarray(quads).view(np.uint32)[:, 0]
-
-
-def _decimal_rows(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
-    """Decimal text of ``lo .. hi - 1``, one uint8 row each, right-aligned, leading zeros NUL.
-
-    The rows are ``len(str(hi - 1))`` bytes wide.  Each gathers its 4-digit
-    groups from ``table`` (:func:`_digit_table`).  The rows count up, so the
-    rows that lack a digit at column ``i`` are a prefix.
-    """
-    width = len(str(hi - 1))
-    groups = -(-width // 4)
-    quads = np.empty((hi - lo, groups), dtype=np.uint32)
-    rest = np.arange(lo, hi, dtype=np.int64)
-    for j in reversed(range(groups)):
-        high = rest // 10**4
-        rest -= high * 10**4
-        np.take(table, rest, out=quads[:, j])
-        rest = high
-    digits = quads.view(np.uint8)[:, 4 * groups - width :]
-    for i in range(width - 1):
-        digits[: max(0, 10 ** (width - 1 - i) - lo), i] = 0
-    return digits
+    return np.ascontiguousarray(quads).view("S4")[:, 0]
 
 
 def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
-    """The rounds CSV of :func:`batch_to_csv`, ``_CSV_CHUNK_ROWS`` rows a chunk."""
+    """The rounds CSV of :func:`batch_to_csv`, one chunk per ``len(_digit_table())`` rounds."""
     n = batch.n_parties
     settings = batch.scenario.settings_per_party
     keys = ["round"] + [f"setting_{p}" for p in range(n)] + [f"outcome_{p}" for p in range(n)]
@@ -372,14 +349,18 @@ def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
     outcome_text = [",".join(map(repr, signs)) + "\n" for signs in _outcome_signs(n).tolist()]
     # NUL-padded byte items; the padding is deleted from each chunk's bytes
     setting_text, outcome_text = (np.array(t, dtype=bytes) for t in (setting_text, outcome_text))
+    texts = [("s", setting_text.dtype), ("o", outcome_text.dtype)]
     table = _digit_table()
+    first = table.copy()  # chunk 0 has no prefix: its leading zeros are NUL
+    for i in range(3):
+        first.view(np.uint8).reshape(-1, 4)[: 10 ** (3 - i), i] = 0
     yield from _csv_chunks(keys)
-    for lo in range(0, batch.rounds, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, batch.rounds)
-        digits = _decimal_rows(lo, hi, table)
-        row = [("r", f"V{digits.shape[1]}"), ("s", setting_text.dtype), ("o", outcome_text.dtype)]
-        chunk = np.empty(hi - lo, row)
-        chunk["r"] = digits.view(row[0][1])[:, 0]
+    for k, lo in enumerate(range(0, batch.rounds, len(table))):
+        hi = min(lo + len(table), batch.rounds)
+        prefix = str(k).encode() if k else b""
+        chunk = np.empty(hi - lo, [("k", f"S{len(prefix)}"), ("r", "S4"), *texts])
+        chunk["k"] = prefix
+        chunk["r"] = (table if k else first)[: hi - lo]
         chunk["s"] = np.take(setting_text, batch.combo_idx[lo:hi])
         chunk["o"] = np.take(outcome_text, batch.outcome_idx[lo:hi])
         yield chunk.tobytes().translate(None, b"\0").decode("ascii")
@@ -388,32 +369,22 @@ def _batch_csv_chunks(batch: SampleBatch) -> Iterator[str]:
 def batch_to_csv(batch: SampleBatch) -> str:
     """Flat per-round table: round, one setting and one outcome per party.
 
-    Each chunk of ``_CSV_CHUNK_ROWS`` rows is one structured array of
-    NUL-padded byte items, filled by numpy calls whose number does not grow
-    with the chunk's rows: the round number, in the width of the chunk's last round, from
-    4-digit groups of a ``10**4``-entry digit table with its leading zeros
-    NUL; the text of the setting combination, gathered by ``combo_idx``;
-    and the text of the joint outcome, gathered by ``outcome_idx``.  The
-    two text tables hold one entry per setting combination and per joint
-    outcome, each formatted once with ``repr``.  Deleting the NUL bytes
-    leaves each row as ``str(round)`` followed by those texts.  The
-    command line writes the same chunks as they are made.
+    Rounds ``k * 10**4 .. k * 10**4 + 9999`` make chunk ``k``, one
+    structured array of NUL-padded byte items, filled by numpy calls whose
+    number does not grow with the chunk's rows: the round number as the
+    constant ``str(k)`` (none for chunk 0) followed by a slice of the
+    table of 4-digit groups (:func:`_digit_table`; chunk 0 takes a copy
+    with leading zeros NUL); the text of the setting combination, gathered
+    by ``combo_idx``; and the text of the joint outcome, gathered by
+    ``outcome_idx``.  The two text tables hold one entry per setting
+    combination and per joint outcome, each formatted once with ``repr``.
+    Deleting the NUL bytes leaves each row as ``str(round)`` followed by
+    those texts.  The command line writes the same chunks as they are made.
     """
     return "".join(_batch_csv_chunks(batch))
 
 
 def estimates_to_json_dict(estimates: EmpiricalEstimates) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(estimates.family),
-        "rounds": estimates.rounds,
-        "means": estimates.means.tolist(),
-        "variances": estimates.variances.tolist(),
-        "se_means": estimates.se_means.tolist(),
-        "correlators": estimates.correlators.tolist(),
-        "se_correlators": estimates.se_correlators.tolist(),
-        "correlator_counts": estimates.correlator_counts.tolist(),
-        "bell_value_hat": estimates.bell_value_hat,
-        "se_bell_value": estimates.se_bell_value,
-        "rms_hats": estimates.rms_hats.tolist(),
-    }
+    out = {"schema_version": SCHEMA_VERSION, **vars(estimates)}
+    out["family"] = family_to_json_dict(estimates.family)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}

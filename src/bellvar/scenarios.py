@@ -154,7 +154,8 @@ class FamilySpec:
 
     ``n`` counts settings per party for ``chained`` and parties for
     ``mk``; it is fixed at 2 for ``chsh``.  ``split_k`` is the top-level
-    block split of the MK recursion and is ignored by the other families.
+    block split of the MK recursion; the other families have none, so it
+    must stay 1 for them.
     """
 
     name: str
@@ -162,6 +163,8 @@ class FamilySpec:
     split_k: int = 1
 
     def __post_init__(self):
+        if self.name != "mk" and self.split_k != 1:
+            raise ValueError(f"split_k applies to mk only, not to {self.name}")
         if self.name == "chsh":
             if self.n != 2:
                 raise ValueError("chsh is a 2-setting family")
@@ -513,20 +516,20 @@ def _complex_pairs(values) -> list:
 def _observable_from_json(node) -> tuple[np.ndarray, np.ndarray | None]:
     if not isinstance(node, dict):
         raise ValueError("observable entry must be an object")
+    if ("bloch" in node) == ("matrix" in node):
+        raise ValueError("observable entry needs exactly one of a 'bloch' or 'matrix' key")
     if "bloch" in node:
         if not isinstance(node["bloch"], list):
             raise ValueError("a 'bloch' entry must be a list of three numbers")
         vec = np.array([_json_number(c) for c in node["bloch"]])
         return bloch_observable(vec), vec
-    if "matrix" in node:
-        raw = node["matrix"]
-        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-            raise ValueError("a 'matrix' entry must be a list of rows of [re, im] pairs")
-        mat = np.array([[_complex_pair(entry) for entry in row] for row in raw], dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"matrix observable must be 2x2, got {mat.shape}")
-        return mat, None
-    raise ValueError("observable entry needs a 'bloch' or 'matrix' key")
+    raw = node["matrix"]
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("a 'matrix' entry must be a list of rows of [re, im] pairs")
+    mat = np.array([[_complex_pair(entry) for entry in row] for row in raw], dtype=complex)
+    if mat.shape != (2, 2):
+        raise ValueError(f"matrix observable must be 2x2, got {mat.shape}")
+    return mat, None
 
 
 def family_to_json_dict(family: FamilySpec) -> dict:

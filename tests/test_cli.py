@@ -373,6 +373,17 @@ def test_split_k_must_match_an_mk_scenario_file(tmp_path, capsys):
     assert not out_path.exists()
 
 
+# every subcommand on a valid instance: an empty --out would write nothing, unread
+_EMPTY_OUT = {
+    "decompose": ["decompose", "--scenario", "scenario.json"],
+    "report": ["report", "--preset", "chsh-optimal", "--format", "csv"],
+    "optimize": ["optimize", "--family", "chsh", "--max-iters", "3"],
+    "scan": ["scan", "--family", "chsh", "--samples", "3"],
+    "sample": ["sample", "--preset", "chsh-optimal", "--rounds", "100"],
+    "lhv": ["lhv", "--family", "chsh"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -385,13 +396,18 @@ def test_split_k_must_match_an_mk_scenario_file(tmp_path, capsys):
         (["report", "--preset", "chsh-optimal", "--seed", "5"], "unrecognized arguments: --seed"),
         (["decompose", "--scenario", "scenario.json", "--seed", "5"], "unrecognized arguments: --seed"),
         (["lhv", "--family", "chsh", "--seed", "3"], "unrecognized arguments: --seed"),
+        *(([*argv, "--out", ""], "--out needs a file path") for argv in _EMPTY_OUT.values()),
     ],
-    ids=["decompose-no-scenario", "report-n", "sample-n", "report-seed", "decompose-seed", "lhv-seed"],
+    ids=[
+        *("decompose-no-scenario", "report-n", "sample-n", "report-seed", "decompose-seed"),
+        *("lhv-seed", *(f"{command}-empty-out" for command in _EMPTY_OUT)),
+    ],
 )
 def test_argument_the_instance_does_not_read_exits_two(tmp_path, capsys, scenario_file, argv, error):
+    # --out goes right after the subcommand, so that an --out in argv wins
     out_path = tmp_path / "out.json"
     argv = [str(scenario_file) if a == "scenario.json" else a for a in argv]
-    assert main([*argv, "--out", str(out_path)]) == 2
+    assert main([argv[0], "--out", str(out_path), *argv[1:]]) == 2
     assert error in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -1027,6 +1043,9 @@ _MALFORMED_OBSERVABLES = {
     "matrix-number": {"matrix": 5},
     "bloch-bool": {"bloch": [False, False, True]},
     "bloch-string": {"bloch": ["0", "0", "1"]},
+    # both keys: one of them would be dropped unread
+    "bloch-and-matrix": {"bloch": [0, 0, 1], "matrix": [[[5, 0], [0, 0]], [[0, 0], [5, 0]]]},
+    "bloch-and-same-matrix": {"bloch": [0, 0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
 }
 
 
@@ -1093,6 +1112,20 @@ def test_scenario_party_observables_must_be_a_list(tmp_path, capsys, command, ob
     argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
     assert main(argv) == 2
     assert "each party needs an 'observables' list" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+def test_scenario_file_split_k_only_for_mk(tmp_path, capsys, command):
+    # chsh has no block split: the file's split_k would be dropped unread
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    doc["family"]["split_k"] = 7
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "split_k applies to mk only, not to chsh" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -1467,10 +1500,9 @@ def test_sample_csv_is_written_as_it_is_made(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     size = out_path.stat().st_size
-    # the file is 2.9 MiB.  Streamed, the peak is about 2.1 MiB (2.07 MiB with
-    # the rows built from fixed-width byte tables, as with the per-row join
-    # before), set by the sampler's draw chunk and one CSV chunk of 2**14
-    # rows; the whole text held in memory (with its encoded copy) peaked at
-    # 6.4 MiB, 2.2x the file.
+    # the file is 2.9 MiB.  Streamed, the peak is about 2.1 MiB (2.07 MiB),
+    # set by the sampler's draw chunk and one CSV chunk of 10**4 rows; the
+    # whole text held in memory (with its encoded copy) peaked at 6.4 MiB,
+    # 2.2x the file.
     # Bound: the file's size, 0.9 MiB above the streamed peak.
     assert peak < size, f"traced peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"

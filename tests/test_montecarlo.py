@@ -21,7 +21,6 @@ from bellvar.montecarlo import (
     _DRAW_CHUNK_ROUNDS,
     EmpiricalCheck,
     UndersampledError,
-    _decimal_rows,
     _digit_table,
     _inverse_cdf,
     batch_to_csv,
@@ -482,12 +481,14 @@ def test_simulate_rounds_memory():
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-# rounds per preset: at the chunk edges and at decimal boundaries, where a round gains a digit
-_CSV_CHUNK_EDGES = (1, 2**14, 2**14 + 1, 3 * 2**14 + 5)
+# rounds per preset: at the edges of the 10**4-round chunks, inside a chunk, and at
+# decimal boundaries, where a round gains a digit; 10**6 + 1 gives a 3-digit chunk prefix
+_CSV_CHUNK_EDGES = (1, 10**4, 10**4 + 1, 3 * 10**4 + 5)
+_CSV_MID_CHUNK = (2**14, 2**14 + 1, 3 * 2**14 + 5)
 _CSV_ROUNDS = {
-    "chsh-optimal": (*_CSV_CHUNK_EDGES, 10, 11, 100, 101, 10_000, 10_001, 100_001),
-    "chained-n-12": (*_CSV_CHUNK_EDGES, 10, 11, 10_000, 10_001),
-    "mk-ghz-8": (*_CSV_CHUNK_EDGES, 100, 101, 100_001),
+    "chsh-optimal": (*_CSV_CHUNK_EDGES, *_CSV_MID_CHUNK, 10, 11, 100, 101, 100_001, 10**6 + 1),
+    "chained-n-12": (*_CSV_CHUNK_EDGES, *_CSV_MID_CHUNK, 10, 11),
+    "mk-ghz-8": (*_CSV_CHUNK_EDGES, *_CSV_MID_CHUNK, 100, 101, 100_001),
 }
 _CSV_CASES = [(name, rounds) for name, counts in _CSV_ROUNDS.items() for rounds in counts]
 
@@ -507,21 +508,6 @@ def test_batch_to_csv_matches_repr_reference(name, rounds):
 def test_digit_table_holds_every_four_digit_group():
     want = b"".join(f"{i:04d}".encode() for i in range(10**4))
     assert _digit_table().tobytes() == want
-
-
-@pytest.mark.parametrize("k", range(13))
-def test_decimal_rows_match_str(k):
-    # rows around 10**k, up to rounds no batch could hold, and every 4-digit group once
-    table = _digit_table()
-    ranges = [(max(0, 10**k - 70), 10**k + 70), (10**k, 10**k + 3), (max(0, 10**k - 3), 10**k)]
-    if k == 4:
-        ranges.append((0, 2 * 10**4 + 11))
-    for lo, hi in ranges:
-        digits = _decimal_rows(lo, hi, table)
-        width = len(str(hi - 1))
-        assert digits.shape == (hi - lo, width)
-        want = [str(i).encode().rjust(width, b"\0") for i in range(lo, hi)]
-        assert [row.tobytes() for row in digits] == want, (lo, hi)
 
 
 # ---------------------------------------------------------------------------

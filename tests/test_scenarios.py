@@ -135,6 +135,11 @@ def test_family_spec_validation():
         FamilySpec(name="mk", n=3, split_k=3)
     with pytest.raises(ValueError):
         FamilySpec(name="elegant")
+    # only mk has a block split
+    with pytest.raises(ValueError, match="split_k applies to mk only"):
+        FamilySpec(name="chained", n=4, split_k=3)
+    with pytest.raises(ValueError, match="split_k applies to mk only"):
+        FamilySpec(name="chsh", split_k=2)
 
 
 def test_check_family_scenario_shape_mismatch():
