@@ -4,7 +4,8 @@ Subcommands: decompose, report, optimize, scan, sample, lhv.  The
 ``_COMMANDS`` table names each one's handler and the arguments it reads,
 and the parser offers it only those.  A human readable table always goes
 to stdout; ``--out PATH`` also writes a machine readable file, canonical
-JSON by default.  ``report``, ``scan`` and ``sample`` take ``--format
+JSON by default.  The table shows the fields of the same document that
+``--out`` writes.  ``report``, ``scan`` and ``sample`` take ``--format
 csv`` for a CSV file instead (every format carries a schema_version
 field, CSV as a leading comment line).
 
@@ -26,8 +27,9 @@ caller's ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` still wins;
 a program that imported numpy earlier keeps its own pool.
 
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
-usage errors, an empty ``--out``, and any argument given that the
-resolved instance does not read; see ``_check_read``), 3 a domain
+usage errors, a scenario-file key the reader does not know, an empty
+``--out``, and any argument given that the resolved instance does not
+read; see ``_check_read``), 3 a domain
 validation failure (dimension mismatch, cap exceeded, degenerate spread,
 undersampled batch, a non-finite scan slack or JSON value, chsh with an
 ``--n`` other than 2), 1 unexpected internal error.
@@ -81,30 +83,40 @@ class InputError(ValueError):
     """Unreadable or malformed user input (exit code 2)."""
 
 
-def _table(rows: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
-
-
-def _emit(
-    args, rows: list[tuple[str, str]], doc: dict, csv_chunks: Iterable[str] | None = None
-) -> int:
-    """Print the table; with ``--out``, write the CSV chunks as they are made,
-    or with none given ``doc`` as canonical JSON.  The JSON text is made
-    before the file is opened and takes no NaN or infinity: such a value
-    raises ``ValueError`` and leaves no file behind."""
-    text = None
-    if args.out and csv_chunks is None:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    print(_table(rows))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(csv_chunks if text is None else [text])
-    return 0
-
-
 def _fmt(x: float) -> str:
     return f"{x: .12g}"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "undefined"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return " ".join(map(_fmt, value))
+    return str(value)
+
+
+def _emit(args, doc: dict, rows: list, family=None, chunks: Iterable[str] | None = None) -> int:
+    """Print the table and, with ``--out``, write the CSV ``chunks`` as they are made, or with
+    none given ``doc`` as canonical JSON.  A row is a key of ``doc`` or a ``(label, value)`` pair;
+    every value shows through ``_cell``.  ``doc`` gains ``schema_version`` and, with a family
+    given, the ``family`` field, which the table shows first.  The JSON text is made before the
+    file is opened and takes no NaN or infinity: such a value raises ``ValueError`` and leaves
+    no file behind."""
+    doc["schema_version"] = SCHEMA_VERSION
+    if family is not None:
+        doc["family"] = family_to_json_dict(family)
+        rows = [("family", f"{family.name} (n={family.n})"), *rows]
+    if args.out and chunks is None:
+        chunks = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+    rows = [(r, doc[r]) if isinstance(r, str) else r for r in rows]
+    width = max(len(label) for label, _ in rows)
+    print("\n".join(f"{label.ljust(width)}  {_cell(v)}" for label, v in rows))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    return 0
 
 
 def _parse_family(args) -> FamilySpec:
@@ -228,33 +240,35 @@ def _cmd_decompose(args, family, scenario, state) -> int:
     mean, spread, perp = (v[0] for v in _split(images[None], state[None]))
     residual = np.linalg.norm(images - mean[:, None] * state - spread[:, None] * perp, axis=1)
     labels = [(p, s) for p, row in enumerate(scenario.observables) for s in range(len(row))]
-    entries = []
-    rows: list[tuple[str, str]] = []
-    for (p, s), m, dx, v, r in zip(labels, mean.tolist(), spread.tolist(), perp, residual.tolist()):
-        degenerate = dx < SPREAD_EPS
-        entries.append(
-            {
-                "party": p,
-                "setting": s,
-                "mean": m,
-                "spread": dx,
-                "degenerate": degenerate,
-                "perp": None if degenerate else _complex_pairs(v),
-                "reconstruction_residual": r,
-            }
+    entries = [
+        {
+            "party": p,
+            "setting": s,
+            "mean": m,
+            "spread": dx,
+            "degenerate": dx < SPREAD_EPS,
+            "perp": None if dx < SPREAD_EPS else _complex_pairs(v),
+            "reconstruction_residual": r,
+        }
+        for (p, s), m, dx, v, r in zip(
+            labels, mean.tolist(), spread.tolist(), perp, residual.tolist()
         )
-        detail = (
-            f"mean {_fmt(m)}  spread {_fmt(dx)}  "
-            f"residual {r:.2e}" + ("  (degenerate)" if degenerate else "")
+    ]
+    rows = [
+        (
+            f"party {e['party']} setting {e['setting']}",
+            f"mean {_fmt(e['mean'])}  spread {_fmt(e['spread'])}  "
+            f"residual {e['reconstruction_residual']:.2e}"
+            + ("  (degenerate)" if e["degenerate"] else ""),
         )
-        rows.append((f"party {p} setting {s}", detail))
+        for e in entries
+    ]
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_json_dict(scenario),
         "state": _complex_pairs(state),
         "decompositions": entries,
     }
-    return _emit(args, rows, doc)
+    return _emit(args, doc, rows)
 
 
 def _report_document(family, scenario, state) -> dict:
@@ -270,7 +284,7 @@ def _report_document(family, scenario, state) -> dict:
     )
 
     cols = _blocks(family, scenario, state)
-    doc: dict = {"schema_version": SCHEMA_VERSION}
+    doc: dict = {}
     if family.name == "chsh":
         doc["saturation"] = dataclasses.asdict(_saturation(cols))
         try:
@@ -287,25 +301,20 @@ def _report_document(family, scenario, state) -> dict:
 
 def _cmd_report(args, family, scenario, state) -> int:
     doc = _report_document(family, scenario, state)
-    report = doc["report"]
-    keys = [k for k in report if k not in ("family", "schema_version")]
-    rows = [("family", f"{family.name} (n={family.n})")]
-    rows += [(k, _fmt(report[k])) for k in keys]
+    fields = {k: v for k, v in doc["report"].items() if k not in ("family", "schema_version")}
+    rows = [("family", f"{family.name} (n={family.n})"), *fields.items()]
     if "saturation" in doc:
-        flags = doc["saturation"]
-        shown = ", ".join(
-            f"{k}={'absent' if v is None else v}" for k, v in flags.items()
-        )
-        rows.append(("saturation", shown))
+        shown = (f"{k}={'absent' if v is None else v}" for k, v in doc["saturation"].items())
+        rows.append(("saturation", ", ".join(shown)))
     if doc.get("pearson"):
-        rows.append(("pearson r_chsh", _fmt(doc["pearson"]["r_chsh"])))
-        rows.append(("pearson bound", _fmt(doc["pearson"]["bound_geometric"])))
+        rows.append(("pearson r_chsh", doc["pearson"]["r_chsh"]))
+        rows.append(("pearson bound", doc["pearson"]["bound_geometric"]))
     if "cos_lambda" in doc:
-        rows.append(("cos_lambda", " ".join(_fmt(c) for c in doc["cos_lambda"])))
+        rows.append("cos_lambda")
     csv_chunks = None
     if args.format == "csv":
-        csv_chunks = _csv_chunks(keys, [[report[k]] for k in keys])
-    return _emit(args, rows, doc, csv_chunks)
+        csv_chunks = _csv_chunks(list(fields), [[v] for v in fields.values()])
+    return _emit(args, doc, rows, chunks=csv_chunks)
 
 
 def _cmd_optimize(args, family, *_) -> int:
@@ -320,26 +329,9 @@ def _cmd_optimize(args, family, *_) -> int:
     # best is the first seed that reaches the largest value: seeds equal to the
     # last bit report the lowest of them, so a near-tie can turn on last-bit noise
     best = max(results, key=lambda r: r.value)
-    rows = [("family", f"{family.name} (n={family.n})")]
-    for res in results:
-        rows.append(
-            (
-                f"seed {res.seed}",
-                f"value {_fmt(res.value)}  iters {res.iterations}  "
-                f"converged {res.converged}",
-            )
-        )
-    rows.append(("best", f"seed {best.seed}  value {_fmt(best.value)}"))
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(family),
         "runs": [
-            {
-                "seed": r.seed,
-                "value": r.value,
-                "iterations": r.iterations,
-                "converged": r.converged,
-            }
+            {"seed": r.seed, "value": r.value, "iterations": r.iterations, "converged": r.converged}
             for r in results
         ],
         "best": {
@@ -350,7 +342,15 @@ def _cmd_optimize(args, family, *_) -> int:
             "state": _complex_pairs(best.state),
         },
     }
-    return _emit(args, rows, doc)
+    rows = [
+        (
+            f"seed {r['seed']}",
+            f"value {_fmt(r['value'])}  iters {r['iterations']}  converged {r['converged']}",
+        )
+        for r in doc["runs"]
+    ]
+    rows.append(("best", f"seed {best.seed}  value {_fmt(best.value)}"))
+    return _emit(args, doc, rows, family)
 
 
 def _cmd_scan(args, family, *_) -> int:
@@ -360,31 +360,19 @@ def _cmd_scan(args, family, *_) -> int:
     summary = random_scan(family, args.samples, args.seed, keep_rows=want_rows)
     if summary.non_finite:
         raise ValueError(f"{summary.non_finite} of {summary.n_samples} scan slacks are not finite")
-    rows = [
-        ("family", f"{family.name} (n={family.n})"),
-        ("samples", str(summary.n_samples)),
-        ("seed", str(summary.seed)),
-        ("min_slack", "undefined" if summary.min_slack is None else _fmt(summary.min_slack)),
-        (
-            "mean_slack",
-            "undefined" if summary.mean_slack is None else _fmt(summary.mean_slack),
-        ),
-        ("violations", str(summary.violations)),
-    ]
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(family),
         "n_samples": summary.n_samples,
+        "seed": summary.seed,
         "min_slack": summary.min_slack,
         "mean_slack": summary.mean_slack,
         "violations": summary.violations,
-        "seed": summary.seed,
     }
+    rows = [("samples", summary.n_samples), "seed", "min_slack", "mean_slack", "violations"]
     csv_chunks = None
     if want_rows:
         columns = [range(summary.n_samples), *(summary.rows[name] for name in _COLUMNS)]
         csv_chunks = _csv_chunks(["index", *_COLUMNS], columns)
-    return _emit(args, rows, doc, csv_chunks)
+    return _emit(args, doc, rows, family, csv_chunks)
 
 
 def _cmd_sample(args, family, scenario, state) -> int:
@@ -401,51 +389,26 @@ def _cmd_sample(args, family, scenario, state) -> int:
         raise ValueError(f"z must be finite and non-negative, got {args.z}")
     batch = simulate_rounds(family, scenario, state, rounds=args.rounds, seed=args.seed)
     est = estimate(batch)
-    check = None
-    if family.name == "chsh":
-        check = empirical_check(est, z=args.z)
-    rows = [
-        ("family", f"{family.name} (n={family.n})"),
-        ("rounds", str(batch.rounds)),
-        ("seed", str(batch.seed)),
-        ("bell_value_hat", f"{_fmt(est.bell_value_hat)}  (se {est.se_bell_value:.3e})"),
-        ("rms_hats", " ".join(_fmt(v) for v in est.rms_hats)),
-    ]
-    if check is not None:
-        rows.append(
-            (
-                "empirical_check",
-                f"{'pass' if check.passed else 'FAIL'}  margin {_fmt(check.margin)}  "
-                f"z {check.z}",
-            )
-        )
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(family),
         "rounds": batch.rounds,
         "seed": batch.seed,
         "counts": batch.counts.tolist(),
         "estimates": estimates_to_json_dict(est),
     }
-    if check is not None:
+    hat = f"{_fmt(est.bell_value_hat)}  (se {est.se_bell_value:.3e})"
+    rows = ["rounds", "seed", ("bell_value_hat", hat), ("rms_hats", doc["estimates"]["rms_hats"])]
+    if family.name == "chsh":
+        check = empirical_check(est, z=args.z)
         doc["empirical_check"] = dataclasses.asdict(check)
+        verdict = "pass" if check.passed else "FAIL"
+        rows.append(("empirical_check", f"{verdict}  margin {_fmt(check.margin)}  z {check.z}"))
     csv_chunks = _batch_csv_chunks(batch) if args.format == "csv" else None
     del batch  # JSON needs no per-round arrays: free them before its text is made
-    return _emit(args, rows, doc, csv_chunks)
+    return _emit(args, doc, rows, family, csv_chunks)
 
 
 def _cmd_lhv(args, family, *_) -> int:
-    value = lhv_max(family)
-    rows = [
-        ("family", f"{family.name} (n={family.n})"),
-        ("lhv_max", _fmt(value)),
-    ]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "family": family_to_json_dict(family),
-        "lhv_max": value,
-    }
-    return _emit(args, rows, doc)
+    return _emit(args, {"lhv_max": lhv_max(family)}, ["lhv_max"], family)
 
 
 # ---------------------------------------------------------------------------

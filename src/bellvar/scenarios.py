@@ -513,9 +513,17 @@ def _complex_pairs(values) -> list:
     return [[float(a.real), float(a.imag)] for a in values]
 
 
+def _known_keys(node: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key of a scenario-file object that the reader would drop unread."""
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; it takes only {list(keys)}")
+
+
 def _observable_from_json(node) -> tuple[np.ndarray, np.ndarray | None]:
     if not isinstance(node, dict):
         raise ValueError("observable entry must be an object")
+    _known_keys(node, ("bloch", "matrix"), "observable entry")
     if ("bloch" in node) == ("matrix" in node):
         raise ValueError("observable entry needs exactly one of a 'bloch' or 'matrix' key")
     if "bloch" in node:
@@ -542,6 +550,7 @@ def family_to_json_dict(family: FamilySpec) -> dict:
 def family_from_json_dict(node) -> FamilySpec:
     if not isinstance(node, dict) or "name" not in node:
         raise ValueError("family entry needs a 'name' key")
+    _known_keys(node, ("name", "n", "split_k"), "family entry")
     return FamilySpec(
         name=node["name"],
         n=_json_int(node.get("n", 2), "family.n"),
@@ -568,6 +577,7 @@ def scenario_to_json_dict(scenario: Scenario, family: FamilySpec | None = None) 
 def scenario_from_json_dict(node) -> tuple[Scenario, FamilySpec | None]:
     if not isinstance(node, dict):
         raise ValueError("scenario document must be a JSON object")
+    _known_keys(node, ("schema_version", "parties", "family"), "scenario document")
     version = node.get("schema_version")
     if _json_int(version, "schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
@@ -578,6 +588,7 @@ def scenario_from_json_dict(node) -> tuple[Scenario, FamilySpec | None]:
     for party in node["parties"]:
         if not isinstance(party, dict) or not isinstance(party.get("observables"), list):
             raise ValueError("each party needs an 'observables' list")
+        _known_keys(party, ("observables",), "party")
         ops = []
         blochs = []
         for entry in party["observables"]:

@@ -61,6 +61,179 @@ def scenario_file(tmp_path):
     return path
 
 
+# Every subcommand's stdout table, whole: argv (SCENARIO is the scenario_file
+# fixture) -> the exact text printed.
+_TABLES = {
+    "report-chsh": (
+        ["report", "--preset", "chsh-optimal"],
+        """\
+family             chsh (n=2)
+bell_value          2.82842712475
+local_part          0
+nonlocal_amount     2.82842712475
+rms_a               1.41421356237
+rms_b               1.41421356237
+bound_statistical   2.82842712475
+bound_tsirelson     2.82842712475
+bound_lhv           2
+slack              -4.4408920985e-16
+saturation         perp_alignment=True, ratio_condition=True, anticommutator_zero=True, \
+operator_relation=True, overlap_orthogonal=True
+pearson r_chsh      2.82842712475
+pearson bound       2.82842712475
+""",
+    ),
+    "report-chained": (
+        ["report", "--preset", "chained-n", "--n", "4"],
+        """\
+family                   chained (n=4)
+bell_value                7.39103626009
+local_part                0
+nonlocal_amount           7.39103626009
+rms_a                     2
+rms_b                     2
+bound_statistical         7.39103626009
+bound_tsirelson           7.39103626009
+bound_lhv                 6
+slack                     0
+bound_statistical_loose   8
+cos_lambda                0.707106781187  0.707106781187  0.707106781187  0.707106781187
+""",
+    ),
+    "report-mk": (
+        ["report", "--preset", "mk-ghz", "--n", "3"],
+        """\
+family             mk (n=3)
+bell_value          8
+local_part          0
+nonlocal_amount     8
+rms_a               1.41421356237
+rms_b               4
+bound_statistical   8
+bound_tsirelson     8
+bound_lhv           4
+slack               0
+""",
+    ),
+    "scan": (
+        ["scan", "--family", "chsh", "--samples", "100"],
+        """\
+family      chsh (n=2)
+samples     100
+seed        0
+min_slack    0.649869213266
+mean_slack   2.20721613607
+violations  0
+""",
+    ),
+    "scan-empty": (
+        ["scan", "--family", "chsh", "--samples", "0"],
+        """\
+family      chsh (n=2)
+samples     0
+seed        0
+min_slack   undefined
+mean_slack  undefined
+violations  0
+""",
+    ),
+    "sample-chsh": (
+        ["sample", "--preset", "chsh-optimal", "--rounds", "10000"],
+        """\
+family           chsh (n=2)
+rounds           10000
+seed             0
+bell_value_hat    2.88517106464  (se 2.771e-02)
+rms_hats          1.41419903192  1.41412745334
+empirical_check  pass  margin  0.0817463064647  z 5.0
+""",
+    ),
+    "sample-mk": (
+        ["sample", "--preset", "mk-ghz", "--n", "3", "--rounds", "10000"],
+        """\
+family          mk (n=3)
+rounds          10000
+seed            0
+bell_value_hat   8  (se 0.000e+00)
+rms_hats         1.4141451903  1.41415196868  1.41402766862
+""",
+    ),
+    "lhv": (
+        ["lhv", "--family", "chsh"],
+        """\
+family   chsh (n=2)
+lhv_max   2
+""",
+    ),
+    "decompose": (
+        ["decompose", "--scenario", "SCENARIO"],
+        """\
+party 0 setting 0  mean  0  spread  1  residual 0.00e+00
+party 0 setting 1  mean  0  spread  1  residual 0.00e+00
+party 1 setting 0  mean  0  spread  1  residual 0.00e+00
+party 1 setting 1  mean  0  spread  1  residual 0.00e+00
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLES))
+def test_stdout_table_is_pinned(capsys, scenario_file, case):
+    argv, want = _TABLES[case]
+    assert main([str(scenario_file) if a == "SCENARIO" else a for a in argv]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_optimize_stdout_rows(capsys):
+    # iteration counts move with the search, so only labels and formats are pinned
+    assert main(["optimize", "--family", "mk", "--n", "3", "--seeds", "2", "--seed", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "family  mk (n=3)"
+    for seed, line in zip((4, 5), lines[1:3], strict=True):
+        assert re.fullmatch(rf"seed {seed}  value  8  iters \d+  converged True", line)
+    assert re.fullmatch(r"best    seed [45]  value  8", lines[3])
+    assert len(lines) == 4
+
+
+# subcommand argv -> the top-level keys of its --out JSON
+_JSON_KEYS = {
+    "report-chsh": (
+        ["report", "--preset", "chsh-optimal"],
+        {"saturation", "pearson", "report", "scenario", "tolerances"},
+    ),
+    "report-chained": (
+        ["report", "--preset", "chained-n", "--n", "3"],
+        {"cos_lambda", "report", "scenario", "tolerances"},
+    ),
+    "report-mk": (["report", "--preset", "mk-ghz", "--n", "3"], {"report", "scenario", "tolerances"}),
+    "decompose": (["decompose", "--scenario", "SCENARIO"], {"scenario", "state", "decompositions"}),
+    "optimize": (["optimize", "--family", "chsh"], {"family", "runs", "best"}),
+    "scan": (
+        ["scan", "--family", "chsh", "--samples", "10"],
+        {"family", "n_samples", "min_slack", "mean_slack", "violations", "seed"},
+    ),
+    "sample-chsh": (
+        ["sample", "--preset", "chsh-optimal", "--rounds", "2000"],
+        {"family", "rounds", "seed", "counts", "estimates", "empirical_check"},
+    ),
+    "sample-mk": (
+        ["sample", "--preset", "mk-ghz", "--n", "3", "--rounds", "2000"],
+        {"family", "rounds", "seed", "counts", "estimates"},
+    ),
+    "lhv": (["lhv", "--family", "chsh"], {"family", "lhv_max"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_JSON_KEYS))
+def test_json_top_level_keys(tmp_path, capsys, scenario_file, case):
+    argv, keys = _JSON_KEYS[case]
+    out_path = tmp_path / "out.json"
+    argv = [str(scenario_file) if a == "SCENARIO" else a for a in argv]
+    assert main([*argv, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert set(json.loads(out_path.read_text(encoding="utf-8"))) == {"schema_version", *keys}
+
+
 def test_report_preset_stdout(capsys):
     assert main(["report", "--preset", "chsh-optimal"]) == 0
     out = capsys.readouterr().out
@@ -1112,6 +1285,31 @@ def test_scenario_party_observables_must_be_a_list(tmp_path, capsys, command, ob
     argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
     assert main(argv) == 2
     assert "each party needs an 'observables' list" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+# a misspelled key in each object of a scenario file: (path to the object, key)
+_UNKNOWN_KEYS = {
+    "document": ((), "famly"),
+    "party": (("parties", 0), "observable"),
+    "entry": (("parties", 1, "observables", 0), "matrx"),
+    "family": (("family",), "split"),
+}
+
+
+@pytest.mark.parametrize("where", list(_UNKNOWN_KEYS))
+@pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+def test_scenario_file_rejects_unknown_keys(tmp_path, capsys, command, where):
+    # the reader would drop the key unread, and the value it misspells would take its default
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    path, key = _UNKNOWN_KEYS[where]
+    functools.reduce(lambda node, k: node[k], path, doc)[key] = 2
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    argv = [*_SCENARIO_COMMANDS[command], "--scenario", str(scenario_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -1,5 +1,6 @@
 """Scenario construction, coefficient tensors, operators, LHV enumeration, JSON I/O."""
 
+import functools
 import json
 import tracemalloc
 
@@ -522,6 +523,17 @@ def test_scenario_json_rejects_malformed_documents():
         )
     with pytest.raises(ValueError):
         scenario_from_json_dict([1, 2, 3])
+    # a misspelled key in any of the four objects would be dropped unread
+    for path, key in [
+        ((), "famly"),
+        (("parties", 0), "observable"),
+        (("parties", 0, "observables", 0), "matrx"),
+        (("family",), "split"),
+    ]:
+        doc = json.loads(json.dumps(dict(good, family={"name": "chsh"})))
+        functools.reduce(lambda node, k: node[k], path, doc)[key] = 2
+        with pytest.raises(ValueError, match=rf"unknown keys \['{key}'\]"):
+            scenario_from_json_dict(doc)
 
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
@@ -594,3 +606,6 @@ def test_family_json_roundtrip():
         family_from_json_dict({"n": 3})
     with pytest.raises(ValueError):
         family_from_json_dict({"name": "nope"})
+    # a misspelled split_k would leave the split at 1
+    with pytest.raises(ValueError, match="unknown keys"):
+        family_from_json_dict({"name": "mk", "n": 4, "split": 2})
