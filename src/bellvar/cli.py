@@ -13,11 +13,14 @@ field, CSV as a leading comment line).
 (party, setting) from one-site block images, building no joint operator;
 a family, if one is given, must fit the table, as for report.
 
-Each subcommand imports its layers when called.  At import this module
-loads only scenarios, linalg and presets, which parsing, ``--preset`` and
-output need; ``lhv`` loads nothing more.  ``scan`` and ``decompose`` load
-the kernel module ``_kernel`` only, ``report`` the bounds layer with it,
-``optimize`` the search module with it, and ``sample`` the sampler.
+Each subcommand imports its layers when called, and a run builds only its
+own subcommand's parser.  At import this module loads only scenarios and
+linalg, which parsing and output need; ``lhv`` loads nothing more, and
+only ``report`` and ``sample`` load presets, for the ``--preset`` choices.
+``scan`` and ``decompose`` load the kernel module ``_kernel`` only,
+``report`` the bounds layer with it, ``optimize`` the search module with
+it, and ``sample`` the sampler.  Most of a short run's start-up left is
+compiling this module and scenarios.
 
 BLAS runs on one thread: before numpy is first imported this module sets
 ``OMP_NUM_THREADS=1`` unless the caller has set it.  No operator is larger
@@ -58,7 +61,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 
 from .linalg import as_ket
-from .presets import PRESET_NAMES, preset
 from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
@@ -175,6 +177,8 @@ def _resolve(args) -> tuple[FamilySpec | None, Scenario | None, np.ndarray | Non
     subcommand that takes no ``--scenario``, ``(family, None, None)`` from
     ``--family`` alone.  Only ``decompose`` runs with no family."""
     if getattr(args, "preset", None) is not None:
+        from .presets import preset
+
         p = preset(args.preset, args.n)
         return p.family, p.scenario, p.state
     if not hasattr(args, "scenario"):
@@ -416,7 +420,7 @@ def _cmd_lhv(args, family, *_) -> int:
 
 # every argument of any subcommand: flag -> add_argument keywords; with no default it is None
 _ARGUMENTS = {
-    "--preset": {"choices": PRESET_NAMES},
+    "--preset": {},  # choices: presets.PRESET_NAMES, imported where a parser offers --preset
     "--scenario": {"help": "scenario JSON file"},
     "--state": {"help": "state specification (default: bell)"},
     "--family": {"choices": ("chsh", "chained", "mk")},
@@ -466,22 +470,33 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with ``argv[0]`` a subcommand, that subcommand's alone,
+    under a usage line that still names all six; else all six, for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="bellvar",
         description="Variance-based bounds on Bell inequality violations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, required, optional) in _COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, text, required, optional = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for flag in (*required, *optional, "--out"):
-            p.add_argument(flag, required=flag in required, **_ARGUMENTS[flag])
+            keywords = dict(_ARGUMENTS[flag], required=flag in required)
+            if flag == "--preset":
+                from .presets import PRESET_NAMES
+
+                keywords["choices"] = PRESET_NAMES
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

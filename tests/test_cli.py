@@ -4,6 +4,7 @@ Most cases drive ``main(argv)`` in process (fast, capsys-friendly); one
 smoke test goes through the interpreter to cover the module entry point.
 """
 
+import argparse
 import dataclasses
 import functools
 import json
@@ -30,7 +31,7 @@ from bellvar.bounds import (
     saturation_check,
 )
 from bellvar.linalg import haar_random_ket
-from bellvar.cli import _report_document, main
+from bellvar.cli import _COMMANDS, _build_parser, _report_document, main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
 from bellvar.scenarios import (
@@ -1588,6 +1589,59 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["report", "--preset", "unknown-preset"]) == 2
     capsys.readouterr()
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> subparser, as built into ``parser``."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_subcommand_help_matches_the_full_parser(capsys, command):
+    full = _subcommands(_build_parser([]))[command]
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == full.format_help()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "chsh", "--samples", "3", "--bogus"],
+        ["lhv", "--family", "chsh", "--seed", "3"],
+        ["scan"],
+        ["report", "--preset", "nope"],
+        ["frobnicate"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argument",
+)
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    # the usage line of an error names all six subcommands, however many were built
+    with pytest.raises(SystemExit) as exc:
+        _build_parser([]).parse_args(argv)
+    want = capsys.readouterr()
+    assert (main(argv), capsys.readouterr()) == (exc.value.code, want)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["lhv", "--family", "chsh"], ["lhv"]),
+        (["report", "--preset", "chsh-optimal"], ["report"]),
+        (["scan", "--family", "chsh", "--samples", "3", "--bogus"], ["scan"]),
+        ([], list(_COMMANDS)),
+        (["--help"], list(_COMMANDS)),
+        (["frobnicate"], list(_COMMANDS)),
+    ],
+)
+def test_a_run_builds_only_its_subcommands_parser(capsys, monkeypatch, argv, built):
+    parsers = []
+    monkeypatch.setattr(
+        "bellvar.cli._build_parser", lambda argv: parsers.append(_build_parser(argv)) or parsers[-1]
+    )
+    main(argv)
+    capsys.readouterr()
+    assert [list(_subcommands(p)) for p in parsers] == [built]
 
 
 @pytest.mark.parametrize(

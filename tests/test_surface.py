@@ -20,10 +20,14 @@ The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
 a literal list of its own, so a star import of a module binds exactly its row,
 and each name must resolve to the defining module's object.  A fresh
-interpreter running one subcommand loads only the layers that subcommand runs:
-``scan`` and ``decompose`` load the kernel module ``_kernel`` and none of the
-report, decomposition or see-saw modules, and ``report`` loads no decomposition
-module.
+interpreter running one subcommand loads only the layers that subcommand runs.
+Importing the command line loads ``scenarios`` and ``linalg``, and ``lhv`` loads
+nothing more.  ``scan`` and ``decompose`` load the kernel module ``_kernel`` and
+none of the report, decomposition or see-saw modules; ``optimize`` loads the
+see-saw module with the kernel; ``report`` loads the bounds layer with it and no
+decomposition module; ``sample`` loads the sampler.  Only ``report`` and
+``sample`` load ``presets``, for their ``--preset`` choices, even when run from
+a scenario file.
 """
 
 import ast
@@ -266,9 +270,10 @@ def test_star_import_binds_every_export():
 
 
 # loaded by every command line run, besides the layers of the subcommand
-_CLI_BASE = {"bellvar", "bellvar.cli", "bellvar.linalg", "bellvar.presets", "bellvar.scenarios"}
+_CLI_BASE = {"bellvar", "bellvar.cli", "bellvar.linalg", "bellvar.scenarios"}
 _KERNEL = {"bellvar._kernel"}
-_REPORT_LAYERS = {"bellvar.bounds", *_KERNEL}
+_PRESETS = {"bellvar.presets"}
+_REPORT_LAYERS = {"bellvar.bounds", *_KERNEL, *_PRESETS}
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -294,10 +299,12 @@ def test_import_cli_loads_parsing_layers_only():
 # subcommand -> the layers it loads besides _CLI_BASE
 _LAYERS_OF = {
     "lhv --family chsh": set(),
-    "sample --preset chsh-optimal --rounds 1000": {"bellvar.montecarlo"},
-    "sample --preset chained-n --rounds 1000": {"bellvar.montecarlo"},
+    "lhv --family chained --n 12": set(),
+    "sample --preset chsh-optimal --rounds 1000": {"bellvar.montecarlo", *_PRESETS},
+    "sample --preset chained-n --rounds 1000": {"bellvar.montecarlo", *_PRESETS},
     "report --preset chsh-optimal": _REPORT_LAYERS,
     "report --preset mk-ghz --n 3": _REPORT_LAYERS,
+    "report --scenario scenario.json": _REPORT_LAYERS,
     "scan --family chsh --samples 10": _KERNEL,
     "scan --family chained --n 5 --samples 3 --format csv --out scan.csv": _KERNEL,
     "scan --family mk --n 4 --samples 3": _KERNEL,
