@@ -1,7 +1,9 @@
 """The one kernel pass, its image split, and the random scan that drives it.
 
 ``_columns`` is the two-block kernel behind every report, and
-``random_scan`` runs it chunk by chunk over random instances.  The report
+``_scan_passes`` runs it one pass at a time over random instances, for
+``random_scan`` and for the command line's scan CSV, which writes each
+pass's rows as soon as the pass is made.  The report
 layer (``bounds``), the decomposition records (``avdecomp``) and the
 see-saw (``optimize``) import these names back and export the public
 ones, so ``bellvar.SPREAD_EPS``, ``bellvar.DegenerateSpreadError``,
@@ -15,6 +17,7 @@ records.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,7 @@ SPREAD_EPS = 1e-9
 SLACK_FLOOR = -1e-9
 
 _PAULIS = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
-# A scan reports its instances in chunks of at most this many instances x dim (images are dim-long).
+# A scan pass reports at most this many instances x dim (images are dim-long).
 _SCAN_CHUNK = 2**10
 
 # The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
@@ -134,50 +137,58 @@ class ScanSummary:
     rows: dict[str, np.ndarray] | None = field(default=None, compare=False)
 
 
-def random_scan(
-    family: FamilySpec, n_samples: int, seed: int, keep_rows: bool = False
-) -> ScanSummary:
-    """Slack statistics over Haar states and uniform-Bloch settings.
+def _draw(rng: np.random.Generator, m: int, shape: tuple[int, int], dim: int):
+    """Observable stacks ``(m, parties, settings, 2, 2)`` and kets ``(m, dim)`` of ``m`` random
+    instances.
 
     Instance i consumes the Philox stream exactly as ``random_scenario``
     followed by ``haar_random_ket`` would: three normals per setting,
     party by party, each triple normalized to a Bloch vector, then the
-    real and the imaginary parts of the state.  The instances are drawn
-    and reported a chunk at a time (at most ``_SCAN_CHUNK // dim`` of
-    them, at least one) through the stacked report kernel, and only the
-    slacks are kept across chunks.  ``keep_rows=True`` keeps every
-    ``_COLUMNS`` array instead (for CSV export).  A Gaussian
-    triple of norm at most 1e-12, which ``uniform_bloch`` would redraw,
-    raises ``ArithmeticError`` (probability below 1e-36).
+    real and the imaginary parts of the state.  A Gaussian triple of norm
+    at most 1e-12, which ``uniform_bloch`` would redraw, raises
+    ``ArithmeticError`` (probability below 1e-36).
+    """
+    n_bloch = 3 * shape[0] * shape[1]
+    normals = rng.standard_normal((m, n_bloch + 2 * dim))
+    bloch = normals[:, :n_bloch].reshape(m, *shape, 3)
+    norms = np.linalg.norm(bloch, axis=-1, keepdims=True)
+    if not np.all(norms > 1e-12):
+        raise ArithmeticError("a Gaussian Bloch triple has norm at most 1e-12")
+    bloch = bloch / norms
+    # |v|^2 = 1 is the dichotomy of v . sigma, which is Hermitian for real v.
+    if not np.all(np.abs(np.sum(bloch**2, axis=-1) - 1.0) <= _DICHOTOMY_ATOL):
+        raise ValueError("a drawn observable is not dichotomic")
+    raw = normals[:, n_bloch : n_bloch + dim] + 1j * normals[:, n_bloch + dim :]
+    states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _NORM_ATOL):
+        raise ValueError("a drawn state is not normalized")
+    return np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states
+
+
+def _scan_passes(family: FamilySpec, n_samples: int, seed: int) -> Iterator[tuple[int, dict]]:
+    """The kernel passes of a random scan, lazily: ``(start, columns)`` per pass, ``columns`` as
+    :func:`_columns` returns them for the next ``m`` instances of :func:`_draw`.
+
+    A pass covers ``m = _SCAN_CHUNK // dim`` instances (at least one; fewer
+    in the last) and holds none of the draw's scratch while the kernel
+    runs.  ``n_samples`` and ``seed`` are checked when this is called,
+    before the first pass.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     rng = _philox(seed)
     shape = (family.n_parties, family.settings_per_party[0])
-    n_bloch = 3 * shape[0] * shape[1]
     dim = 2**family.n_parties
     chunk = max(1, _SCAN_CHUNK // dim)
-    columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
-    for start in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - start)
-        normals = rng.standard_normal((m, n_bloch + 2 * dim))
-        bloch = normals[:, :n_bloch].reshape(m, *shape, 3)
-        norms = np.linalg.norm(bloch, axis=-1, keepdims=True)
-        if not np.all(norms > 1e-12):
-            raise ArithmeticError("a Gaussian Bloch triple has norm at most 1e-12")
-        bloch = bloch / norms
-        # |v|^2 = 1 is the dichotomy of v . sigma, which is Hermitian for real v.
-        if not np.all(np.abs(np.sum(bloch**2, axis=-1) - 1.0) <= _DICHOTOMY_ATOL):
-            raise ValueError("a drawn observable is not dichotomic")
-        raw = normals[:, n_bloch : n_bloch + dim] + 1j * normals[:, n_bloch + dim :]
-        states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _NORM_ATOL):
-            raise ValueError("a drawn state is not normalized")
-        cols = _columns(family, np.tensordot(bloch, _PAULIS, axes=(-1, 0)), states)
-        for name, column in columns.items():
-            column[start : start + m] = cols[name]
-        del cols  # it holds the chunk's images and splits: free them before the next pass
-    slack = columns["slack"]
+    return (
+        (start, _columns(family, *_draw(rng, min(chunk, n_samples - start), shape, dim)))
+        for start in range(0, n_samples, chunk)
+    )
+
+
+def _scan_summary(family: FamilySpec, slack: np.ndarray, seed: int, rows=None) -> ScanSummary:
+    """The summary of a scan from its whole slack column (and ``rows``, kept as given)."""
+    n_samples = len(slack)
     return ScanSummary(
         family=family,
         n_samples=n_samples,
@@ -186,5 +197,25 @@ def random_scan(
         violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
         non_finite=int(np.count_nonzero(~np.isfinite(slack))),
         seed=int(seed),
-        rows=columns if keep_rows else None,
+        rows=rows,
     )
+
+
+def random_scan(
+    family: FamilySpec, n_samples: int, seed: int, keep_rows: bool = False
+) -> ScanSummary:
+    """Slack statistics over Haar states and uniform-Bloch settings.
+
+    The instances are drawn (see :func:`_draw`) and reported one kernel
+    pass at a time (see :func:`_scan_passes`), and only the slacks are kept
+    across passes.  ``keep_rows=True`` keeps every ``_COLUMNS`` array
+    instead, for CSV export in process; the command line writes its scan
+    CSV a pass at a time from the same passes and keeps only the slacks.
+    """
+    passes = _scan_passes(family, n_samples, seed)
+    columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
+    for start, cols in passes:
+        for name, column in columns.items():
+            column[start : start + len(cols["slack"])] = cols[name]
+        del cols  # it holds the pass's images and splits: free them before the next pass
+    return _scan_summary(family, columns["slack"], seed, columns if keep_rows else None)

@@ -7,7 +7,10 @@ to stdout; ``--out PATH`` also writes a machine readable file, canonical
 JSON by default.  The table shows the fields of the same document that
 ``--out`` writes.  ``report``, ``scan`` and ``sample`` take ``--format
 csv`` for a CSV file instead (every format carries a schema_version
-field, CSV as a leading comment line).
+field, CSV as a leading comment line).  A scan CSV is written one kernel
+pass at a time from a file opened before the scan starts, and its table
+follows the file; every other table comes before its file.  A run that
+fails after its file was opened deletes the file.
 
 ``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
 (party, setting) from one-site block images, building no joint operator;
@@ -99,13 +102,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, doc: dict, rows: list, family=None, chunks: Iterable[str] | None = None) -> int:
+def _emit(
+    args, doc: dict | None, rows: list, family=None, chunks: Iterable[str] | None = None
+) -> int:
     """Print the table and, with ``--out``, write the CSV ``chunks`` as they are made, or with
     none given ``doc`` as canonical JSON.  A row is a key of ``doc`` or a ``(label, value)`` pair;
     every value shows through ``_cell``.  ``doc`` gains ``schema_version`` and, with a family
     given, the ``family`` field, which the table shows first.  The JSON text is made before the
     file is opened and takes no NaN or infinity: such a value raises ``ValueError`` and leaves
-    no file behind."""
+    no file behind.  With ``doc`` None the chunks make it (the scan CSV, written one kernel
+    pass at a time): the file is opened before any work, and the table, from the document the
+    chunk generator returns, follows the file.  See ``_write`` for a failure while writing."""
+    streamed = doc is None
+    if streamed:
+        doc = _write(args.out, chunks)
     doc["schema_version"] = SCHEMA_VERSION
     if family is not None:
         doc["family"] = family_to_json_dict(family)
@@ -115,10 +125,27 @@ def _emit(args, doc: dict, rows: list, family=None, chunks: Iterable[str] | None
     rows = [(r, doc[r]) if isinstance(r, str) else r for r in rows]
     width = max(len(label) for label, _ in rows)
     print("\n".join(f"{label.ljust(width)}  {_cell(v)}" for label, v in rows))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+    if args.out and not streamed:
+        _write(args.out, chunks)
     return 0
+
+
+def _write(path: str, chunks: Iterable[str]) -> dict | None:
+    """Write ``chunks`` to ``path`` as they are made; return what a chunk generator returns.
+    Any failure after the file is opened, its closing included, deletes the file."""
+    made = []
+
+    def drain():
+        made.append((yield from chunks))
+
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(drain())
+    except BaseException:
+        os.remove(path)
+        raise
+    return made[0]
 
 
 def _parse_family(args) -> FamilySpec:
@@ -358,25 +385,32 @@ def _cmd_optimize(args, family, *_) -> int:
 
 
 def _cmd_scan(args, family, *_) -> int:
-    from ._kernel import _COLUMNS, random_scan
+    from ._kernel import _COLUMNS, _scan_passes, _scan_summary, random_scan
 
-    want_rows = args.format == "csv"
-    summary = random_scan(family, args.samples, args.seed, keep_rows=want_rows)
-    if summary.non_finite:
-        raise ValueError(f"{summary.non_finite} of {summary.n_samples} scan slacks are not finite")
-    doc = {
-        "n_samples": summary.n_samples,
-        "seed": summary.seed,
-        "min_slack": summary.min_slack,
-        "mean_slack": summary.mean_slack,
-        "violations": summary.violations,
-    }
-    rows = [("samples", summary.n_samples), "seed", "min_slack", "mean_slack", "violations"]
-    csv_chunks = None
-    if want_rows:
-        columns = [range(summary.n_samples), *(summary.rows[name] for name in _COLUMNS)]
-        csv_chunks = _csv_chunks(["index", *_COLUMNS], columns)
-    return _emit(args, doc, rows, family, csv_chunks)
+    def document(summary) -> dict:
+        if summary.non_finite:
+            raise ValueError(f"{summary.non_finite} of {args.samples} scan slacks are not finite")
+        keys = ("n_samples", "seed", "min_slack", "mean_slack", "violations")
+        return {key: getattr(summary, key) for key in keys}
+
+    rows = [("samples", args.samples), "seed", "min_slack", "mean_slack", "violations"]
+    if args.format != "csv":
+        return _emit(args, document(random_scan(family, args.samples, args.seed)), rows, family)
+    # --samples and --seed are checked here, before the file is opened
+    passes = _scan_passes(family, args.samples, args.seed)
+
+    def csv_chunks():
+        # each pass's rows are written as the pass is made; only the slacks are kept
+        slack = np.empty(args.samples)
+        yield from _csv_chunks(["index", *_COLUMNS])
+        for start, cols in passes:
+            stop = start + len(cols["slack"])
+            slack[start:stop] = cols["slack"]
+            yield from _csv_chunks((), [range(start, stop), *(cols[name] for name in _COLUMNS)])
+            del cols  # free the pass's images and splits before the next pass
+        return document(_scan_summary(family, slack, args.seed))
+
+    return _emit(args, None, rows, family, csv_chunks())
 
 
 def _cmd_sample(args, family, scenario, state) -> int:

@@ -9,8 +9,9 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
    combination index (lexicographic over parties) as they are made;
 3. uniforms, one per round, pick the joint outcome by inverse CDF over
    the Born distribution of that round's setting combination.  They are
-   drawn ``_DRAW_CHUNK_ROUNDS`` at a time with ``random``, which gives
-   the same stream as one draw of all of them.  Every round of a chunk is
+   drawn ``_DRAW_CHUNK_ROUNDS`` (2**14) at a time with ``random``, which
+   gives the same stream as one draw of all of them, so the draw's scratch
+   stays near 0.4 MB whatever the rounds.  Every round of a chunk is
    bisected at once in the flat table of CDF rows, ``2**n`` entries each,
    which gives exactly the number of CDF entries below its uniform.
 
@@ -58,8 +59,10 @@ from .scenarios import (
 __all__ = list(_EXPORTS["montecarlo"])
 
 # Rounds per chunk of uniforms drawn and bisected at once, so the draw's
-# scratch buffers do not grow with the rounds.
-_DRAW_CHUNK_ROUNDS = 1 << 16
+# scratch (intp keys, float values, a bool mask and the chunk's uniforms,
+# about 25 bytes a round) does not grow with the rounds.  2**14 holds 0.4 MB;
+# a smaller chunk saves little more memory and pays for it in numpy calls.
+_DRAW_CHUNK_ROUNDS = 1 << 14
 
 
 class UndersampledError(ValueError):

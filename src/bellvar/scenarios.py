@@ -23,7 +23,7 @@ Families:
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,17 +48,25 @@ MK_MAX_PARTIES = 8
 LHV_ENUMERATION_CAP_BITS = 24
 
 _BLOCH_NORM_ATOL = 1e-9
-_CSV_CHUNK_ROWS = 1 << 14
+# Rows formatted at once.  Their cells and row strings are small Python
+# objects; the pages a few hundred rows of them touch between two kernel
+# passes of a streamed scan stay resident through the next pass (about
+# 0.1 MB for 256 rows), while 32 rows fit in memory already in use.
+_CSV_CHUNK_ROWS = 1 << 5
 
 
-def _csv_chunks(keys: list[str], columns=()) -> Iterator[str]:
-    """CSV text in chunks: schema_version comment and header, then row i of the columns per line.
+def _csv_chunks(keys: Sequence[str], columns=()) -> Iterator[str]:
+    """CSV text in chunks: the schema_version comment and header line when ``keys`` are given,
+    then row i of the ``columns`` per line.
 
     Each column is sliced ``_CSV_CHUNK_ROWS`` rows at a time and each cell
     written with ``repr`` of its Python value, so one chunk of cells at most
-    is held as Python objects.
+    is held as Python objects.  The scan CSV hands it one kernel pass at a
+    time and the report CSV its one row; the rounds CSV takes only its
+    header from here.
     """
-    yield f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"
+    if keys:
+        yield f"# schema_version: {SCHEMA_VERSION}\n{','.join(keys)}\n"
     for lo in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK_ROWS):
         cells = (np.asarray(column[lo : lo + _CSV_CHUNK_ROWS]).tolist() for column in columns)
         yield "".join(",".join(map(repr, row)) + "\n" for row in zip(*cells))

@@ -868,33 +868,80 @@ def test_scan_requires_samples(capsys):
     capsys.readouterr()
 
 
-def test_scan_csv_is_written_a_chunk_at_a_time(tmp_path, capsys, monkeypatch):
-    # 32 CSV chunks of 2**9 rows, so that one chunk costs little next to the table
-    monkeypatch.setattr(bellvar.scenarios, "_CSV_CHUNK_ROWS", 2**9)
-    n = 2**14
-    peaks = {}
-    for fmt in ("json", "json", "csv"):  # the first run fills first-call caches
-        argv = ["scan", "--family", "chsh", "--samples", str(n), "--format", fmt]
-        tracemalloc.start()
-        try:
-            assert main([*argv, "--out", str(tmp_path / f"scan.{fmt}")]) == 0
-            peaks[fmt] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    capsys.readouterr()
-    assert len((tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines()) == n + 2
-    # Chunked, the CSV run peaks 0.6 MiB above the JSON run (1.2 against
-    # 0.6 MiB), which is the six kept float64 columns and one chunk.  With
-    # every column turned into Python floats up front it peaked at 4.0 MiB.
-    # Bound: 8 bytes for each of the 8 cells of every row.
-    extra = peaks["csv"] - peaks["json"]
-    assert extra < 8 * 8 * n, f"CSV run peaks {extra / 2**20:.2f} MiB above the JSON run"
+def test_scan_csv_is_written_a_chunk_at_a_time(tmp_path, capsys):
+    for n in (2**14, 2**15):
+        peaks = {}
+        for fmt in ("json", "json", "csv"):  # the first run fills first-call caches
+            argv = ["scan", "--family", "chsh", "--samples", str(n), "--format", fmt]
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(tmp_path / f"scan.{fmt}")]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        from bellvar._kernel import _SCAN_CHUNK
+
+        lines = (tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == n + 2
+        chunk = _SCAN_CHUNK // 4
+        pass_text = max(sum(map(len, lines[lo : lo + chunk])) for lo in range(2, n + 2, chunk))
+        # Streamed a kernel pass at a time, the CSV run peaks about 65 KiB (2**14
+        # samples) and 110 KiB (2**15) above the JSON run, both keeping the slack
+        # column whole; one pass's text is about 30 KiB.  Kept whole, the six
+        # float64 columns and one 2**9-row chunk of Python values cost 0.6 MiB at
+        # 2**14 samples, and one 2**14-row chunk about 11 MiB.
+        # Bound: one pass's text plus 8 bytes per instance.
+        extra = peaks["csv"] - peaks["json"]
+        assert extra < pass_text + 8 * n, f"{n}: CSV run peaks {extra / 2**10:.1f} KiB more"
 
 
-def _nan_slack_columns(columns):
+def _scan_csv_reference(family, n_samples, seed) -> str:
+    """The scan CSV formatted in one pass, every cell by ``repr``, from the kept rows."""
+    from bellvar._kernel import _COLUMNS, random_scan
+
+    rows = random_scan(family, n_samples, seed, keep_rows=True).rows
+    lines = ["# schema_version: 1", ",".join(["index", *_COLUMNS])]
+    for i in range(n_samples):
+        lines.append(",".join([repr(i), *(repr(float(rows[name][i])) for name in _COLUMNS)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "family, family_argv",
+    [
+        (chsh_family(), ["--family", "chsh"]),
+        (chained_family(5), ["--family", "chained", "--n", "5"]),
+        (mk_family(4), ["--family", "mk", "--n", "4"]),
+        (mk_family(6, split_k=3), ["--family", "mk", "--n", "6", "--split-k", "3"]),
+    ],
+    ids=["chsh", "chained5", "mk4", "mk6-k3"],
+)
+def test_scan_csv_matches_one_pass_reference(tmp_path, capsys, family, family_argv):
+    from bellvar._kernel import _SCAN_CHUNK
+
+    # sample counts on both sides of a kernel-pass boundary, and across three
+    chunk = max(1, _SCAN_CHUNK // 2**family.n_parties)
+    for seed, n in enumerate((chunk - 1, chunk, chunk + 1, 3 * chunk + 5)):
+        argv = ["scan", *family_argv, "--samples", str(n), "--seed", str(seed)]
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
+        streamed = capsys.readouterr().out
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "scan.json")]) == 0
+        # the table printed after a streamed CSV is the JSON run's table
+        assert streamed == capsys.readouterr().out
+        text = (tmp_path / "scan.csv").read_text(encoding="utf-8")
+        assert text == _scan_csv_reference(family, n, seed)
+
+
+def _nan_slack_columns(columns, last_pass=None):
+    """``_columns`` with every other slack NaN, in every pass or only in pass ``last_pass``."""
+    calls = []
+
     def patched(family, stacks, states):
         cols = columns(family, stacks, states)
-        cols["slack"][1::2] = np.nan
+        calls.append(len(states))
+        if last_pass in (None, len(calls)):
+            cols["slack"][1::2] = np.nan
         return cols
 
     return patched
@@ -904,14 +951,18 @@ def _nan_slack_columns(columns):
 def test_scan_non_finite_slack_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
     import bellvar._kernel
 
-    monkeypatch.setattr(bellvar._kernel, "_columns", _nan_slack_columns(bellvar._kernel._columns))
-    out_path = tmp_path / f"scan.{fmt}"
-    argv = ["scan", "--family", "chsh", "--samples", "5", "--format", fmt, "--out", str(out_path)]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert "2 of 5 scan slacks are not finite" in captured.err
-    assert captured.out == ""
-    assert not out_path.exists()
+    columns = bellvar._kernel._columns
+    # NaN slacks in the one pass of 5 samples, then only in the last of three passes
+    # (256 + 256 + 5 chsh instances), after the CSV rows of two passes were written
+    for samples, last_pass, message in (("5", None, "2 of 5"), ("517", 3, "2 of 517")):
+        monkeypatch.setattr(bellvar._kernel, "_columns", _nan_slack_columns(columns, last_pass))
+        out_path = tmp_path / f"scan.{fmt}"
+        argv = ["scan", "--family", "chsh", "--samples", samples, "--format", fmt]
+        assert main([*argv, "--out", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert f"{message} scan slacks are not finite" in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
 
 
 def test_json_output_rejects_non_finite_values(tmp_path, capsys, monkeypatch):
@@ -1752,9 +1803,10 @@ def test_sample_csv_is_written_as_it_is_made(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     size = out_path.stat().st_size
-    # the file is 2.9 MiB.  Streamed, the peak is about 2.1 MiB (2.07 MiB),
-    # set by the sampler's draw chunk and one CSV chunk of 10**4 rows; the
-    # whole text held in memory (with its encoded copy) peaked at 6.4 MiB,
-    # 2.2x the file.
-    # Bound: the file's size, 0.9 MiB above the streamed peak.
-    assert peak < size, f"traced peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"
+    # the file is 2.9 MiB.  Streamed, the peak is about 1.0 MiB (0.98 MiB),
+    # set by the per-round indices, the sampler's draw chunk of 2**14 rounds
+    # and one CSV chunk of 10**4 rows; with draw chunks of 2**16 rounds it was
+    # 2.04 MiB, and the whole text held in memory (with its encoded copy)
+    # peaked at 6.4 MiB, 2.2x the file.
+    # Bound: half the file's size, 0.5 MiB above the streamed peak.
+    assert peak < size / 2, f"traced peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"

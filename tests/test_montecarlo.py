@@ -470,15 +470,19 @@ def test_inverse_cdf_matches_row_compare(seed, width_exp, n_combos, plateaus, ov
 
 
 def test_simulate_rounds_memory():
-    family, scenario, state = _instance("mk-ghz-6")
-    simulate_rounds(family, scenario, state, rounds=1000, seed=0)  # first-call caches stay out
-    tracemalloc.start()
-    try:
-        simulate_rounds(family, scenario, state, rounds=10**6, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    for name in ("mk-ghz-6", "chsh-optimal"):
+        family, scenario, state = _instance(name)
+        simulate_rounds(family, scenario, state, rounds=1000, seed=0)  # first-call caches stay out
+        tracemalloc.start()
+        try:
+            simulate_rounds(family, scenario, state, rounds=10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one byte a round for each of combo_idx and outcome_idx (1.9 MiB) and the
+        # draw scratch of one chunk of 2**14 rounds: 2.53 MiB for mk-ghz 6 and
+        # 2.37 MiB for chsh (3.70 and 3.55 MiB with chunks of 2**16 rounds)
+        assert peak < 3 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
 
 
 # rounds per preset: at the edges of the 10**4-round chunks, inside a chunk, and at
