@@ -18,7 +18,7 @@ records.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,10 +121,7 @@ class ScanSummary:
     rounding floor ``SLACK_FLOOR``, NaN included; a NaN slack also
     propagates into ``min_slack``.  ``non_finite`` counts the NaN and
     infinite slacks on their own.  ``min_slack``/``mean_slack`` are None
-    for an empty scan.  ``rows`` optionally keeps the per-instance rows for
-    CSV export, stored by column: one length-``n_samples`` array per name in
-    ``_COLUMNS``, instance i at position i.  It is not part of the
-    summary proper and takes no part in comparisons.
+    for an empty scan.
     """
 
     family: FamilySpec
@@ -134,7 +131,6 @@ class ScanSummary:
     violations: int
     non_finite: int
     seed: int
-    rows: dict[str, np.ndarray] | None = field(default=None, compare=False)
 
 
 def _draw(rng: np.random.Generator, m: int, shape: tuple[int, int], dim: int):
@@ -186,8 +182,8 @@ def _scan_passes(family: FamilySpec, n_samples: int, seed: int) -> Iterator[tupl
     )
 
 
-def _scan_summary(family: FamilySpec, slack: np.ndarray, seed: int, rows=None) -> ScanSummary:
-    """The summary of a scan from its whole slack column (and ``rows``, kept as given)."""
+def _scan_summary(family: FamilySpec, slack: np.ndarray, seed: int) -> ScanSummary:
+    """The summary of a scan from its whole slack column."""
     n_samples = len(slack)
     return ScanSummary(
         family=family,
@@ -197,25 +193,20 @@ def _scan_summary(family: FamilySpec, slack: np.ndarray, seed: int, rows=None) -
         violations=int(np.count_nonzero(~(slack >= SLACK_FLOOR))),
         non_finite=int(np.count_nonzero(~np.isfinite(slack))),
         seed=int(seed),
-        rows=rows,
     )
 
 
-def random_scan(
-    family: FamilySpec, n_samples: int, seed: int, keep_rows: bool = False
-) -> ScanSummary:
+def random_scan(family: FamilySpec, n_samples: int, seed: int) -> ScanSummary:
     """Slack statistics over Haar states and uniform-Bloch settings.
 
     The instances are drawn (see :func:`_draw`) and reported one kernel
     pass at a time (see :func:`_scan_passes`), and only the slacks are kept
-    across passes.  ``keep_rows=True`` keeps every ``_COLUMNS`` array
-    instead, for CSV export in process; the command line writes its scan
-    CSV a pass at a time from the same passes and keeps only the slacks.
+    across passes; the command line writes its scan CSV from the same
+    passes.
     """
     passes = _scan_passes(family, n_samples, seed)
-    columns = {name: np.empty(n_samples) for name in (_COLUMNS if keep_rows else ("slack",))}
+    slack = np.empty(n_samples)
     for start, cols in passes:
-        for name, column in columns.items():
-            column[start : start + len(cols["slack"])] = cols[name]
+        slack[start : start + len(cols["slack"])] = cols["slack"]
         del cols  # it holds the pass's images and splits: free them before the next pass
-    return _scan_summary(family, columns["slack"], seed, columns if keep_rows else None)
+    return _scan_summary(family, slack, seed)

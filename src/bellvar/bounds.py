@@ -23,7 +23,7 @@ with ``rms = sqrt(sum_x dX_x^2)`` per side.  The reported ``slack =
 bound_statistical + local_part - bell_value`` is non-negative for
 quantum states up to rounding, and zero exactly at the saturating
 configurations.  Everything else reads that pass.  ``random_scan``
-copies whole chunks of its columns.  A single instance runs it as a
+keeps only the slack column of each pass.  A single instance runs it as a
 stack of one (``_blocks``): ``_bell_report`` reads instance 0 as a
 ``BellReport`` next to the family's Tsirelson and LHV values, and the
 CHSH saturation flags, the Pearson variant, the chained geometry and

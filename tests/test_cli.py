@@ -897,13 +897,16 @@ def test_scan_csv_is_written_a_chunk_at_a_time(tmp_path, capsys):
 
 
 def _scan_csv_reference(family, n_samples, seed) -> str:
-    """The scan CSV formatted in one pass, every cell by ``repr``, from the kept rows."""
-    from bellvar._kernel import _COLUMNS, random_scan
+    """The scan CSV formatted one row at a time, every cell by ``repr``, from the columns of
+    the scan's kernel passes."""
+    from bellvar._kernel import _COLUMNS, _scan_passes
 
-    rows = random_scan(family, n_samples, seed, keep_rows=True).rows
     lines = ["# schema_version: 1", ",".join(["index", *_COLUMNS])]
-    for i in range(n_samples):
-        lines.append(",".join([repr(i), *(repr(float(rows[name][i])) for name in _COLUMNS)]))
+    for start, cols in _scan_passes(family, n_samples, seed):
+        for i in range(len(cols["slack"])):
+            cells = (repr(float(cols[name][i])) for name in _COLUMNS)
+            lines.append(",".join([repr(start + i), *cells]))
+    assert len(lines) == n_samples + 2
     return "\n".join(lines) + "\n"
 
 

@@ -274,18 +274,30 @@ def test_random_scan_no_violations_and_deterministic():
     assert s3.min_slack != s1.min_slack
 
 
+def _scan_columns(family, n_samples, seed) -> dict:
+    """Every ``_COLUMNS`` array of a scan, gathered from its kernel passes: instance i at
+    position i."""
+    columns = {name: np.empty(n_samples) for name in _kernel._COLUMNS}
+    for start, cols in _kernel._scan_passes(family, n_samples, seed):
+        for name, column in columns.items():
+            column[start : start + len(cols["slack"])] = cols[name]
+    return columns
+
+
 def test_random_scan_empty_and_rows():
     empty = random_scan(chsh_family(), n_samples=0, seed=1)
     assert empty.min_slack is None
     assert empty.mean_slack is None
     assert empty.violations == 0
     assert empty.non_finite == 0
-    kept = random_scan(chained_family(3), n_samples=10, seed=1, keep_rows=True)
-    # the rows are stored by column; the index of a row is its position
-    assert kept.rows is not None
-    assert [len(column) for column in kept.rows.values()] == [10] * len(kept.rows)
-    assert np.all(kept.rows["slack"] >= -1e-9)
-    assert set(kept.rows) == {
+    kept = random_scan(chained_family(3), n_samples=10, seed=1)
+    rows = _scan_columns(chained_family(3), n_samples=10, seed=1)
+    # the summary keeps no rows; they are read from the passes, by column, and the
+    # index of a row is its position
+    assert not hasattr(kept, "rows")
+    assert [len(column) for column in rows.values()] == [10] * len(rows)
+    assert np.all(rows["slack"] >= -1e-9)
+    assert set(rows) == {
         "bell_value",
         "local_part",
         "rms_a",
@@ -293,7 +305,7 @@ def test_random_scan_empty_and_rows():
         "bound_statistical",
         "slack",
     }
-    assert kept.min_slack == pytest.approx(min(kept.rows["slack"]))
+    assert kept.min_slack == pytest.approx(min(rows["slack"]))
     with pytest.raises(ValueError):
         random_scan(chsh_family(), n_samples=-1, seed=0)
 
@@ -338,7 +350,7 @@ def test_random_scan_runs_the_kernel_once_per_chunk(monkeypatch, family):
     monkeypatch.setattr(bellvar._kernel, "_columns", counted)
     n_samples = 600
     chunk = max(1, _kernel._SCAN_CHUNK // 2**family.n_parties)
-    random_scan(family, n_samples=n_samples, seed=2, keep_rows=True)
+    random_scan(family, n_samples=n_samples, seed=2)
     assert len(calls) == math.ceil(n_samples / chunk)
 
 
@@ -389,13 +401,13 @@ def test_random_scan_matches_per_instance_reference(family, n_samples):
     # the sample counts cross at least one chunk boundary of the batched scan
     assert n_samples > max(1, _kernel._SCAN_CHUNK // 2**family.n_parties)
     for seed in (0, 7):
-        summary = random_scan(family, n_samples, seed, keep_rows=True)
+        summary = random_scan(family, n_samples, seed)
+        columns = _scan_columns(family, n_samples, seed)
+        assert summary == _kernel._scan_summary(family, columns["slack"], seed)
         rows, violations = _scan_reference(family, n_samples, seed)
-        assert list(range(len(summary.rows["slack"]))) == [r["index"] for r in rows]
+        assert list(range(len(columns["slack"]))) == [r["index"] for r in rows]
         for key in set(rows[0]) - {"index"}:
-            np.testing.assert_allclose(
-                summary.rows[key], [r[key] for r in rows], rtol=0, atol=1e-12
-            )
+            np.testing.assert_allclose(columns[key], [r[key] for r in rows], rtol=0, atol=1e-12)
         assert summary.violations == violations
         assert summary.min_slack == pytest.approx(min(r["slack"] for r in rows), abs=1e-12)
 
