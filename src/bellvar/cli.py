@@ -7,10 +7,11 @@ to stdout; ``--out PATH`` also writes a machine readable file, canonical
 JSON by default.  The table shows the fields of the same document that
 ``--out`` writes.  ``report``, ``scan`` and ``sample`` take ``--format
 csv`` for a CSV file instead (every format carries a schema_version
-field, CSV as a leading comment line).  A scan CSV is written one kernel
-pass at a time from a file opened before the scan starts, and its table
-follows the file; every other table comes before its file.  A run that
-fails after its file was opened deletes the file.
+field, CSV as a leading comment line).  Every subcommand writes its
+file first and prints its table after, so an ``--out`` that cannot be
+opened exits 2 with nothing on stdout.  A scan CSV is written one kernel
+pass at a time.  A run that fails after its file was opened deletes the
+file if the path resolves to a regular file.
 
 ``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
 (party, setting) from one-site block images, building no joint operator;
@@ -102,50 +103,34 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(
-    args, doc: dict | None, rows: list, family=None, chunks: Iterable[str] | None = None
-) -> int:
-    """Print the table and, with ``--out``, write the CSV ``chunks`` as they are made, or with
-    none given ``doc`` as canonical JSON.  A row is a key of ``doc`` or a ``(label, value)`` pair;
-    every value shows through ``_cell``.  ``doc`` gains ``schema_version`` and, with a family
-    given, the ``family`` field, which the table shows first.  The JSON text is made before the
-    file is opened and takes no NaN or infinity: such a value raises ``ValueError`` and leaves
-    no file behind.  With ``doc`` None the chunks make it (the scan CSV, written one kernel
-    pass at a time): the file is opened before any work, and the table, from the document the
-    chunk generator returns, follows the file.  See ``_write`` for a failure while writing."""
-    streamed = doc is None
-    if streamed:
-        doc = _write(args.out, chunks)
+def _emit(args, doc: dict, rows: list, family=None, chunks: Iterable[str] | None = None) -> int:
+    """With ``--out``, write the CSV ``chunks`` as they are made, or with none given ``doc`` as
+    canonical JSON; then print the table.  A row is a key of ``doc`` or a ``(label, value)``
+    pair; every value shows through ``_cell``.  ``doc`` gains ``schema_version`` and, with a
+    family given, the ``family`` field, which the table shows first.  The JSON text is made
+    before the file is opened and takes no NaN or infinity: such a value raises ``ValueError``
+    and leaves no file behind.  Chunks may fill ``doc`` as they are written (the scan CSV, one
+    kernel pass at a time).  Any failure after the file is opened, its closing included,
+    removes the file ``--out`` resolves to if that is a regular file, never a FIFO or device."""
     doc["schema_version"] = SCHEMA_VERSION
     if family is not None:
         doc["family"] = family_to_json_dict(family)
         rows = [("family", f"{family.name} (n={family.n})"), *rows]
-    if args.out and chunks is None:
-        chunks = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+    if args.out:
+        if chunks is None:
+            chunks = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+        fh = open(args.out, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            if os.path.isfile(path := os.path.realpath(args.out)):
+                os.remove(path)
+            raise
     rows = [(r, doc[r]) if isinstance(r, str) else r for r in rows]
     width = max(len(label) for label, _ in rows)
     print("\n".join(f"{label.ljust(width)}  {_cell(v)}" for label, v in rows))
-    if args.out and not streamed:
-        _write(args.out, chunks)
     return 0
-
-
-def _write(path: str, chunks: Iterable[str]) -> dict | None:
-    """Write ``chunks`` to ``path`` as they are made; return what a chunk generator returns.
-    Any failure after the file is opened, its closing included, deletes the file."""
-    made = []
-
-    def drain():
-        made.append((yield from chunks))
-
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(drain())
-    except BaseException:
-        os.remove(path)
-        raise
-    return made[0]
 
 
 def _parse_family(args) -> FamilySpec:
@@ -398,6 +383,7 @@ def _cmd_scan(args, family, *_) -> int:
         return _emit(args, document(random_scan(family, args.samples, args.seed)), rows, family)
     # --samples and --seed are checked here, before the file is opened
     passes = _scan_passes(family, args.samples, args.seed)
+    doc: dict = {}
 
     def csv_chunks():
         # each pass's rows are written as the pass is made; only the slacks are kept
@@ -408,9 +394,9 @@ def _cmd_scan(args, family, *_) -> int:
             slack[start:stop] = cols["slack"]
             yield from _csv_chunks((), [range(start, stop), *(cols[name] for name in _COLUMNS)])
             del cols  # free the pass's images and splits before the next pass
-        return document(_scan_summary(family, slack, args.seed))
+        doc.update(document(_scan_summary(family, slack, args.seed)))
 
-    return _emit(args, None, rows, family, csv_chunks())
+    return _emit(args, doc, rows, family, csv_chunks())
 
 
 def _cmd_sample(args, family, scenario, state) -> int:

@@ -10,8 +10,10 @@ import functools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -233,6 +235,49 @@ def test_json_top_level_keys(tmp_path, capsys, scenario_file, case):
     assert main([*argv, "--out", str(out_path)]) == 0
     capsys.readouterr()
     assert set(json.loads(out_path.read_text(encoding="utf-8"))) == {"schema_version", *keys}
+
+
+# every subcommand and --format: argv without --out, and the --format it takes (None: JSON only)
+_OUT_CASES = {
+    "decompose": (["decompose", "--scenario", "SCENARIO"], None),
+    "report-json": (["report", "--preset", "chsh-optimal"], "json"),
+    "report-csv": (["report", "--preset", "chsh-optimal"], "csv"),
+    "optimize": (["optimize", "--family", "chsh"], None),
+    "scan-json": (["scan", "--family", "chsh", "--samples", "300"], "json"),
+    "scan-csv": (["scan", "--family", "chsh", "--samples", "300"], "csv"),
+    "sample-json": (["sample", "--preset", "chsh-optimal", "--rounds", "2000"], "json"),
+    "sample-csv": (["sample", "--preset", "chsh-optimal", "--rounds", "2000"], "csv"),
+    "lhv": (["lhv", "--family", "chsh"], None),
+}
+
+
+def _out_argv(case, scenario_file, out_path) -> list[str]:
+    argv, fmt = _OUT_CASES[case]
+    argv = [str(scenario_file) if a == "SCENARIO" else a for a in argv]
+    return [*argv, *(["--format", fmt] if fmt else []), "--out", str(out_path)]
+
+
+@pytest.mark.parametrize("case", list(_OUT_CASES))
+def test_unopenable_out_exits_2_before_any_table(tmp_path, capsys, scenario_file, case):
+    # the file is written before the table is printed, so a path that cannot be opened
+    # leaves stdout empty
+    out_path = tmp_path / "missing" / "out"
+    assert main(_out_argv(case, scenario_file, out_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("case", list(_OUT_CASES))
+def test_table_is_the_same_with_and_without_out(tmp_path, capsys, scenario_file, case):
+    argv, _ = _OUT_CASES[case]
+    assert main([str(scenario_file) if a == "SCENARIO" else a for a in argv]) == 0
+    alone = capsys.readouterr().out
+    out_path = tmp_path / "out"
+    assert main(_out_argv(case, scenario_file, out_path)) == 0
+    assert capsys.readouterr().out == alone
+    assert out_path.stat().st_size > 0
 
 
 def test_report_preset_stdout(capsys):
@@ -928,10 +973,10 @@ def test_scan_csv_matches_one_pass_reference(tmp_path, capsys, family, family_ar
     for seed, n in enumerate((chunk - 1, chunk, chunk + 1, 3 * chunk + 5)):
         argv = ["scan", *family_argv, "--samples", str(n), "--seed", str(seed)]
         assert main([*argv, "--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
-        streamed = capsys.readouterr().out
+        csv_table = capsys.readouterr().out
         assert main([*argv, "--format", "json", "--out", str(tmp_path / "scan.json")]) == 0
-        # the table printed after a streamed CSV is the JSON run's table
-        assert streamed == capsys.readouterr().out
+        # the table printed after the CSV, whose rows filled its document, is the JSON run's
+        assert csv_table == capsys.readouterr().out
         text = (tmp_path / "scan.csv").read_text(encoding="utf-8")
         assert text == _scan_csv_reference(family, n, seed)
 
@@ -966,6 +1011,71 @@ def test_scan_non_finite_slack_exits_3_and_writes_nothing(tmp_path, capsys, monk
         assert f"{message} scan slacks are not finite" in captured.err
         assert captured.out == ""
         assert not out_path.exists()
+
+
+# a chsh scan of 517 samples runs three kernel passes; NaN slacks in the last one fail its
+# summary after every row was written
+_FAILING_SCAN = ["scan", "--family", "chsh", "--samples", "517", "--format", "csv"]
+
+
+def test_failed_csv_through_a_symlink_removes_the_target_only(tmp_path, capsys, monkeypatch):
+    import bellvar._kernel
+
+    columns = bellvar._kernel._columns
+    monkeypatch.setattr(bellvar._kernel, "_columns", _nan_slack_columns(columns, last_pass=3))
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main([*_FAILING_SCAN, "--out", str(link)]) == 3
+    assert "2 of 517 scan slacks are not finite" in capsys.readouterr().err
+    # the partial rows go with the target; the link is left, dangling
+    assert not target.exists()
+    assert link.is_symlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_failed_csv_into_a_fifo_leaves_the_fifo(tmp_path, capsys, monkeypatch):
+    import bellvar._kernel
+
+    columns = bellvar._kernel._columns
+    monkeypatch.setattr(bellvar._kernel, "_columns", _nan_slack_columns(columns, last_pass=3))
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    read = []
+    # opening a FIFO to write blocks until a reader opens it
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")))
+    reader.start()
+    try:
+        code = main([*_FAILING_SCAN, "--out", str(fifo)])
+    finally:
+        reader.join(timeout=60)
+    assert code == 3
+    assert "2 of 517 scan slacks are not finite" in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # the reader saw the header and every row before the failure
+    assert read[0].count("\n") == 2 + 517
+
+
+def test_interrupt_mid_csv_removes_the_file_and_propagates(tmp_path, capsys, monkeypatch):
+    import bellvar._kernel
+
+    columns = bellvar._kernel._columns
+    out_path = tmp_path / "scan.csv"
+    calls, written = [], []
+
+    def interrupted(family, stacks, states):
+        calls.append(len(states))
+        if len(calls) < 2:
+            return columns(family, stacks, states)
+        # second pass: the first pass's rows are in the file
+        written.append(out_path.stat().st_size)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bellvar._kernel, "_columns", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*_FAILING_SCAN, "--out", str(out_path)])
+    assert capsys.readouterr().out == ""
+    assert written[0] > 0
+    assert not out_path.exists()
 
 
 def test_json_output_rejects_non_finite_values(tmp_path, capsys, monkeypatch):
