@@ -32,8 +32,10 @@ SPREAD_EPS = 1e-9
 SLACK_FLOOR = -1e-9
 
 _PAULIS = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
-# A scan pass reports at most this many instances x dim (images are dim-long).
+# A scan pass holds at most _SCAN_CHUNK instances x dim (its images) and _SCAN_CORRELATORS
+# instances x settings^2 (its correlators); the second binds only chained(n > 8).
 _SCAN_CHUNK = 2**10
+_SCAN_CORRELATORS = 2**14
 
 # The per-instance columns of every report, in the order scan rows and scan CSV files carry them.
 _COLUMNS = ("bell_value", "local_part", "rms_a", "rms_b", "bound_statistical", "slack")
@@ -76,13 +78,10 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
 
     Returns one length-N array per name in ``_COLUMNS``, the images
     ``a_img[i, x] = (A_x x I)|psi_i>`` and ``b_img[i, y] = (I x B_y)|psi_i>``,
-    and their ``(mean, spread, perp)`` arrays ``a_split``/``b_split``;
-    chained adds ``bound_statistical_loose`` and the ``(N, n)`` array
-    ``cos_lambda``.
+    and their ``(mean, spread, perp)`` arrays ``a_split``/``b_split``.
     """
-    mk = family.name == "mk"
-    k = family.split_k if mk else 1
-    coeff = chsh_coefficients() if mk else coefficient_tensor(family)
+    k = family.split_k
+    coeff = chsh_coefficients() if family.name == "mk" else coefficient_tensor(family)
     a_img = _images(stacks[:, :k], states, 0)
     b_img = _images(stacks[:, k:], states, k)
     a_split = _split(a_img, states)
@@ -96,18 +95,6 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     cols.update(bell_value=bell, local_part=local, rms_a=rms_a, rms_b=rms_b)
     # the one budget: rms_a ||C F_b||_F, the rows of F_b being dB_y perp_y
     bound = rms_a * np.linalg.norm(coeff @ (spread_b[..., None] * perp_b), axis=(1, 2))
-    if family.name == "chained":
-        overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
-        # The closing pair (n-1, 0) enters the expression with the
-        # opposite sign, which flips its effective overlap angle.
-        overlap[:, -1] *= -1.0
-        degenerate = spread_b < SPREAD_EPS
-        cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
-        # every perp_y replaced by one common unit vector
-        loose = rms_a * np.linalg.norm(
-            np.sum(np.abs(coeff) * spread_b[:, None, :], axis=2), axis=1
-        )
-        cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
     cols["bound_statistical"] = bound
     cols["slack"] = bound + local - bell
     return cols
@@ -165,17 +152,17 @@ def _scan_passes(family: FamilySpec, n_samples: int, seed: int) -> Iterator[tupl
     """The kernel passes of a random scan, lazily: ``(start, columns)`` per pass, ``columns`` as
     :func:`_columns` returns them for the next ``m`` instances of :func:`_draw`.
 
-    A pass covers ``m = _SCAN_CHUNK // dim`` instances (at least one; fewer
-    in the last) and holds none of the draw's scratch while the kernel
-    runs.  ``n_samples`` and ``seed`` are checked when this is called,
-    before the first pass.
+    A pass covers ``m = min(_SCAN_CHUNK // dim, _SCAN_CORRELATORS // S**2)``
+    instances, S settings per party (at least one; fewer in the last), and
+    holds none of the draw's scratch while the kernel runs.  ``n_samples``
+    and ``seed`` are checked when this is called, before the first pass.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     rng = _philox(seed)
     shape = (family.n_parties, family.settings_per_party[0])
     dim = 2**family.n_parties
-    chunk = max(1, _SCAN_CHUNK // dim)
+    chunk = max(1, min(_SCAN_CHUNK // dim, _SCAN_CORRELATORS // shape[1] ** 2))
     return (
         (start, _columns(family, *_draw(rng, min(chunk, n_samples - start), shape, dim)))
         for start in range(0, n_samples, chunk)

@@ -24,10 +24,12 @@ bound_statistical + local_part - bell_value`` is non-negative for
 quantum states up to rounding, and zero exactly at the saturating
 configurations.  Everything else reads that pass.  ``random_scan``
 keeps only the slack column of each pass.  A single instance runs it as a
-stack of one (``_blocks``): ``_bell_report`` reads instance 0 as a
-``BellReport`` next to the family's Tsirelson and LHV values, and the
-CHSH saturation flags, the Pearson variant, the chained geometry and
-``bellvar report`` read the same record.
+stack of one (``_blocks``, which adds the chained geometry and loose bound):
+``_bell_report`` reads instance 0 as a ``BellReport`` next to the family's
+Tsirelson and LHV values, and the CHSH saturation flags, the Pearson
+variant, the chained geometry and ``_report_document``, the document of
+``bellvar report``, read the same record.  So each family's extras are
+chosen here, not in the kernel or the command line.
 
 The pass lives in ``_kernel``, with ``_COLUMNS``, ``SLACK_FLOOR`` and the
 scan that drives it, because ``scan`` and ``decompose`` need the kernel
@@ -75,7 +77,9 @@ from .scenarios import (
     Scenario,
     _check_instance,
     chsh_coefficients,
+    coefficient_tensor,
     family_to_json_dict,
+    scenario_to_json_dict,
 )
 
 __all__ = list(_EXPORTS["bounds"])
@@ -159,9 +163,24 @@ class PearsonChshReport:
 
 
 def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> dict:
-    """The kernel pass every report reads: the instance as a stack of one, after the shape checks."""
+    """The kernel pass every report reads: the instance as a stack of one, after the shape checks;
+    chained adds ``bound_statistical_loose`` and the ``(1, n)`` array ``cos_lambda``."""
     _check_instance(family, scenario, state)
-    return _columns(family, np.asarray(scenario.observables)[None], state[None])
+    cols = _columns(family, np.asarray(scenario.observables)[None], state[None])
+    if family.name == "chained":
+        _, spread_b, perp_b = cols["b_split"]
+        overlap = np.sum(perp_b.conj() * np.roll(perp_b, -1, axis=1), axis=-1).real
+        # The closing pair (n-1, 0) enters the expression with the
+        # opposite sign, which flips its effective overlap angle.
+        overlap[:, -1] *= -1.0
+        degenerate = spread_b < SPREAD_EPS
+        cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
+        # every perp_y replaced by one common unit vector
+        loose = cols["rms_a"] * np.linalg.norm(
+            np.sum(np.abs(coefficient_tensor(family)) * spread_b[:, None, :], axis=2), axis=1
+        )
+        cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
+    return cols
 
 
 def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
@@ -172,13 +191,11 @@ def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
     """
     values = {name: float(cols[name][0]) for name in _COLUMNS}
     n, extra = family.n, {}
-    if family.name == "chsh":
-        tsirelson, lhv = TSIRELSON_CHSH, 2.0
-    elif family.name == "mk":
-        tsirelson, lhv = float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1))
-    else:
+    if family.name == "chained":
         tsirelson, lhv = float(2.0 * n * np.cos(np.pi / (2 * n))), float(2 * n - 2)
         extra = {"bound_statistical_loose": float(cols["bound_statistical_loose"][0])}
+    else:  # mk(n), and chsh as its n = 2
+        tsirelson, lhv = float(2.0 ** (1.5 * (n - 1))), float(2 ** (n - 1))
     return BellReport(
         family=family,
         nonlocal_amount=values["bell_value"] - values["local_part"],
@@ -330,3 +347,22 @@ def report_to_json_dict(report: BellReport) -> dict:
     if report.bound_statistical_loose is None:
         del out["bound_statistical_loose"]
     return out
+
+
+def _report_document(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> dict:
+    """``bellvar report``'s document off one kernel pass: the family's extras (chsh saturation
+    and Pearson, chained ``cos_lambda``), the report, the scenario and the tolerances."""
+    cols = _blocks(family, scenario, state)
+    doc: dict = {}
+    if family.name == "chsh":
+        doc["saturation"] = asdict(_saturation(cols))
+        try:
+            doc["pearson"] = asdict(_pearson(cols))
+        except DegenerateSpreadError:
+            doc["pearson"] = None
+    elif family.name == "chained":
+        doc["cos_lambda"] = cols["cos_lambda"][0].tolist()
+    doc["report"] = report_to_json_dict(_bell_report(family, cols))
+    doc["scenario"] = scenario_to_json_dict(scenario, family)
+    doc["tolerances"] = {"slack_floor": SLACK_FLOOR, "saturation_atol": SATURATION_ATOL}
+    return doc

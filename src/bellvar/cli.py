@@ -15,7 +15,9 @@ file if the path resolves to a regular file.
 
 ``decompose`` prints ``A|psi> = <A>|psi> + dA|psi_perp>`` for every
 (party, setting) from one-site block images, building no joint operator;
-a family, if one is given, must fit the table, as for report.
+a family, if one is given, must fit the table, as for report.  ``report``
+only formats the document that ``bounds._report_document`` builds, where
+each family's extras are chosen.
 
 Each subcommand imports its layers when called, and a run builds only its
 own subcommand's parser.  At import this module loads only scenarios and
@@ -69,12 +71,12 @@ from .scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _check_instance,
     _complex_pair,
     _complex_pairs,
     _csv_chunks,
     _images,
     bell_state,
-    check_family_scenario,
     family_to_json_dict,
     ghz_state,
     lhv_max,
@@ -245,7 +247,7 @@ def _cmd_decompose(args, family, scenario, state) -> int:
     from ._kernel import SPREAD_EPS, _split
 
     if family is not None:
-        check_family_scenario(family, scenario)
+        _check_instance(family, scenario, state)
     # each party is a one-site block at its own tensor factor
     images = np.concatenate(
         [
@@ -287,35 +289,9 @@ def _cmd_decompose(args, family, scenario, state) -> int:
     return _emit(args, doc, rows)
 
 
-def _report_document(family, scenario, state) -> dict:
-    from ._kernel import DegenerateSpreadError
-    from .bounds import (
-        SATURATION_ATOL,
-        SLACK_FLOOR,
-        _bell_report,
-        _blocks,
-        _pearson,
-        _saturation,
-        report_to_json_dict,
-    )
-
-    cols = _blocks(family, scenario, state)
-    doc: dict = {}
-    if family.name == "chsh":
-        doc["saturation"] = dataclasses.asdict(_saturation(cols))
-        try:
-            doc["pearson"] = dataclasses.asdict(_pearson(cols))
-        except DegenerateSpreadError:
-            doc["pearson"] = None
-    elif family.name == "chained":
-        doc["cos_lambda"] = cols["cos_lambda"][0].tolist()
-    doc["report"] = report_to_json_dict(_bell_report(family, cols))
-    doc["scenario"] = scenario_to_json_dict(scenario, family)
-    doc["tolerances"] = {"slack_floor": SLACK_FLOOR, "saturation_atol": SATURATION_ATOL}
-    return doc
-
-
 def _cmd_report(args, family, scenario, state) -> int:
+    from .bounds import _report_document
+
     doc = _report_document(family, scenario, state)
     fields = {k: v for k, v in doc["report"].items() if k not in ("family", "schema_version")}
     rows = [("family", f"{family.name} (n={family.n})"), *fields.items()]

@@ -63,9 +63,10 @@ _GRADIENT_EPS = 1e-12
 class OptimizationResult:
     """Outcome of one seeded see-saw run.
 
-    ``value`` is the expression's expectation in ``state`` under the
-    final ``scenario`` settings; ``history`` holds the value after each
-    sweep and is nondecreasing within rounding.
+    ``history`` holds the value after each sweep, nondecreasing within
+    rounding, and ``iterations`` its length.  ``value`` is ``max(history)``;
+    ``state`` and ``scenario`` are the last sweep's, worth ``history[-1]``,
+    which rounding may leave just below ``value``.
     """
 
     family: FamilySpec
@@ -100,8 +101,8 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
 
     Deterministic for a given seed.  Convergence means the per-sweep
     improvement stayed below 1e-12 for three consecutive sweeps before
-    ``max_iters`` ran out; otherwise the best iterate so far is returned
-    with ``converged=False``.
+    ``max_iters`` ran out; otherwise ``converged=False``.  Either way the
+    last iterate comes back, with the history's best value.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
@@ -115,10 +116,8 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     state = None
     prev = -np.inf
     stall = 0
-    iterations = 0
     converged = False
     for _ in range(max_iters):
-        iterations += 1
         _, state = top_eigenpair(operator_from_tensor(coeff, observables))
         prefix = _density(state, family.n_parties)
         for p in range(family.n_parties):
@@ -150,7 +149,7 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
         value=float(prev),
         state=state,
         scenario=final,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         history=tuple(history),
         seed=int(seed),

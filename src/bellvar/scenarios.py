@@ -46,6 +46,8 @@ __all__ = list(_EXPORTS["scenarios"])
 SCHEMA_VERSION = 1
 MK_MAX_PARTIES = 8
 LHV_ENUMERATION_CAP_BITS = 24
+# Settings per party of a chained family, whose n x n tables every subcommand builds.
+_CHAINED_MAX_SETTINGS = 2**9
 
 _BLOCH_NORM_ATOL = 1e-9
 # Rows formatted at once.  Their cells and row strings are small Python
@@ -177,8 +179,10 @@ class FamilySpec:
             if self.n != 2:
                 raise ValueError("chsh is a 2-setting family")
         elif self.name == "chained":
-            if self.n < 2:
-                raise ValueError(f"chained needs n >= 2 settings, got {self.n}")
+            if not 2 <= self.n <= _CHAINED_MAX_SETTINGS:
+                raise ValueError(
+                    f"chained supports 2..{_CHAINED_MAX_SETTINGS} settings, got {self.n}"
+                )
         elif self.name == "mk":
             if not 2 <= self.n <= MK_MAX_PARTIES:
                 raise ValueError(f"mk supports 2..{MK_MAX_PARTIES} parties, got {self.n}")
@@ -212,19 +216,14 @@ def mk_family(n: int, split_k: int = 1) -> FamilySpec:
     return FamilySpec(name="mk", n=n, split_k=split_k)
 
 
-def check_family_scenario(family: FamilySpec, scenario: Scenario) -> None:
-    """Raise unless the scenario's shape matches the family's."""
+def _check_instance(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> None:
+    """Raise unless the scenario has the family's shape and the state fits its qubit parties."""
     expected = family.settings_per_party
     if scenario.settings_per_party != expected:
         raise ValueError(
             f"scenario shape {scenario.settings_per_party} does not match "
             f"family {family.name} (expected {expected})"
         )
-
-
-def _check_instance(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> None:
-    """Raise unless the scenario matches the family and the state fits its qubit parties."""
-    check_family_scenario(family, scenario)
     if state.shape != (2**scenario.n_parties,):
         raise ValueError(
             f"state of length {state.shape[0]} does not fit {scenario.n_parties} qubit parties"
@@ -420,16 +419,16 @@ def lhv_max(family: FamilySpec) -> float:
     last party's outcomes, so for each joint strategy the last party is
     maximised per setting in closed form: it answers with the sign of that
     setting's coefficient sum, which adds the sum's absolute value.  The cap
-    still applies to ``2**(sum of settings)``.  Integer arithmetic
-    throughout, so the result is exact.
+    still applies to ``2**(sum of settings)``, checked before any table is
+    built.  Integer arithmetic throughout, so the result is exact.
     """
-    coeff = coefficient_tensor(family)
     settings = family.settings_per_party
     total_bits = int(sum(settings))
     if total_bits > LHV_ENUMERATION_CAP_BITS:
         raise ValueError(
             f"enumeration size 2**{total_bits} exceeds cap 2**{LHV_ENUMERATION_CAP_BITS}"
         )
+    coeff = coefficient_tensor(family)
     stacks = []
     for n_settings in settings[:-1]:
         bits = (np.arange(2**n_settings) >> np.arange(n_settings)[:, None]) & 1

@@ -139,6 +139,11 @@ def test_correlator_split_rejects_noncommuting():
         correlator_split(SIGMA_X, SIGMA_Z, KET0)
 
 
+def test_correlator_split_rejects_operators_of_different_shapes():
+    with pytest.raises(ValueError, match=r"operator shapes differ: \(4, 4\) vs \(2, 2\)"):
+        correlator_split(np.kron(SIGMA_Z, ID2), SIGMA_Z, KET0)
+
+
 def test_correlator_split_degenerate_overlap_is_zero():
     a = np.kron(SIGMA_Z, ID2)
     b = np.kron(ID2, SIGMA_Z)

@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bellvar
 from bellvar.avdecomp import DegenerateSpreadError, av_decompose, reconstruction_residual
 from bellvar.bounds import (
+    _report_document,
     chained_report,
     chsh_report,
     mk_report,
@@ -33,7 +35,7 @@ from bellvar.bounds import (
     saturation_check,
 )
 from bellvar.linalg import haar_random_ket
-from bellvar.cli import _COMMANDS, _build_parser, _report_document, main
+from bellvar.cli import _COMMANDS, _build_parser, main
 from bellvar.montecarlo import estimate, simulate_rounds
 from bellvar.presets import preset
 from bellvar.scenarios import (
@@ -712,6 +714,17 @@ def test_report_rejects_nonfinite_scenario_file(tmp_path, capsys, bad, command, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "decompose"])
+def test_scenario_file_with_a_two_component_bloch_exits_2(tmp_path, capsys, command):
+    doc = scenario_to_json_dict(from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2), chsh_family())
+    doc["parties"][1]["observables"][0]["bloch"] = [0.6, 0.8]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--scenario", str(scenario_path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: Bloch vector must have 3 components, got shape (2,)\n")
+
+
 def test_report_state_file(scenario_file, tmp_path, capsys):
     state_path = tmp_path / "state.json"
     state_path.write_text(
@@ -960,16 +973,18 @@ def _scan_csv_reference(family, n_samples, seed) -> str:
     [
         (chsh_family(), ["--family", "chsh"]),
         (chained_family(5), ["--family", "chained", "--n", "5"]),
+        (chained_family(40), ["--family", "chained", "--n", "40"]),
         (mk_family(4), ["--family", "mk", "--n", "4"]),
         (mk_family(6, split_k=3), ["--family", "mk", "--n", "6", "--split-k", "3"]),
     ],
-    ids=["chsh", "chained5", "mk4", "mk6-k3"],
+    ids=["chsh", "chained5", "chained40", "mk4", "mk6-k3"],
 )
 def test_scan_csv_matches_one_pass_reference(tmp_path, capsys, family, family_argv):
-    from bellvar._kernel import _SCAN_CHUNK
+    from bellvar._kernel import _SCAN_CHUNK, _SCAN_CORRELATORS
 
     # sample counts on both sides of a kernel-pass boundary, and across three
-    chunk = max(1, _SCAN_CHUNK // 2**family.n_parties)
+    settings = family.settings_per_party[0]
+    chunk = max(1, min(_SCAN_CHUNK // 2**family.n_parties, _SCAN_CORRELATORS // settings**2))
     for seed, n in enumerate((chunk - 1, chunk, chunk + 1, 3 * chunk + 5)):
         argv = ["scan", *family_argv, "--samples", str(n), "--seed", str(seed)]
         assert main([*argv, "--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
@@ -1841,6 +1856,42 @@ def _run_child(argv: list[str], env: dict) -> subprocess.CompletedProcess:
 def test_module_entry_point():
     proc = _run_child(["-m", "bellvar.cli", "lhv", "--family", "chsh"], _child_env())
     assert "lhv_max" in proc.stdout
+
+
+def _address_space_of_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+_ABOVE_THE_CHAINED_CAP = ["--family", "chained", "--n", "100000"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhv", *_ABOVE_THE_CHAINED_CAP],
+        ["scan", *_ABOVE_THE_CHAINED_CAP, "--samples", "1"],
+        ["optimize", *_ABOVE_THE_CHAINED_CAP, "--max-iters", "1"],
+        ["decompose", "--scenario", "scenario.json", *_ABOVE_THE_CHAINED_CAP],
+        ["report", "--preset", "chained-n", "--n", "100000"],
+        ["sample", "--preset", "chained-n", "--n", "100000", "--rounds", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_chained_family_above_the_cap_exits_3_before_any_allocation(scenario_file, argv):
+    # one n x n int64 table at n = 100000 takes 74.5 GiB: within a 1 GiB address space the
+    # run must refuse the family before it builds any table
+    from bellvar.scenarios import _CHAINED_MAX_SETTINGS
+
+    argv = [str(scenario_file) if arg == "scenario.json" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellvar.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_address_space_of_1_gib,
+    )
+    error = f"error: chained supports 2..{_CHAINED_MAX_SETTINGS} settings, got 100000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
 
 
 _THREADS_AFTER_MATMUL = """

@@ -64,6 +64,12 @@ def test_as_ket_rejects_nonfinite(bad):
         as_ket([bad, 0.0, 0.0, 0.0])
 
 
+def test_as_ket_rejects_a_matrix():
+    # a 2x2 array of Frobenius norm 1 and power-of-two leading axis is still no ket
+    with pytest.raises(ValueError, match=r"ket must be 1-d, got shape \(2, 2\)"):
+        as_ket(np.eye(2) / np.sqrt(2.0))
+
+
 def test_as_ket_rejects_oversized_vectors():
     n = DIM_CAP * 2
     v = np.zeros(n)
@@ -77,6 +83,11 @@ def test_as_hermitian_rejects_non_hermitian():
         as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         as_hermitian(np.ones((2, 3)))
+
+
+def test_as_hermitian_rejects_a_dimension_not_a_power_of_two():
+    with pytest.raises(ValueError, match="operator dimension 3 is not a power of two"):
+        as_hermitian(np.eye(3))
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -139,6 +150,13 @@ def test_fix_global_phase_first_amplitude_real_positive():
     np.testing.assert_allclose(_fix_global_phase(w), w, atol=0)
     # norm preserved
     assert np.linalg.norm(w) == pytest.approx(1.0)
+
+
+def test_fix_global_phase_leaves_a_vector_with_no_amplitude_above_1e_12():
+    for vec in (np.zeros(4, dtype=complex), np.full(2, 1e-13j)):
+        fixed = _fix_global_phase(vec)
+        assert isinstance(fixed, np.ndarray)
+        np.testing.assert_array_equal(fixed, vec)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """See-saw search, closed-form chained settings, surface stationarity, scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_seesaw_respects_iteration_budget():
     assert not result.converged
     with pytest.raises(ValueError):
         seesaw_max(chsh_family(), seed=0, max_iters=0)
+
+
+@pytest.mark.parametrize(
+    "family", [chsh_family(), mk_family(3), chained_family(3)], ids=["chsh", "mk3", "chained3"]
+)
+def test_seesaw_value_is_the_history_maximum(family):
+    # state and settings are the last sweep's: their value is history[-1], which a late
+    # sweep's rounding can leave below the best value
+    for seed in range(10):
+        for max_iters in (4, 300):
+            result = seesaw_max(family, seed, max_iters=max_iters)
+            assert result.value == max(result.history)
+            assert result.iterations == len(result.history)
+            assert abs(result.value - result.history[-1]) <= 1e-12 * max(1.0, result.value)
+            rep = report_for(family, result.scenario, result.state)
+            assert rep.bell_value == pytest.approx(result.history[-1], abs=1e-9)
 
 
 def _seesaw_reference(family, seed, max_iters=300):
@@ -352,6 +369,49 @@ def test_random_scan_runs_the_kernel_once_per_chunk(monkeypatch, family):
     chunk = max(1, _kernel._SCAN_CHUNK // 2**family.n_parties)
     random_scan(family, n_samples=n_samples, seed=2)
     assert len(calls) == math.ceil(n_samples / chunk)
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [
+        (chsh_family(), 256),
+        (chained_family(5), 256),
+        (chained_family(8), 256),
+        (chained_family(9), 202),
+        (chained_family(40), 10),
+        (chained_family(300), 1),
+        (mk_family(4), 64),
+        (mk_family(6, split_k=3), 16),
+        (mk_family(8), 4),
+    ],
+    ids=lambda v: f"{v.name}{v.n}-k{v.split_k}" if hasattr(v, "name") else str(v),
+)
+def test_scan_pass_size(monkeypatch, family, size):
+    # at most 2**10 instances x dim and 2**14 instances x settings**2 per pass: chsh, every
+    # mk and chained(n <= 8) are sized by dim alone
+    kernel = _kernel._columns
+    sizes = []
+
+    def counted(family, stacks, states):
+        sizes.append(len(states))
+        return kernel(family, stacks, states)
+
+    monkeypatch.setattr(_kernel, "_columns", counted)
+    random_scan(family, n_samples=size + 1, seed=0)
+    assert sizes == [size, 1]
+
+
+def test_chained_scan_memory_is_bounded_by_its_correlators():
+    # sized by dim alone, a chained(300) pass held 256 instances of 300 x 300 complex
+    # correlators, 369 MB
+    random_scan(chained_family(300), n_samples=1, seed=0)  # first-call caches stay out
+    tracemalloc.start()
+    try:
+        random_scan(chained_family(300), n_samples=40, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _scan_reference(family, n_samples, seed):

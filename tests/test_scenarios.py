@@ -25,6 +25,7 @@ from bellvar.scenarios import (
     SCHEMA_VERSION,
     FamilySpec,
     Scenario,
+    _check_instance,
     _contract,
     _images,
     bell_state,
@@ -32,7 +33,6 @@ from bellvar.scenarios import (
     bloch_of,
     chained_coefficients,
     chained_family,
-    check_family_scenario,
     chsh_coefficients,
     chsh_family,
     coefficient_tensor,
@@ -115,6 +115,20 @@ def test_scenario_rejects_bad_observables():
         Scenario(observables=((),))
 
 
+def test_scenario_rejects_a_wider_dichotomic_observable():
+    two_qubit = np.kron(SIGMA_X, SIGMA_Z)  # Hermitian and dichotomic, but 4x4
+    with pytest.raises(ValueError, match=r"observable \(0,1\) must be 2x2, got \(4, 4\)"):
+        Scenario(observables=((SIGMA_Z, two_qubit),))
+
+
+def test_scenario_rejects_a_bloch_table_of_another_shape():
+    observables = ((SIGMA_X, SIGMA_Z), (SIGMA_X,))
+    for bloch in (((None, None),), ((None, None), (None, None)), ((None,), (None,))):
+        with pytest.raises(ValueError, match="bloch table shape does not match"):
+            Scenario(observables=observables, bloch=bloch)
+    assert Scenario(observables=observables, bloch=((None, None), (None,))).bloch is not None
+
+
 def test_scenario_observables_are_write_protected():
     scen = from_bloch_table([[[0, 0, 1]], [[1, 0, 0]]])
     with pytest.raises(ValueError):
@@ -143,10 +157,19 @@ def test_family_spec_validation():
         FamilySpec(name="chsh", split_k=2)
 
 
+def test_chained_settings_are_capped():
+    cap = scenarios._CHAINED_MAX_SETTINGS
+    assert cap >= 257  # the sampler's wider-than-a-byte setting indices stay reachable
+    assert chained_family(cap).settings_per_party == (cap, cap)
+    with pytest.raises(ValueError, match=f"chained supports 2..{cap} settings, got {cap + 1}"):
+        FamilySpec(name="chained", n=cap + 1)
+
+
 def test_check_family_scenario_shape_mismatch():
+    # the family check of every report, and of decompose, whose parsed state always fits
     scen = from_bloch_table([[[0, 0, 1]], [[1, 0, 0]]])
     with pytest.raises(ValueError, match="does not match"):
-        check_family_scenario(chsh_family(), scen)
+        _check_instance(chsh_family(), scen, bell_state())
 
 
 def test_chsh_coefficients_frozen():
@@ -454,6 +477,16 @@ def test_lhv_enumeration_cap():
     assert LHV_ENUMERATION_CAP_BITS == 24
     with pytest.raises(ValueError, match="cap"):
         lhv_max(chained_family(13))  # 26 bits of strategy space
+
+
+def test_lhv_enumeration_cap_is_checked_before_the_tensor(monkeypatch):
+    def no_tensor(family):
+        raise AssertionError(f"coefficient tensor of {family} built above the cap")
+
+    monkeypatch.setattr(scenarios, "coefficient_tensor", no_tensor)
+    for n in (13, scenarios._CHAINED_MAX_SETTINGS):
+        with pytest.raises(ValueError, match=f"2\\*\\*{2 * n} exceeds cap"):
+            lhv_max(chained_family(n))
 
 
 def test_random_scenario_matches_family_shape():
