@@ -81,7 +81,7 @@ def _columns(family: FamilySpec, stacks: np.ndarray, states: np.ndarray) -> dict
     and their ``(mean, spread, perp)`` arrays ``a_split``/``b_split``.
     """
     k = family.split_k
-    coeff = chsh_coefficients() if family.name == "mk" else coefficient_tensor(family)
+    coeff = coefficient_tensor(family) if family.name == "chained" else chsh_coefficients()
     a_img = _images(stacks[:, :k], states, 0)
     b_img = _images(stacks[:, k:], states, k)
     a_split = _split(a_img, states)

@@ -51,7 +51,8 @@ Closed forms follow from the one budget:
   with the overlap angles of consecutive fluctuation directions
   (``cos_lambda``), the wrap-around term sign-flipped.  The loose variant
   puts every direction on one common unit vector: every ``cos_lambda``
-  is 1.
+  is 1, and as row x of ``|C|`` holds ones at x-1 and x (indices wrapping),
+  it reads ``rms_a sqrt(sum_x (dB_{x-1} + dB_x)^2)`` off the spreads.
 
 The budget bounds the quantum maximum of both bipartite families.  With
 mean vectors ``m_a`` and ``m_b``, the local part is ``m_a^T C m_b <=
@@ -77,7 +78,7 @@ from .scenarios import (
     Scenario,
     _check_instance,
     chsh_coefficients,
-    coefficient_tensor,
+    chsh_family,
     family_to_json_dict,
     scenario_to_json_dict,
 )
@@ -89,8 +90,6 @@ __all__ = list(_EXPORTS["bounds"])
 SATURATION_ATOL = 1e-8
 
 TSIRELSON_CHSH = float(2.0 * np.sqrt(2.0))
-
-_CHSH = FamilySpec(name="chsh", n=2)
 
 
 @dataclass(frozen=True)
@@ -175,10 +174,8 @@ def _blocks(family: FamilySpec, scenario: Scenario, state: np.ndarray) -> dict:
         overlap[:, -1] *= -1.0
         degenerate = spread_b < SPREAD_EPS
         cos_lambda = np.where(degenerate | np.roll(degenerate, -1, axis=1), 0.0, overlap)
-        # every perp_y replaced by one common unit vector
-        loose = cols["rms_a"] * np.linalg.norm(
-            np.sum(np.abs(coefficient_tensor(family)) * spread_b[:, None, :], axis=2), axis=1
-        )
+        # every perp_y replaced by one common unit vector: row x of |C| adds dB_{x-1} + dB_x
+        loose = cols["rms_a"] * np.linalg.norm(np.roll(spread_b, 1, axis=1) + spread_b, axis=1)
         cols.update(cos_lambda=cos_lambda, bound_statistical_loose=loose)
     return cols
 
@@ -208,7 +205,7 @@ def _bell_report(family: FamilySpec, cols: dict) -> BellReport:
 
 def chsh_report(scenario: Scenario, state: np.ndarray) -> BellReport:
     """CHSH value, local part, and the sqrt(2)*rms_a*rms_b bound."""
-    return report_for(_CHSH, scenario, state)
+    return report_for(chsh_family(), scenario, state)
 
 
 def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshReport:
@@ -217,7 +214,7 @@ def pearson_chsh_report(scenario: Scenario, state: np.ndarray) -> PearsonChshRep
     Raises ``DegenerateSpreadError`` when any of the four settings has
     zero spread in the state (the Pearson correlator is undefined there).
     """
-    return _pearson(_blocks(_CHSH, scenario, state))
+    return _pearson(_blocks(chsh_family(), scenario, state))
 
 
 def _pearson(cols: dict) -> PearsonChshReport:
@@ -256,7 +253,7 @@ def saturation_check(scenario: Scenario, state: np.ndarray) -> SaturationFlags:
     * ``overlap_orthogonal``: the B-side fluctuation directions are
       orthogonal (needs both B spreads).
     """
-    return _saturation(_blocks(_CHSH, scenario, state))
+    return _saturation(_blocks(chsh_family(), scenario, state))
 
 
 def _saturation(cols: dict) -> SaturationFlags:

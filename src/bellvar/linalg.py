@@ -12,6 +12,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from . import _EXPORTS
@@ -94,12 +97,13 @@ def tensor_product(*ops) -> np.ndarray:
         ops = tuple(ops[0])
     if len(ops) == 0:
         raise ValueError("tensor_product requires at least one factor")
-    out = np.asarray(ops[0], dtype=complex)
-    for factor in ops[1:]:
-        out = np.kron(out, np.asarray(factor, dtype=complex))
-    if out.shape[0] > DIM_CAP:
-        raise ValueError(f"tensor product dimension {out.shape[0]} exceeds cap {DIM_CAP}")
-    return out
+    factors = [np.asarray(op, dtype=complex) for op in ops]
+    # np.kron pads fewer dimensions with leading ones; Python ints, unlike np.prod, never wrap
+    ndim = max(factor.ndim for factor in factors)
+    dim = math.prod(factor.shape[0] for factor in factors if factor.ndim == ndim)
+    if dim > DIM_CAP:
+        raise ValueError(f"tensor product dimension {dim} exceeds cap {DIM_CAP}")
+    return functools.reduce(np.kron, factors)
 
 
 def expectation(op: np.ndarray, ket: np.ndarray) -> float:

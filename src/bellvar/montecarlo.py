@@ -310,16 +310,13 @@ def empirical_check(estimates: EmpiricalEstimates, z: float = 5.0) -> EmpiricalC
     base = bound + local - estimates.bell_value_hat
 
     var = float(estimates.se_bell_value**2)
-    for x in range(2):
-        partial = float(coeff[x] @ m_b)
-        if r_a > 1e-12:
-            partial -= float(np.sqrt(2.0)) * r_b * m_a[x] / r_a
-        var += partial**2 * float(estimates.se_means[0, x] ** 2)
-    for y in range(2):
-        partial = float(m_a @ coeff[:, y])
-        if r_b > 1e-12:
-            partial -= float(np.sqrt(2.0)) * r_a * m_b[y] / r_b
-        var += partial**2 * float(estimates.se_means[1, y] ** 2)
+    sides = ((coeff, m_a, m_b, r_a, r_b), (coeff.T, m_b, m_a, r_b, r_a))
+    for p, (rows, own, other, r_own, r_other) in enumerate(sides):
+        for x in range(2):
+            partial = float(rows[x] @ other)
+            if r_own > 1e-12:
+                partial -= float(np.sqrt(2.0)) * r_other * own[x] / r_own
+            var += partial**2 * float(estimates.se_means[p, x] ** 2)
     se = float(np.sqrt(var))
     margin = base + z * se
     return EmpiricalCheck(

@@ -110,47 +110,36 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
     start = random_scenario(family, rng)
     observables = [list(row) for row in start.observables]
     coeff = coefficient_tensor(family)
-    flats = [_flat(row) for row in observables]
 
     history: list[float] = []
-    state = None
-    prev = -np.inf
     stall = 0
-    converged = False
     for _ in range(max_iters):
         _, state = top_eigenpair(operator_from_tensor(coeff, observables))
         prefix = _density(state, family.n_parties)
         for p in range(family.n_parties):
             others = [q for q in range(family.n_parties) if q != p]
-            expectations = _real(_contract(prefix, [_flat(_PAULIS), *flats[p + 1 :]]))
-            grads = np.tensordot(coeff, expectations, axes=(others, others))
+            stacks = [_flat(row) for row in [_PAULIS, *observables[p + 1 :]]]
+            grads = np.tensordot(coeff, _real(_contract(prefix, stacks)), axes=(others, others))
             for s, g in enumerate(grads):
                 norm = float(np.linalg.norm(g))
                 if norm < _GRADIENT_EPS:
                     continue
                 observables[p][s] = bloch_observable(g / norm)
-            flats[p] = _flat(observables[p])
-            prefix = _contract(prefix, [flats[p]])
+            prefix = _contract(prefix, [_flat(observables[p])])
         value = float(np.sum(coeff * _real(prefix)))
+        stall = stall + 1 if history and value - max(history) < CONVERGENCE_EPS else 0
         history.append(value)
-        if value - prev < CONVERGENCE_EPS:
-            stall += 1
-            if stall >= _STALL_SWEEPS:
-                converged = True
-                prev = max(prev, value)
-                break
-        else:
-            stall = 0
-        prev = max(prev, value)
+        if stall >= _STALL_SWEEPS:
+            break
 
     final = from_bloch_table([[bloch_of(op) for op in row] for row in observables])
     return OptimizationResult(
         family=family,
-        value=float(prev),
+        value=max(history),
         state=state,
         scenario=final,
         iterations=len(history),
-        converged=converged,
+        converged=stall >= _STALL_SWEEPS,
         history=tuple(history),
         seed=int(seed),
     )

@@ -10,7 +10,7 @@ estimator, so there is exactly one source of truth per family.
 Families:
 
 * ``chsh``: two parties, two settings each, coefficients
-  ``[[+1, +1], [+1, -1]]``.
+  ``[[+1, +1], [+1, -1]]``.  chsh is mk(2): the same settings and tensor.
 * ``chained(n)``: two parties, ``n`` settings each, the cyclic expression
   ``<A0 B0> - <A0 B_{n-1}> + sum_k (<A_k B_{k-1}> + <A_k B_k>)``.
 * ``mk(n)``: ``n`` parties, two settings each, built by the recursion
@@ -193,15 +193,11 @@ class FamilySpec:
 
     @property
     def n_parties(self) -> int:
-        return self.n if self.name == "mk" else 2
+        return 2 if self.name == "chained" else self.n
 
     @property
     def settings_per_party(self) -> tuple[int, ...]:
-        if self.name == "chsh":
-            return (2, 2)
-        if self.name == "chained":
-            return (self.n, self.n)
-        return (2,) * self.n
+        return (self.n, self.n) if self.name == "chained" else (2,) * self.n
 
 
 def chsh_family() -> FamilySpec:
@@ -277,8 +273,6 @@ def mk_coefficient_pair(n: int, split_k: int = 1) -> tuple[np.ndarray, np.ndarra
 
 
 def coefficient_tensor(family: FamilySpec) -> np.ndarray:
-    if family.name == "chsh":
-        return chsh_coefficients()
     if family.name == "chained":
         return chained_coefficients(family.n)
     return mk_coefficient_pair(family.n, family.split_k)[0]

@@ -46,6 +46,7 @@ from bellvar.scenarios import (
     SCHEMA_VERSION,
     Scenario,
     bell_state,
+    bloch_of,
     bloch_observable,
     chained_family,
     chsh_coefficients,
@@ -434,6 +435,34 @@ def test_chained_report_validation():
         chained_report(1, scen, bell_state())
     with pytest.raises(ValueError):
         chained_report(3, scen, bell_state())
+
+
+def _loose_bound_by_abs_coefficients(family, cols):
+    """The loose chained bound as rms_a times the norm of |C| applied to the B spreads."""
+    spread_b = cols["b_split"][1]
+    rows = np.sum(np.abs(coefficient_tensor(family)) * spread_b[:, None, :], axis=2)
+    return cols["rms_a"] * np.linalg.norm(rows, axis=1)
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 64])
+def test_loose_bound_reads_the_spreads_bit_for_bit(n):
+    # row x of |C| holds ones at x-1 and x only, so the spreads' neighbour sums give the same
+    # bits as the |C| product; half the instances put B settings along z on a product state
+    # whose B qubit is |0>, where those spreads are degenerate (exactly 0 on |00>)
+    family, rng = chained_family(n), np.random.default_rng(n)
+    for trial in range(12):
+        scen = random_scenario(family, rng)
+        psi = haar_random_ket(4, rng)
+        if trial % 2:
+            sharp = rng.random(n) < (0.5 if trial % 4 == 1 else 1.0)
+            table = [[bloch_of(op) for op in row] for row in scen.observables]
+            table[1] = [[0, 0, rng.choice([-1, 1])] if s else v for s, v in zip(sharp, table[1])]
+            scen = from_bloch_table(table)
+            psi = KET00 if trial == 11 else np.kron(haar_random_ket(2, rng), [1.0, 0.0])
+        cols = _blocks(family, scen, psi)
+        want = _loose_bound_by_abs_coefficients(family, cols)
+        assert cols["bound_statistical_loose"].tobytes() == want.tobytes()
+        assert chained_report(n, scen, psi)[0].bound_statistical_loose == float(want[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,10 +4,17 @@ Oracle values come from straight numpy calls (kron, eigvalsh) so the
 helpers are checked against an independent route instead of themselves.
 """
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bellvar
 from bellvar import linalg
 from bellvar.linalg import (
     DIM_CAP,
@@ -106,6 +113,43 @@ def test_tensor_product_matches_kron_order():
     np.testing.assert_array_equal(got, np.kron(SIGMA_Z, ID2))
     got2 = tensor_product([SIGMA_X, SIGMA_Y, SIGMA_Z])
     np.testing.assert_array_equal(got2, np.kron(np.kron(SIGMA_X, SIGMA_Y), SIGMA_Z))
+
+
+def test_tensor_product_checks_the_cap_on_kets():
+    assert tensor_product([np.array([1.0, 0.0])] * 12).shape == (DIM_CAP,)
+    with pytest.raises(ValueError, match="dimension 8192 exceeds cap"):
+        tensor_product([np.array([1.0, 0.0])] * 13)
+
+
+def _address_space_of_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_tensor_product_checks_the_cap_before_building():
+    # 13 sigma_x factors already make a 1 GiB product and 14 a 4 GiB one; within a 1 GiB
+    # address space both must meet the cap error, before any product is built.  At 64 factors
+    # a product of numpy integers would wrap to 0.
+    src = str(Path(bellvar.__file__).resolve().parents[1])
+    code = (
+        "from bellvar.linalg import SIGMA_X, tensor_product\n"
+        "for n in (14, 64):\n"
+        "    try:\n"
+        "        tensor_product([SIGMA_X] * n)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_address_space_of_1_gib,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"tensor product dimension {2**14} exceeds cap {DIM_CAP}",
+        f"tensor product dimension {2**64} exceeds cap {DIM_CAP}",
+    ]
 
 
 def test_tensor_product_empty_rejected():

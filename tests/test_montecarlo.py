@@ -38,6 +38,7 @@ from bellvar.scenarios import (
     bell_state,
     chained_family,
     chsh_family,
+    coefficient_tensor,
     from_bloch_table,
     ghz_state,
     mk_family,
@@ -207,6 +208,50 @@ def test_empirical_check_family_and_z_validation():
     est2 = estimate(simulate_rounds(chsh_family(), scen2, psi, rounds=5000, seed=1))
     with pytest.raises(ValueError):
         empirical_check(est2, z=-1.0)
+
+
+def _two_loop_check(est, z):
+    """empirical_check with one delta-method loop per party, B's rows read as C's columns."""
+    coeff = coefficient_tensor(est.family).astype(float)
+    m_a, m_b = est.means
+    r_a, r_b = float(est.rms_hats[0]), float(est.rms_hats[1])
+    local = float(m_a @ coeff @ m_b)
+    bound = float(np.sqrt(2.0)) * r_a * r_b
+    var = float(est.se_bell_value**2)
+    for x in range(2):
+        partial = float(coeff[x] @ m_b)
+        if r_a > 1e-12:
+            partial -= float(np.sqrt(2.0)) * r_b * m_a[x] / r_a
+        var += partial**2 * float(est.se_means[0, x] ** 2)
+    for y in range(2):
+        partial = float(m_a @ coeff[:, y])
+        if r_b > 1e-12:
+            partial -= float(np.sqrt(2.0)) * r_a * m_b[y] / r_b
+        var += partial**2 * float(est.se_means[1, y] ** 2)
+    se = float(np.sqrt(var))
+    margin = bound + local - est.bell_value_hat + z * se
+    return EmpiricalCheck(
+        passed=bool(margin >= 0.0),
+        margin=margin,
+        bell_value_hat=est.bell_value_hat,
+        local_part_hat=local,
+        bound_hat=bound,
+        se_margin=se,
+        z=float(z),
+    )
+
+
+def test_empirical_check_matches_the_two_loop_formula():
+    # the last instance puts A's settings on the z axis of a |0> qubit: r_a = 0 exactly
+    rng = np.random.default_rng(7)
+    instances = [(random_scenario(chsh_family(), rng), haar_random_ket(4, rng)) for _ in range(64)]
+    sharp_a = from_bloch_table([[[0, 0, 1], [0, 0, -1]], [[1, 0, 0], [0, 0, 1]]])
+    instances.append((sharp_a, np.kron([1.0, 0.0], haar_random_ket(2, rng))))
+    for seed, (scen, psi) in enumerate(instances):
+        est = estimate(simulate_rounds(chsh_family(), scen, psi, rounds=400, seed=seed))
+        for z in (0.0, 5.0):
+            assert empirical_check(est, z) == _two_loop_check(est, z)
+    assert est.rms_hats[0] == 0.0 < est.rms_hats[1]
 
 
 def test_zero_z_reduces_to_raw_margin():

@@ -121,6 +121,21 @@ def test_seesaw_value_is_the_history_maximum(family):
             assert rep.bell_value == pytest.approx(result.history[-1], abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "family", [mk_family(3), chained_family(4), mk_family(5)], ids=["mk3", "chained4", "mk5"]
+)
+def test_seesaw_converges_exactly_at_its_stall_sweep(family):
+    # a run that stalls at sweep k converges with a budget of k sweeps, not with k - 1
+    for seed in range(3):
+        full = seesaw_max(family, seed)
+        k = full.iterations
+        assert full.converged and 1 < k < 300
+        at_k, before = seesaw_max(family, seed, max_iters=k), seesaw_max(family, seed, k - 1)
+        assert at_k.converged and at_k.history == full.history
+        assert not before.converged and before.history == full.history[: k - 1]
+        assert before.value == max(before.history)
+
+
 def _seesaw_reference(family, seed, max_iters=300):
     """The see-saw whose setting step refolds the whole density per party and for the value.
 

@@ -388,6 +388,17 @@ def test_mk_operators_argument_validation():
         mk_coefficient_pair(MK_MAX_PARTIES + 1)
 
 
+def test_chsh_is_read_as_mk2():
+    # coefficient_tensor has no chsh branch: chsh takes mk(2)'s tensor, which must be the
+    # CHSH table byte for byte, and mk(2)'s settings and parties
+    got, want = coefficient_tensor(chsh_family()), chsh_coefficients()
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == coefficient_tensor(mk_family(2)).shape == (2, 2)
+    assert chsh_family().settings_per_party == mk_family(2).settings_per_party == (2, 2)
+    assert chsh_family().n_parties == mk_family(2).n_parties == 2
+
+
 def test_coefficient_tensor_dispatch():
     np.testing.assert_array_equal(coefficient_tensor(chsh_family()), chsh_coefficients())
     np.testing.assert_array_equal(
