@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _DICHOTOMY_ATOL, _IMAG_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import _DICHOTOMY_ATOL, _NORM_ATOL, SIGMA_X, SIGMA_Y, SIGMA_Z, _real
 from .scenarios import FamilySpec, _images, _philox, chsh_coefficients, coefficient_tensor
 
 # Below this absolute spread the fluctuation direction is undefined.
@@ -54,10 +54,7 @@ def _split(images: np.ndarray, states: np.ndarray):
     unless every mean ``<psi_i|image>`` has an imaginary part of at most
     1e-10 (a non-Hermitian operator or a non-finite state slipped through).
     """
-    raw_mean = np.einsum("id,isd->is", states.conj(), images)
-    if not np.all(np.abs(raw_mean.imag) <= _IMAG_ATOL):
-        raise ArithmeticError(f"mean has imaginary part {np.abs(raw_mean.imag).max():.3e}")
-    mean = raw_mean.real
+    mean = _real(np.einsum("id,isd->is", states.conj(), images))
     fluct = images - mean[..., None] * states[:, None]
     spread = np.linalg.norm(fluct, axis=-1)
     degenerate = spread < SPREAD_EPS

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _EXPORTS
 from ._kernel import SPREAD_EPS, DegenerateSpreadError, _split
-from .linalg import _IMAG_ATOL
+from .linalg import _real
 
 __all__ = list(_EXPORTS["avdecomp"])
 
@@ -115,15 +115,13 @@ def correlator_split(op_a: np.ndarray, op_b: np.ndarray, state: np.ndarray) -> C
         raise ValueError(f"operators do not commute: commutator norm {comm:.3e}")
     dec_a = av_decompose(op_a, state)
     dec_b = av_decompose(op_b, state)
-    raw_joint = complex(np.vdot(op_a @ state, op_b @ state))
-    if not abs(raw_joint.imag) <= _IMAG_ATOL:
-        raise ArithmeticError(f"joint correlator has imaginary part {raw_joint.imag:.3e}")
+    joint = float(_real(np.vdot(op_a @ state, op_b @ state)))
     if dec_a.degenerate or dec_b.degenerate:
         overlap = 0.0 + 0.0j
     else:
         overlap = complex(np.vdot(dec_a.perp, dec_b.perp))
     return CorrelatorSplit(
-        joint=raw_joint.real,
+        joint=joint,
         local_product=dec_a.mean * dec_b.mean,
         spread_product=dec_a.spread * dec_b.spread,
         overlap=overlap,

@@ -41,7 +41,8 @@ usage errors, a scenario-file key the reader does not know, an empty
 read; see ``_check_read``), 3 a domain
 validation failure (dimension mismatch, cap exceeded, degenerate spread,
 undersampled batch, a non-finite scan slack or JSON value, chsh with an
-``--n`` other than 2), 1 unexpected internal error.
+``--n`` other than 2) or a size too large to allocate, such as ``--samples``
+or ``--rounds`` at 10**15, 1 unexpected internal error.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits, the
 default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
@@ -504,7 +505,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover

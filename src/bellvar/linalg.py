@@ -37,8 +37,19 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_dim(dim: int, what: str) -> None:
+    """Raise ``ValueError`` unless ``dim`` is a power of two no larger than ``DIM_CAP``."""
+    if not (dim >= 1 and dim & (dim - 1) == 0):
+        raise ValueError(f"{what} dimension {dim} is not a power of two")
+    if dim > DIM_CAP:
+        raise ValueError(f"{what} dimension {dim} exceeds cap {DIM_CAP}")
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """Real part of complex expectations; an imaginary part above 1e-10 raises ArithmeticError."""
+    if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
+        raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
+    return values.real
 
 
 def as_ket(amplitudes) -> np.ndarray:
@@ -51,11 +62,7 @@ def as_ket(amplitudes) -> np.ndarray:
     vec = np.asarray(amplitudes, dtype=complex)
     if vec.ndim != 1:
         raise ValueError(f"ket must be 1-d, got shape {vec.shape}")
-    dim = vec.shape[0]
-    if not _is_power_of_two(dim):
-        raise ValueError(f"ket dimension {dim} is not a power of two")
-    if dim > DIM_CAP:
-        raise ValueError(f"ket dimension {dim} exceeds cap {DIM_CAP}")
+    _check_dim(vec.shape[0], "ket")
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= _NORM_ATOL:
         raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -70,11 +77,7 @@ def as_hermitian(entries) -> np.ndarray:
     op = np.asarray(entries, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator must be square, got shape {op.shape}")
-    dim = op.shape[0]
-    if not _is_power_of_two(dim):
-        raise ValueError(f"operator dimension {dim} is not a power of two")
-    if dim > DIM_CAP:
-        raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
+    _check_dim(op.shape[0], "operator")
     dev = np.max(np.abs(op - op.conj().T))
     if not dev <= _HERM_ATOL:
         raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
@@ -116,10 +119,7 @@ def expectation(op: np.ndarray, ket: np.ndarray) -> float:
     """
     if op.shape[1] != ket.shape[0]:
         raise ValueError(f"dimension mismatch: operator {op.shape} on ket of length {ket.shape[0]}")
-    val = np.vdot(ket, op @ ket)
-    if not abs(val.imag) <= _IMAG_ATOL:
-        raise ArithmeticError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return float(_real(np.vdot(ket, op @ ket)))
 
 
 def _fix_global_phase(vec: np.ndarray) -> np.ndarray:

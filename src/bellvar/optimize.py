@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _EXPORTS
 from ._kernel import _PAULIS, ScanSummary, random_scan
-from .linalg import top_eigenpair
+from .linalg import _real, top_eigenpair
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -41,7 +41,6 @@ from .scenarios import (
     _density,
     _flat,
     _philox,
-    _real,
     bloch_observable,
     bloch_of,
     chsh_coefficients,

@@ -65,6 +65,7 @@ def chained_optimal_settings(n: int) -> Scenario:
 
 def preset(name: str, n: int | None = None) -> Preset:
     """Build a named preset; ``n`` parameterizes chained-n and mk-ghz."""
+    size = 3 if n is None else n
     if name == "chsh-optimal":
         if n not in (None, 2):
             raise ValueError("chsh-optimal takes no size parameter")
@@ -77,7 +78,6 @@ def preset(name: str, n: int | None = None) -> Preset:
         )
         return Preset(name=name, family=chsh_family(), scenario=scenario, state=bell_state())
     if name == "chained-n":
-        size = 3 if n is None else n
         return Preset(
             name=name,
             family=chained_family(size),
@@ -85,7 +85,6 @@ def preset(name: str, n: int | None = None) -> Preset:
             state=bell_state(),
         )
     if name == "mk-ghz":
-        size = 3 if n is None else n
         family = mk_family(size)
         scenario = Scenario(observables=((SIGMA_X, SIGMA_Y),) * size)
         operator = operator_from_tensor(coefficient_tensor(family), scenario.observables)

@@ -15,9 +15,9 @@ Families:
   ``<A0 B0> - <A0 B_{n-1}> + sum_k (<A_k B_{k-1}> + <A_k B_k>)``.
 * ``mk(n)``: ``n`` parties, two settings each, built by the recursion
   ``B_n = B_k (B_{n-k} + B_{n-k}') + B_k' (B_{n-k} - B_{n-k}')`` on
-  disjoint site blocks (base case: the two site observables).  Inner
-  blocks always split at 1; the exposed ``split_k`` applies to the top
-  level only.
+  disjoint site blocks (base case: the two site observables).  Every
+  split ``k`` gives the same pair; ``split_k`` only picks the two blocks
+  of the budget, which only ``report`` and ``scan`` read.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ import numpy as np
 from . import _EXPORTS
 from .linalg import (
     _DICHOTOMY_ATOL,
-    _IMAG_ATOL,
     DIM_CAP,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _check_dim,
+    _real,
     as_hermitian,
     as_ket,
     is_dichotomic,
@@ -252,30 +253,31 @@ def chained_coefficients(n: int) -> np.ndarray:
     return coeff
 
 
-def mk_coefficient_pair(n: int, split_k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+# One MK step: row 0 (B) and row 1 (B') over the products X_x T_t of a head site's pair
+# (X, X') and the tail's pair (T, T'), in (x, t) order.
+_MK_STEP = np.array([[1, 1, 1, -1], [-1, 1, 1, 1]], dtype=np.int64)
+
+
+def mk_coefficient_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tensors of the MK pair (B_n, B_n'), shape (2,)*n.
 
     Index p of the tensor selects party p's setting (0 for the first site
-    observable, 1 for the primed one).  The recursion splits the sites
-    into blocks 1..k and k+1..n; inner blocks always use split 1.
+    observable, 1 for the primed one).  Starting from one site's pair, each
+    ``_MK_STEP`` puts one more site in front.  Every block split of the
+    recursion gives this same pair (checked in the test suite).
     """
     if n < 1 or n > MK_MAX_PARTIES:
         raise ValueError(f"mk recursion supports 1..{MK_MAX_PARTIES} sites, got {n}")
-    if n == 1:
-        return np.array([1, 0], dtype=np.int64), np.array([0, 1], dtype=np.int64)
-    if not 1 <= split_k <= n - 1:
-        raise ValueError(f"mk split must satisfy 1 <= k <= n-1, got {split_k}")
-    head, head_p = mk_coefficient_pair(split_k, 1)
-    tail, tail_p = mk_coefficient_pair(n - split_k, 1)
-    b = np.multiply.outer(head, tail + tail_p) + np.multiply.outer(head_p, tail - tail_p)
-    b_prime = np.multiply.outer(head + head_p, tail_p) - np.multiply.outer(head - head_p, tail)
-    return b, b_prime
+    pair = np.eye(2, dtype=np.int64)
+    for _ in range(n - 1):
+        pair = np.tensordot(_MK_STEP.reshape(2, 2, 2), pair, axes=(2, 0))
+    return pair[0], pair[1]
 
 
 def coefficient_tensor(family: FamilySpec) -> np.ndarray:
     if family.name == "chained":
         return chained_coefficients(family.n)
-    return mk_coefficient_pair(family.n, family.split_k)[0]
+    return mk_coefficient_pair(family.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +311,12 @@ def _flat(stack) -> np.ndarray:
     return np.asarray(stack, dtype=complex).reshape(-1, 4).T
 
 
-def _real(values: np.ndarray) -> np.ndarray:
-    """Real part of folded expectations; an imaginary part above 1e-10 raises ArithmeticError."""
-    if not np.all(np.abs(values.imag) <= _IMAG_ATOL):
-        raise ArithmeticError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}")
-    return values.real
-
-
 def _expectations(stacks, state: np.ndarray) -> np.ndarray:
     """``<state| stacks[0][i_0] tensor ... tensor stacks[P-1][i_{P-1}] |state>`` for every index.
 
     Each ``stacks[p]`` is a ``(K_p, 2, 2)`` stack; no operator is built.  Raises as ``_real``.
     """
     return _real(_contract(_density(state, len(stacks)), [_flat(stack) for stack in stacks]))
-
-
-# The MK recursion at inner split 1: the products X_x T_t, in (x, t) order, to the pair (B, B').
-_MK_STEP = np.stack(mk_coefficient_pair(2), axis=-1).reshape(4, 2).T
 
 
 def _images(sites: np.ndarray, states: np.ndarray, first: int) -> np.ndarray:
@@ -358,8 +349,7 @@ def operator_from_tensor(coeff: np.ndarray, observables) -> np.ndarray:
     if coeff.shape != shape:
         raise ValueError(f"coefficient shape {coeff.shape} does not match scenario {shape}")
     dim = 2 ** len(shape)
-    if dim > DIM_CAP:
-        raise ValueError(f"operator dimension {dim} exceeds cap {DIM_CAP}")
+    _check_dim(dim, "operator")
     value = _contract(coeff, [np.asarray(row, dtype=complex) for row in observables])
     order = [*range(0, value.ndim, 2), *range(1, value.ndim, 2)]
     return value.transpose(order).reshape(dim, dim)
@@ -385,15 +375,16 @@ def mk_operators(n: int, site_pairs, split_k: int = 1) -> MKOperatorPair:
     """Build the MK pair from per-site (X, X') observables.
 
     ``site_pairs[i]`` is the (unprimed, primed) observable pair of site i;
-    ``B`` and ``B'`` are one ``operator_from_tensor`` call each.  The pair
-    satisfies B_n^2 = B_n'^2 for any split (checked in the test suite).
+    ``B`` and ``B'`` are one ``operator_from_tensor`` call each.  ``n`` and
+    ``split_k`` are checked as ``mk_family`` checks them; the split is only
+    recorded, since every split gives the same pair, and that pair satisfies
+    B_n^2 = B_n'^2 (checked in the test suite).
     """
-    if not 2 <= n <= MK_MAX_PARTIES:
-        raise ValueError(f"mk supports 2..{MK_MAX_PARTIES} sites, got {n}")
+    mk_family(n, split_k)
     if len(site_pairs) != n:
         raise ValueError(f"need {n} site observable pairs, got {len(site_pairs)}")
     scen = Scenario(observables=tuple((pair[0], pair[1]) for pair in site_pairs))
-    coeff, coeff_prime = mk_coefficient_pair(n, split_k)
+    coeff, coeff_prime = mk_coefficient_pair(n)
     b = operator_from_tensor(coeff, scen.observables)
     b_prime = operator_from_tensor(coeff_prime, scen.observables)
     return MKOperatorPair(b=b, b_prime=b_prime, n=n, split_k=split_k)

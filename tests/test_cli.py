@@ -1399,7 +1399,10 @@ _MALFORMED_OBSERVABLES = {
     # both keys: one of them would be dropped unread
     "bloch-and-matrix": {"bloch": [0, 0, 1], "matrix": [[[5, 0], [0, 0]], [[0, 0], [5, 0]]]},
     "bloch-and-same-matrix": {"bloch": [0, 0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+    "matrix-3x3": {"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [-1, 0], [0, 0]], [[0, 0]] * 3]},
 }
+# the error message of a case, where the test pins it
+_MALFORMED_MESSAGES = {"matrix-3x3": "matrix observable must be 2x2, got (3, 3)"}
 
 
 @pytest.mark.parametrize("command, case", _with_commands(list(_MALFORMED_OBSERVABLES)))
@@ -1410,7 +1413,7 @@ def test_scenario_file_rejects_malformed_entries(tmp_path, capsys, command, case
     scenario_path.write_text(json.dumps(doc), encoding="utf-8")
     out_path = tmp_path / "out.json"
     assert main([command, "--scenario", str(scenario_path), "--out", str(out_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {_MALFORMED_MESSAGES.get(case, '')}" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -1892,6 +1895,29 @@ def test_chained_family_above_the_cap_exits_3_before_any_allocation(scenario_fil
     )
     error = f"error: chained supports 2..{_CHAINED_MAX_SETTINGS} settings, got 100000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
+
+
+# 10**15 samples or rounds: their first array exceeds the address space, so no page is touched
+_HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "chsh", "--samples", _HUGE],
+        ["scan", "--family", "chsh", "--samples", _HUGE, "--format", "csv"],
+        ["sample", "--preset", "chsh-optimal", "--rounds", _HUGE],
+    ],
+    ids=["scan-json", "scan-csv", "sample"],
+)
+def test_a_size_too_large_to_allocate_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    out_path = tmp_path / "out"
+    assert main([*argv, "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert f"for an array with shape ({_HUGE},)" in captured.err
+    assert not out_path.exists()
 
 
 _THREADS_AFTER_MATMUL = """

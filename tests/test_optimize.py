@@ -342,6 +342,35 @@ def test_random_scan_empty_and_rows():
         random_scan(chsh_family(), n_samples=-1, seed=0)
 
 
+class _FixedNormals:
+    """A generator stand-in whose ``standard_normal`` returns a copy of one fixed table."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+
+# chsh: 2 parties x 2 settings x 3 Bloch normals, then the real and imaginary parts of a
+# 4-dim state
+@pytest.mark.parametrize(
+    "entries, value, error, match",
+    [
+        (slice(0, 3), 0.0, ArithmeticError, "norm at most 1e-12"),
+        (0, np.inf, ValueError, "not dichotomic"),
+        (12, np.inf, ValueError, "not normalized"),
+    ],
+    ids=["zero-bloch-triple", "inf-bloch-entry", "inf-state-entry"],
+)
+def test_draw_refuses_bad_normals(entries, value, error, match):
+    normals = np.ones((1, 12 + 2 * 4))
+    normals[0, entries] = value
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+        _kernel._draw(_FixedNormals(normals), 1, (2, 2), 4)
+
+
 def test_random_scan_covers_other_families():
     for family in (chained_family(4), mk_family(3)):
         summary = random_scan(family, n_samples=60, seed=5)

@@ -213,7 +213,7 @@ _CONTRACTION_CASES = (
 @pytest.mark.parametrize("family", _CONTRACTION_CASES)
 def test_operator_from_tensor_matches_kron_reference(family):
     if family.name == "mk":
-        tensors = mk_coefficient_pair(family.n, family.split_k)
+        tensors = mk_coefficient_pair(family.n)
     else:
         tensors = (coefficient_tensor(family),)
     rng = np.random.default_rng(family.n * 10 + family.split_k)
@@ -386,6 +386,41 @@ def test_mk_operators_argument_validation():
         mk_operators(2, pairs, split_k=2)
     with pytest.raises(ValueError):
         mk_coefficient_pair(MK_MAX_PARTIES + 1)
+
+
+def _split_recursion_pair(n, split_k=1):
+    """The MK pair by the block recursion: sites 1..k and k+1..n at the top, inner blocks at
+    split 1.  The reference for ``mk_coefficient_pair``, which every split must equal."""
+    if n == 1:
+        return np.array([1, 0], dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    head, head_p = _split_recursion_pair(split_k)
+    tail, tail_p = _split_recursion_pair(n - split_k)
+    b = np.multiply.outer(head, tail + tail_p) + np.multiply.outer(head_p, tail - tail_p)
+    b_prime = np.multiply.outer(head + head_p, tail_p) - np.multiply.outer(head - head_p, tail)
+    return b, b_prime
+
+
+def test_every_mk_split_gives_the_same_pair():
+    for n in range(1, MK_MAX_PARTIES + 1):
+        pair = mk_coefficient_pair(n)
+        # one site has no split: the reference returns its base pair at k = 1
+        for k in range(1, max(n, 2)):
+            for got, want in zip(pair, _split_recursion_pair(n, k), strict=True):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.int64, (2,) * n)
+                assert got.tobytes() == want.tobytes()
+            if n > 1:
+                assert coefficient_tensor(mk_family(n, k)).tobytes() == pair[0].tobytes()
+    step = np.stack(mk_coefficient_pair(2), axis=-1).reshape(4, 2).T
+    assert scenarios._MK_STEP.dtype == step.dtype
+    np.testing.assert_array_equal(scenarios._MK_STEP, step)
+
+
+def test_expectations_refuse_an_imaginary_part():
+    # sigma_+ is not Hermitian: on (|0> + i|1>) / sqrt(2) its expectation is i/2
+    raising = np.array([[[0, 1], [0, 0]]], dtype=complex)
+    psi = np.array([1, 1j]) / np.sqrt(2.0)
+    with pytest.raises(ArithmeticError, match="expectation has imaginary part 5.000e-01"):
+        scenarios._expectations([raising], psi)
 
 
 def test_chsh_is_read_as_mk2():
