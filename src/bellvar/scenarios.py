@@ -23,6 +23,10 @@ Families:
 from __future__ import annotations
 
 import json
+import operator
+import random
+import sys
+import types
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -435,11 +439,46 @@ def uniform_bloch(rng: np.random.Generator) -> np.ndarray:
             return v / norm
 
 
+def _secrets_stand_in() -> types.ModuleType:
+    """What numpy's ``bit_generator`` takes from ``secrets``: ``randbits``, the same function."""
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    return stand_in
+
+
 def _philox(seed: int) -> np.random.Generator:
-    """The package's one seeded generator: Philox keyed with a non-negative integer seed."""
+    """The package's one seeded generator: Philox keyed with a non-negative integer seed.
+
+    A seed that is not an integer (``operator.index`` refuses it, so a float
+    raises ``TypeError``) or is negative is refused before anything is drawn.
+
+    The first call in a process that has loaded neither ``numpy.random`` nor
+    ``secrets`` imports ``numpy.random`` with a stand-in ``secrets`` in
+    ``sys.modules``, for that one import only.  The real ``secrets`` imports
+    ``hmac`` and ``hashlib``, which load OpenSSL, while numpy reads only its
+    ``randbits``, and only for unseeded entropy, which a keyed Philox never
+    asks for.  The stand-in's ``randbits`` is the one ``secrets`` exports,
+    ``SystemRandom().getrandbits`` over ``os.urandom``, so a later
+    ``np.random.default_rng()`` draws the same kind of entropy.  If numpy wants more of ``secrets`` than that, the
+    import fails, its partial ``numpy.random`` modules are dropped and the
+    real modules are imported.
+    """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.Generator(np.random.Philox(int(seed)))
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        sys.modules["secrets"] = _secrets_stand_in()
+        try:
+            import numpy.random  # noqa: F401
+        except (ImportError, AttributeError):
+            # a numpy that wants more of ``secrets``: dropped, so ``np.random``
+            # below imports the real modules
+            partial = [m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random.")]
+            for name in partial:
+                del sys.modules[name]
+        finally:
+            del sys.modules["secrets"]
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def random_scenario(family: FamilySpec, rng: np.random.Generator) -> Scenario:

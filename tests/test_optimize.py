@@ -371,6 +371,35 @@ def test_draw_refuses_bad_normals(entries, value, error, match):
         _kernel._draw(_FixedNormals(normals), 1, (2, 2), 4)
 
 
+def test_a_seed_that_is_not_an_integer_is_refused():
+    from bellvar.montecarlo import simulate_rounds
+    from bellvar.presets import preset
+
+    chsh = preset("chsh-optimal")
+
+    def scan(seed):
+        summary = random_scan(chained_family(3), 5, seed)
+        return summary.seed, repr(summary)
+
+    def sample(seed):
+        batch = simulate_rounds(chsh.family, chsh.scenario, chsh.state, 10, seed)
+        return batch.seed, batch.combo_idx.tobytes() + batch.outcome_idx.tobytes()
+
+    def seesaw(seed):
+        result = seesaw_max(chsh_family(), seed, max_iters=2)
+        return result.seed, np.array(result.history).tobytes()
+
+    for run in (scan, sample, seesaw):
+        for seed in (2.5, 2.0, np.float64(3.9)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                run(seed)
+        # a numpy integer is an integer: the same draws as the int, recorded as an int
+        runs = [run(seed) for seed in (2, np.int64(2), np.uint8(2))]
+        assert all(type(recorded) is int and recorded == 2 for recorded, _ in runs)
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+    assert _philox(np.int64(3)).standard_normal(4).tobytes() == _philox(3).standard_normal(4).tobytes()
+
+
 def test_random_scan_covers_other_families():
     for family in (chained_family(4), mk_family(3)):
         summary = random_scan(family, n_samples=60, seed=5)

@@ -27,7 +27,10 @@ none of the report, decomposition or see-saw modules; ``optimize`` loads the
 see-saw module with the kernel; ``report`` loads the bounds layer with it and no
 decomposition module; ``sample`` loads the sampler.  Only ``report`` and
 ``sample`` load ``presets``, for their ``--preset`` choices, even when run from
-a scenario file.
+a scenario file.  Only the subcommands that draw load ``numpy.random``, and no
+subcommand loads OpenSSL's ``_hashlib``: the seeded generator imports
+``numpy.random`` with a stand-in ``secrets`` that is gone after that import,
+and imports the real modules when the stand-in falls short.
 """
 
 import ast
@@ -276,16 +279,24 @@ _PRESETS = {"bellvar.presets"}
 _REPORT_LAYERS = {"bellvar.bounds", *_KERNEL, *_PRESETS}
 
 
-def _loaded_modules(code: str) -> set[str]:
-    """The ``bellvar`` modules a fresh interpreter holds after running ``code``."""
+def _fresh_stdout(code: str) -> str:
+    """The stdout of a fresh interpreter that runs ``code`` with this ``src`` on its path."""
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    report = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellvar'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    return proc.stdout
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``code``."""
+    stdout = _fresh_stdout(f"{code}\nimport sys; print(sorted(sys.modules))")
+    return set(ast.literal_eval(stdout.splitlines()[-1]))
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The ``bellvar`` modules a fresh interpreter holds after running ``code``."""
+    return {m for m in _fresh_modules(code) if m.split(".")[0] == "bellvar"}
 
 
 def test_import_bellvar_loads_no_submodule():
@@ -313,12 +324,61 @@ _LAYERS_OF = {
 }
 
 
-@pytest.mark.parametrize("command", list(_LAYERS_OF))
-def test_subcommand_loads_only_its_layers(tmp_path, command):
+# the subcommands that draw: each makes one seeded generator through ``scenarios._philox``
+_SEEDED = {"optimize", "sample", "scan"}
+
+
+def _main_code(tmp_path, command: str) -> str:
+    """Code that runs ``command`` through ``cli.main``, its files under ``tmp_path``."""
     scen = from_bloch_table([[[0, 0, 1], [1, 0, 0]]] * 2)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_json_dict(scen, chsh_family())), encoding="utf-8")
     files = {"scenario.json": str(path), "scan.csv": str(tmp_path / "scan.csv")}
     argv = [files.get(a, a) for a in command.split()]
-    code = f"from bellvar.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded_modules(code) == _CLI_BASE | _LAYERS_OF[command]
+    return f"from bellvar.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("command", list(_LAYERS_OF))
+def test_subcommand_loads_only_its_layers(tmp_path, command):
+    modules = _fresh_modules(_main_code(tmp_path, command))
+    assert {m for m in modules if m.split(".")[0] == "bellvar"} == _CLI_BASE | _LAYERS_OF[command]
+    # only a seeded run loads numpy.random, and no run loads OpenSSL through ``secrets``
+    assert ("numpy.random" in modules) == (command.split()[0] in _SEEDED)
+    assert "_hashlib" not in modules
+
+
+@pytest.mark.parametrize("command", [c for c in _LAYERS_OF if c.split()[0] in _SEEDED])
+def test_seeded_run_leaves_secrets_and_unseeded_entropy_whole(tmp_path, command):
+    # the stand-in ``secrets`` lives for one import only: afterwards the real
+    # module imports, and unseeded numpy entropy still comes from the system
+    checks = """
+import sys
+assert "secrets" not in sys.modules and "_hashlib" not in sys.modules
+import secrets
+assert hasattr(secrets, "token_bytes") and "_hashlib" in sys.modules
+import numpy as np
+entropy = [np.random.SeedSequence().entropy for _ in range(2)]
+assert all(type(e) is int for e in entropy) and entropy[0] != entropy[1]
+draws = [np.random.default_rng().integers(2**62) for _ in range(2)]
+assert draws[0] != draws[1]
+"""
+    _fresh_stdout(_main_code(tmp_path, command) + checks)
+
+
+def test_philox_falls_back_to_the_real_secrets_when_the_stand_in_falls_short():
+    draw = "from bellvar.scenarios import _philox\nprint(_philox(5).standard_normal(4).tobytes().hex())"
+    # a stand-in without ``randbits``, as a numpy that wants more of ``secrets`` would find it
+    short = """
+import sys, types
+from bellvar import scenarios
+made = []
+scenarios._secrets_stand_in = lambda: made.append(1) or types.ModuleType("secrets")
+"""
+    checks = """
+assert made == [1]
+assert hasattr(sys.modules["secrets"], "token_bytes") and "numpy.random" in sys.modules
+"""
+    fallback = _fresh_stdout(short + draw + checks)
+    plain = _fresh_stdout("import numpy.random\n" + draw)
+    assert fallback == plain
+    assert len(bytes.fromhex(plain.strip())) == 32
