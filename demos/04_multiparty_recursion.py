@@ -49,8 +49,9 @@ for n in (2, 3, 4, 5):
     print(f" {n}   {lhv_max(mk_family(n)):7.0f}   {q:11.4f}   "
           f"{rep.bell_value:12.8f}   {rep.bell_value / lhv_max(mk_family(n)):.4f}")
 
-# the preset uses x/y settings with the operator's top eigenvector; a
-# see-saw from scratch lands on the same value
+# the preset uses x/y settings with the operator's top eigenvector, the
+# GHZ state written in closed form; a see-saw from scratch lands on the
+# same value
 print()
 result = seesaw_max(mk_family(3), seed=1)
 print(f"see-saw, 3 parties, seed 1: value {result.value:.9f} after "

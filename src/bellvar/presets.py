@@ -4,9 +4,15 @@
   state; value 2 sqrt(2), zero slack, all saturation conditions hold.
 * ``chained-n``: the planar settings of ``chained_optimal_settings`` on
   the Bell state; value ``2n cos(pi / 2n)``.
-* ``mk-ghz``: x/y settings on every site with the (phase-fixed) top
-  eigenvector of the MK operator ``B`` alone (``operator_from_tensor``, as
-  in the see-saw's state step), a GHZ-class state; value ``2**(3(n-1)/2)``.
+* ``mk-ghz``: x/y settings on every site with the GHZ state
+  ``(|0...0> + e^{i(n-1) pi/4} |1...1>) / sqrt(2)``, written in closed form;
+  value ``2**(3(n-1)/2)``.  With x = sigma_x and y = sigma_y every term of
+  the MK operator ``B`` flips all n qubits, and the recursion gives
+  ``<1...1| B |0...0> = 2**(3(n-1)/2) e^{i(n-1) pi/4}``.  So the state is an
+  eigenvector of ``B`` at the MK maximum.  That top eigenvalue is
+  nondegenerate (the next one is 0), so this is ``B``'s top eigenvector,
+  with the phase convention of ``linalg.top_eigenpair``: the ``|0...0>``
+  amplitude is real and positive.  No ``2**n x 2**n`` operator is built.
 """
 
 from __future__ import annotations
@@ -16,17 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, top_eigenpair
+from .linalg import SIGMA_X, SIGMA_Y
 from .scenarios import (
     FamilySpec,
     Scenario,
     bell_state,
     chained_family,
     chsh_family,
-    coefficient_tensor,
     from_bloch_table,
+    ghz_state,
     mk_family,
-    operator_from_tensor,
 )
 
 __all__ = list(_EXPORTS["presets"])
@@ -87,7 +92,10 @@ def preset(name: str, n: int | None = None) -> Preset:
     if name == "mk-ghz":
         family = mk_family(size)
         scenario = Scenario(observables=((SIGMA_X, SIGMA_Y),) * size)
-        operator = operator_from_tensor(coefficient_tensor(family), scenario.observables)
-        _, state = top_eigenpair(operator)
+        # e^{i(n-1) pi/4} = i**k (1 + i)**r / sqrt(2)**r with k, r = divmod(n - 1, 2)
+        state = ghz_state(size)
+        k, r = divmod(size - 1, 2)
+        c = 1.0 / np.sqrt(2.0)
+        state[-1] *= (1j**k) * (complex(c, c) if r else 1.0)
         return Preset(name=name, family=family, scenario=scenario, state=state)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -1,12 +1,14 @@
 """Named saturating configurations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bellvar.bounds import chained_report, chsh_report, mk_report, saturation_check
 from bellvar.linalg import SIGMA_X, SIGMA_Y, top_eigenpair
 from bellvar.presets import PRESET_NAMES, preset
-from bellvar.scenarios import mk_operators
+from bellvar.scenarios import coefficient_tensor, mk_family, mk_operators, operator_from_tensor
 
 
 def test_preset_names_frozen():
@@ -51,6 +53,29 @@ def test_mk_ghz_state_matches_mk_operators_route(n):
     # the preset builds B alone; the MK pair's B is the reference, bit for bit
     _, want = top_eigenpair(mk_operators(n, [(SIGMA_X, SIGMA_Y)] * n).b)
     assert np.array_equal(preset("mk-ghz", n=n).state, want)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mk_ghz_closed_form_is_the_top_eigenvector_of_b(n):
+    state = preset("mk-ghz", n=n).state
+    assert np.flatnonzero(state).tolist() == [0, 2**n - 1]
+    c = 1.0 / np.sqrt(2.0)
+    assert state[0] == pytest.approx(c, abs=1e-15)
+    assert state[-1] == pytest.approx(c * np.exp(1j * (n - 1) * np.pi / 4), abs=1e-15)
+    op = operator_from_tensor(coefficient_tensor(mk_family(n)), [(SIGMA_X, SIGMA_Y)] * n)
+    lam = 2.0 ** (1.5 * (n - 1))
+    assert np.linalg.norm(op @ state - lam * state) <= 1e-10 * lam
+
+
+def test_mk_ghz_preset_allocates_no_operator():
+    preset("mk-ghz", n=8)  # warm up lazy imports and caches before tracing
+    tracemalloc.start()
+    try:
+        preset("mk-ghz", n=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the 256 x 256 complex MK operator alone is 1 MiB
 
 
 def test_unknown_preset_rejected():

@@ -10,11 +10,12 @@ that the sampler's inverse-CDF draw neither sorts, searches nor loops over
 combinations.  The see-saw folds through ``scenarios._contract`` only, never
 refolding the density with ``_expectations`` nor multiplying on its own.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
-``mk-ghz`` preset builds ``B`` with it rather than the MK pair.  Every
-report takes one path: one kernel pass, ``_kernel._columns``, is the only
-function in ``_kernel`` that takes images or splits them and ``bounds``
-does neither, ``bounds`` builds a ``BellReport`` at one site, and the
-command line calls none of the family reports.
+``mk-ghz`` preset builds no operator at all: it writes its GHZ state in
+closed form and runs no eigensolver.  Every report takes one path: one
+kernel pass, ``_kernel._columns``, is the only function in ``_kernel`` that
+takes images or splits them and ``bounds`` does neither, ``bounds`` builds
+a ``BellReport`` at one site, and the command line calls none of the family
+reports.
 
 The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
@@ -169,6 +170,11 @@ def _names(path: Path) -> set[str]:
 def test_report_kernel_builds_no_operator():
     names = _names(PACKAGE / "bounds.py") | _names(PACKAGE / "_kernel.py")
     assert names & {"_operators", "operator_from_tensor", "mk_operators"} == set()
+
+
+def test_mk_ghz_preset_builds_no_operator():
+    names = _names(PACKAGE / "presets.py")
+    assert names & {"top_eigenpair", "operator_from_tensor", "eigh", "eigvalsh"} == set()
 
 
 def test_one_report_path():
