@@ -1,7 +1,10 @@
 """End-to-end command line tests.
 
-Most cases drive ``main(argv)`` in process (fast, capsys-friendly); one
-smoke test goes through the interpreter to cover the module entry point.
+Most cases drive ``main(argv)`` in process (fast, capsys-friendly).  The
+checks that only a fresh process can make start ``python -m bellvar.cli``
+children: the module entry point, the chained cap under a 1 GiB address
+space, BLAS threads, output bytes under two string hash seeds, and
+``wait4`` peak RSS, measured through a launcher that holds no numpy.
 """
 
 import argparse
@@ -1782,7 +1785,14 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 def test_subcommand_help_matches_the_full_parser(capsys, command):
     full = _subcommands(_build_parser([]))[command]
     assert main([command, "--help"]) == 0
-    assert capsys.readouterr().out == full.format_help()
+    text = capsys.readouterr().out
+    assert text == full.format_help()
+    assert ("--preset {chsh-optimal,chained-n,mk-ghz}" in text) == (command in ("report", "sample"))
+    # the top-level help, whose usage line a usage error prints, lists it with its summary
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: bellvar [-h] {decompose,report,optimize,scan,sample,lhv} ...\n")
+    assert re.search(rf"^ +{command} +[A-Za-z]", text, re.M)
 
 
 @pytest.mark.parametrize(
@@ -1850,8 +1860,8 @@ def _child_env(**threads: str) -> dict:
     return env | threads
 
 
-def _run_child(argv: list[str], env: dict) -> subprocess.CompletedProcess:
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+def _run_child(argv: list[str], env: dict, cwd=None) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -1895,6 +1905,80 @@ def test_chained_family_above_the_cap_exits_3_before_any_allocation(scenario_fil
     )
     error = f"error: chained supports 2..{_CHAINED_MAX_SETTINGS} settings, got 100000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
+
+
+# every subcommand, each run in its own directory under the test's
+_HASH_SEED_RUNS = {
+    "scan": ["scan", "--family", "chained", "--n", "5", "--samples", "600", "--format", "csv"],
+    "optimize": ["optimize", "--family", "mk", "--n", "4", "--seeds", "2"],
+    "sample": ["sample", "--preset", "mk-ghz", "--n", "3", "--rounds", "20000", "--format", "csv"],
+    "report": ["report", "--preset", "chsh-optimal"],
+    "decompose": ["decompose", "--scenario", "../scenario.json"],
+    "lhv": ["lhv", "--family", "chained", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(_HASH_SEED_RUNS))
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, command):
+    # a set of strings iterates in an order the string hash seed picks, and a test in
+    # this process cannot vary that seed
+    party = {"observables": [{"bloch": [0, 0, 1]}, {"bloch": [1, 0, 0]}]}
+    doc = {"schema_version": 1, "parties": [party, party]}
+    (tmp_path / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"hash{seed}"
+        cwd.mkdir()
+        env = _child_env() | {"PYTHONHASHSEED": seed}
+        proc = _run_child(["-m", "bellvar.cli", *_HASH_SEED_RUNS[command], "--out", "out"], env, cwd)
+        outputs.append((proc.stdout, proc.stderr, (cwd / "out").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+# Linux counts the resident set of the process that spawns a child in the child's
+# ru_maxrss, so a job spawned from pytest, which holds numpy and every earlier test's
+# data, would read pytest's peak.  A launcher importing only these modules spawns the
+# jobs and prints their wait4 peaks in MB (ru_maxrss is in KiB on Linux).
+_PEAKS = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, "-m", "bellvar.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    if status:
+        sys.exit(f"{' '.join(argv)} failed with wait status {status}")
+    peaks.append(usage.ru_maxrss / 1024)
+print(json.dumps(peaks))
+"""
+
+_SCAN = ["scan", "--family", "chsh", "--samples", "100000", "--format"]
+_ROUNDS = ["sample", "--preset", "chsh-optimal", "--rounds", "1000000", "--format"]
+
+# (baseline, run): the run may peak at most 3 MB above the baseline; each --out is
+# relative to the working directory
+_PEAK_PAIRS = {
+    # the scan CSV is written a kernel pass at a time
+    "scan-csv": ([*_SCAN, "json", "--out", "out.json"], [*_SCAN, "csv", "--out", "out.csv"]),
+    # the rounds CSV is written a chunk of rounds at a time
+    "sample-csv": ([*_ROUNDS, "json", "--out", "out.json"], [*_ROUNDS, "csv", "--out", "out.csv"]),
+    # the mk-ghz preset is written in closed form: report on mk-ghz(8) builds no 256 x 256
+    # operator and runs no eigh
+    "report-mk-ghz-8": (
+        ["lhv", "--family", "chsh"],
+        ["report", "--preset", "mk-ghz", "--n", "8", "--out", "out.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PEAK_PAIRS))
+def test_fresh_run_peaks_within_3_mb_of_its_baseline(tmp_path, case):
+    baseline, run = _PEAK_PAIRS[case]
+    proc = _run_child(["-c", _PEAKS, json.dumps([baseline, run])], _child_env(), tmp_path)
+    baseline_mb, run_mb = json.loads(proc.stdout)
+    assert run_mb - baseline_mb <= 3, f"{case}: {run_mb:.1f} MB against {baseline_mb:.1f} MB"
+    if run[-1] == "out.csv":  # a comment and a header line, then one line per row
+        rows = int(run[4])  # --samples or --rounds
+        assert (tmp_path / "out.csv").read_bytes().count(b"\n") == rows + 2
 
 
 # 10**15 samples or rounds: their first array exceeds the address space, so no page is touched
