@@ -38,11 +38,12 @@ a program that imported numpy earlier keeps its own pool.
 Exit codes: 0 success, 2 unreadable or malformed input (also argparse
 usage errors, a scenario-file key the reader does not know, an empty
 ``--out``, and any argument given that the resolved instance does not
-read; see ``_check_read``), 3 a domain
-validation failure (dimension mismatch, cap exceeded, degenerate spread,
-undersampled batch, a non-finite scan slack or JSON value, chsh with an
-``--n`` other than 2) or a size too large to allocate, such as ``--samples``
-or ``--rounds`` at 10**15, 1 unexpected internal error.
+read), 3 a domain validation failure (dimension mismatch, cap exceeded,
+degenerate spread, undersampled batch, a non-finite scan slack or JSON
+value, chsh with an ``--n`` other than 2) or a size too large to allocate,
+such as ``--samples`` or ``--rounds`` at 10**15, 1 unexpected internal
+error.  ``_resolve`` refuses every argument conflict before it builds a
+preset or reads a file, and all of it runs before a subcommand starts.
 
 State specifications accepted by ``--state``: ``bell`` (two qubits, the
 default), ``ghz`` (all parties), ``zero`` (|0...0>), a path to a JSON
@@ -136,18 +137,6 @@ def _emit(args, doc: dict, rows: list, family=None, chunks: Iterable[str] | None
     return 0
 
 
-def _parse_family(args) -> FamilySpec:
-    if args.family is None:
-        raise InputError("--family is required")
-    name, n = args.family, args.n
-    if name == "chsh" and n is None:
-        n = 2
-    elif n is None:
-        raise InputError(f"--n is required for family {name!r}")
-    split_k = args.split_k if name == "mk" and args.split_k is not None else 1
-    return FamilySpec(name=name, n=n, split_k=split_k)
-
-
 def _parse_state(spec: str, n_parties: int) -> np.ndarray:
     dim = 2**n_parties
     if spec == "bell":
@@ -187,46 +176,53 @@ def _parse_state(spec: str, n_parties: int) -> np.ndarray:
 
 
 def _resolve(args) -> tuple[FamilySpec | None, Scenario | None, np.ndarray | None]:
-    """(family, scenario, state) from ``--preset``; from ``--scenario`` and
-    ``--state``, with ``--family`` over the file's family; or, for a
-    subcommand that takes no ``--scenario``, ``(family, None, None)`` from
-    ``--family`` alone.  Only ``decompose`` runs with no family."""
-    if getattr(args, "preset", None) is not None:
-        from .presets import preset
-
-        p = preset(args.preset, args.n)
-        return p.family, p.scenario, p.state
-    if not hasattr(args, "scenario"):
-        return _parse_family(args), None, None
-    if args.scenario is None:
-        raise InputError("either --preset or --scenario is required")
-    try:
-        scenario, family = load_scenario_file(args.scenario)
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if args.family is not None:
-        family = _parse_family(args)
-    elif family is None and args.command != "decompose":
-        raise InputError("no family given on the command line or in the scenario file")
-    state = _parse_state("bell" if args.state is None else args.state, scenario.n_parties)
-    return family, scenario, state
-
-
-def _check_read(args, family: FamilySpec | None) -> None:
-    """Refuse any argument given that the resolved instance does not read:
-    ``--family``, ``--scenario`` or ``--state`` with ``--preset``; ``--n``
-    with ``--scenario`` but no ``--family``; a ``--split-k`` other than an
-    mk instance's own split; ``--format`` without ``--out``; an empty
-    ``--out``.  Runs before any work and any ``--out`` write."""
+    """(family, scenario, state) for a run, refusing any argument given that the instance
+    does not read.  First the conflicts the arguments alone show: ``--family``, ``--scenario``
+    or ``--state`` with ``--preset``; ``--n`` with ``--scenario`` but no ``--family``;
+    ``--split-k`` with a ``--family`` other than mk; ``--format`` without ``--out``; an empty
+    ``--out``.  Then the instance: from ``--preset``; from ``--scenario`` and ``--state``,
+    with ``--family`` over the file's family; or, for a subcommand that takes no
+    ``--scenario``, from ``--family`` alone.  Only ``decompose`` runs with no family.  Last,
+    a ``--split-k`` with a preset or a file's family must be that mk instance's own split."""
     given = {name for name, value in vars(args).items() if value is not None}
     fixed = "--preset fixes the instance: drop --family, --split-k, --scenario and --state"
+    name, n, k = args.family, args.n, args.split_k
     if "preset" in given and given & {"family", "scenario", "state"}:
         raise InputError(fixed)
     if {"n", "scenario"} <= given and "family" not in given:
         raise InputError("--n is read only with --family or --preset, not from a scenario file")
-    k = args.split_k
+    if k is not None and name not in (None, "mk"):
+        raise InputError(f"--split-k applies to mk only, not to {name}")
+    if "format" in given and "out" not in given:
+        raise InputError("--format applies only with --out")
+    if args.out == "":
+        raise InputError("--out needs a file path, not an empty string")
+    family = scenario = state = None
+    if "preset" in given:
+        from .presets import preset
+
+        p = preset(args.preset, n)
+        family, scenario, state = p.family, p.scenario, p.state
+    else:
+        if hasattr(args, "scenario"):
+            if args.scenario is None:
+                raise InputError("either --preset or --scenario is required")
+            try:
+                scenario, family = load_scenario_file(args.scenario)
+            except OSError as exc:
+                raise InputError(f"cannot read scenario file: {exc}") from exc
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
+        if name is not None:
+            if n is None and name != "chsh":
+                raise InputError(f"--n is required for family {name!r}")
+            family = FamilySpec(name=name, n=2 if n is None else n, split_k=1 if k is None else k)
+        elif scenario is None:
+            raise InputError("--family is required")
+        elif family is None and args.command != "decompose":
+            raise InputError("no family given on the command line or in the scenario file")
+        if scenario is not None:
+            state = _parse_state("bell" if args.state is None else args.state, scenario.n_parties)
     if k is not None and (family is None or (family.name, family.split_k) != ("mk", k)):
         if "preset" in given:
             raise InputError(fixed)
@@ -234,10 +230,7 @@ def _check_read(args, family: FamilySpec | None) -> None:
             name = family.name if family else "a scenario file with no family"
             raise InputError(f"--split-k applies to mk only, not to {name}")
         raise InputError(f"--split-k {k} disagrees with the scenario file's split_k {family.split_k}")
-    if "format" in given and "out" not in given:
-        raise InputError("--format applies only with --out")
-    if args.out == "":
-        raise InputError("--out needs a file path, not an empty string")
+    return family, scenario, state
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +493,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         family, scenario, state = _resolve(args)
-        _check_read(args, family)
         return args.func(args, family, scenario, state)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

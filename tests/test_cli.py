@@ -652,6 +652,73 @@ def test_format_without_out_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# argv whose arguments alone show a conflict, naming an instance that a domain check
+# would refuse with exit 3: the argument's refusal comes first
+_REFUSED_BEFORE_THE_INSTANCE = {
+    "preset-state": (
+        ["report", "--preset", "mk-ghz", "--n", "99", "--state", "bell"],
+        "--preset fixes the instance",
+    ),
+    "preset-family": (
+        ["report", "--preset", "chained-n", "--n", "1", "--family", "chsh"],
+        "--preset fixes the instance",
+    ),
+    "split-chained": (
+        ["scan", "--family", "chained", "--n", "1", "--split-k", "2", "--samples", "3"],
+        "--split-k applies to mk only",
+    ),
+    "split-chsh": (
+        ["scan", "--family", "chsh", "--n", "7", "--split-k", "2", "--samples", "3"],
+        "--split-k applies to mk only",
+    ),
+    "format": (
+        ["report", "--preset", "chsh-optimal", "--n", "3", "--format", "csv"],
+        "--format applies only with --out",
+    ),
+    "empty-out": (
+        ["report", "--preset", "mk-ghz", "--n", "99", "--out="],
+        "--out needs a file path",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    list(_REFUSED_BEFORE_THE_INSTANCE.values()),
+    ids=list(_REFUSED_BEFORE_THE_INSTANCE),
+)
+def test_argument_conflict_is_refused_before_the_instance_is_built(
+    tmp_path, capsys, monkeypatch, argv, error
+):
+    monkeypatch.chdir(tmp_path)
+    # an --out added where it leaves the conflict standing must not be written either
+    runs = [argv] if "--format" in argv or "--out=" in argv else [argv, [*argv, "--out", "o.json"]]
+    for run in runs:
+        assert main(run) == 2
+        captured = capsys.readouterr()
+        assert error in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["report", "--preset", "chsh-optimal", "--state", "bell"], "--preset fixes the instance"),
+        (["report", "--scenario", "missing.json", "--n", "3"], "--n is read only with --family"),
+    ],
+    ids=["preset-state", "scenario-n"],
+)
+def test_a_refusal_builds_no_preset_and_reads_no_file(capsys, monkeypatch, argv, error):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an argument is refused before any work starts")
+
+    monkeypatch.setattr("bellvar.presets.preset", no_work)
+    monkeypatch.setattr("bellvar.cli.load_scenario_file", no_work)
+    assert main(argv) == 2
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["lhv"], ["optimize"], ["scan", "--samples", "3"]],
@@ -1696,17 +1763,54 @@ def grammar_dir(tmp_path_factory):
     return root
 
 
+def _argument_refusals(argv) -> set[str]:
+    """The refusals that an argv the parser accepts shows in its arguments alone."""
+    try:
+        _build_parser(argv).parse_args(argv)
+    except SystemExit:
+        return set()  # a usage error, refused before these
+    given = {a.split("=")[0] for a in argv if a.startswith("--")}
+    value = dict(zip(argv, argv[1:]))  # a repeated flag's last value, as the parser reads it
+    rules = {
+        "--preset fixes the instance": "--preset" in given
+        and bool(given & {"--family", "--scenario", "--state"}),
+        "--n is read only with --family": {"--n", "--scenario"} <= given
+        and "--family" not in given,
+        "--split-k applies to mk only": "--split-k" in given
+        and value.get("--family", "mk") != "mk",
+        "--format applies only with --out": "--format" in given and "--out" not in given,
+        "--out needs a file path": "--out=" in argv or value.get("--out") == "",
+    }
+    return {error for error, holds in rules.items() if holds}
+
+
 @settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(argv=_cli_argv())
 @example(argv=["decompose"])
 @example(argv=["decompose", "--out", "out"])
+@example(argv=["report", "--scenario", "missing.json", "--n", "3", "--format", "csv"])
+@example(argv=["report", "--preset", "chsh-optimal", "--scenario", "bad.json"])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["preset-state"][0])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["preset-family"][0])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["split-chained"][0])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["split-chsh"][0])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["format"][0])
+@example(argv=_REFUSED_BEFORE_THE_INSTANCE["empty-out"][0])
 def test_any_cli_argv_exits_0_2_or_3_and_fails_closed(grammar_dir, capsys, argv):
+    # an argv whose arguments alone conflict exits 2 with one of its refusals, whatever
+    # instance, file or value it also names, and prints nothing
+    refusals = _argument_refusals(argv)
+    capsys.readouterr()
     out_path = grammar_dir / "out"
     code = main([str(grammar_dir / a) if a == "out" or a.endswith(".json") else a for a in argv])
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code in (0, 2, 3)
+    if refusals:
+        assert code == 2
+        assert any(error in captured.err for error in refusals), (captured.err, refusals)
+        assert captured.out == ""
     if code:
         assert not out_path.exists()
     out_path.unlink(missing_ok=True)

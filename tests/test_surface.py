@@ -15,7 +15,8 @@ closed form and runs no eigensolver.  Every report takes one path: one
 kernel pass, ``_kernel._columns``, is the only function in ``_kernel`` that
 takes images or splits them and ``bounds`` does neither, ``bounds`` builds
 a ``BellReport`` at one site, and the command line calls none of the family
-reports.
+reports.  The command line checks a run's arguments in one resolver,
+``cli._resolve``, which ``main`` calls once, before the subcommand's handler.
 
 The package namespace is lazy: its ``_EXPORTS`` table is the one list of
 public names.  Each of the seven modules reads its ``__all__`` from it, never
@@ -187,6 +188,23 @@ def test_one_report_path():
     assert len(builds) == 1
     family_reports = {"chsh_report", "chained_report", "mk_report", "report_for"}
     assert family_reports & _names(PACKAGE / "cli.py") == set()
+
+
+def test_one_argument_check():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert defined & {"_parse_family", "_check_read"} == set()
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    # every call in main, in source order
+    calls = [
+        ast.unparse(node.func)
+        for node in sorted(
+            (node for node in ast.walk(main) if isinstance(node, ast.Call)),
+            key=lambda node: (node.lineno, node.col_offset),
+        )
+    ]
+    assert calls.count("_resolve") == 1
+    assert calls.index("_resolve") < calls.index("args.func")
 
 
 def _image_callers(path: Path) -> set[str]:
