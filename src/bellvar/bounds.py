@@ -136,11 +136,11 @@ class SaturationFlags:
     rather than failed).
     """
 
-    perp_alignment: bool | None
-    ratio_condition: bool | None
-    anticommutator_zero: bool | None
-    operator_relation: bool | None
-    overlap_orthogonal: bool | None
+    perp_alignment: bool | None = None
+    ratio_condition: bool | None = None
+    anticommutator_zero: bool | None = None
+    operator_relation: bool | None = None
+    overlap_orthogonal: bool | None = None
 
     def all_true(self) -> bool:
         return all(flag is True for flag in astuple(self))
@@ -262,19 +262,14 @@ def _saturation(cols: dict) -> SaturationFlags:
     _, spread_b, perp_b = (v[0] for v in cols["b_split"])
     a_ok = bool(np.all(spread_a >= SPREAD_EPS))
     b_ok = bool(np.all(spread_b >= SPREAD_EPS))
-
-    perp_alignment: bool | None = None
-    ratio_condition: bool | None = None
-    anticommutator_zero: bool | None = None
-    operator_relation: bool | None = None
-    overlap_orthogonal: bool | None = None
+    flags = {}  # the flags left out stay None: indeterminate
 
     if b_ok:
         # <psi|B0 B1 + B1 B0|psi> = 2 Re <B0 psi|B1 psi> for Hermitian B's.
         anti = 2.0 * float(np.vdot(b_img[0], b_img[1]).real)
-        anticommutator_zero = bool(abs(anti) <= SATURATION_ATOL)
+        flags["anticommutator_zero"] = bool(abs(anti) <= SATURATION_ATOL)
         overlap = np.vdot(perp_b[0], perp_b[1])
-        overlap_orthogonal = bool(abs(overlap) <= SATURATION_ATOL)
+        flags["overlap_orthogonal"] = bool(abs(overlap) <= SATURATION_ATOL)
 
     if a_ok and b_ok:
         # the budget's fluctuation vectors v_x = sum_y c_xy dB_y perp_y
@@ -283,19 +278,13 @@ def _saturation(cols: dict) -> SaturationFlags:
         norms = np.linalg.norm(v, axis=1)
         if norms.min() >= 1e-12:
             residuals = np.linalg.norm(perp_a - v / norms[:, None], axis=1)
-            perp_alignment = bool(residuals.max() <= SATURATION_ATOL)
+            flags["perp_alignment"] = bool(residuals.max() <= SATURATION_ATOL)
         ratios = norms / spread_a
-        ratio_condition = bool(abs(ratios[0] - ratios[1]) <= SATURATION_ATOL)
+        flags["ratio_condition"] = bool(abs(ratios[0] - ratios[1]) <= SATURATION_ATOL)
         rel = np.linalg.norm(a_img - coeff @ b_img / np.sqrt(2.0), axis=1)
-        operator_relation = bool(rel.max() <= SATURATION_ATOL)
+        flags["operator_relation"] = bool(rel.max() <= SATURATION_ATOL)
 
-    return SaturationFlags(
-        perp_alignment=perp_alignment,
-        ratio_condition=ratio_condition,
-        anticommutator_zero=anticommutator_zero,
-        operator_relation=operator_relation,
-        overlap_orthogonal=overlap_orthogonal,
-    )
+    return SaturationFlags(**flags)
 
 
 def chained_report(

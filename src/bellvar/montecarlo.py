@@ -9,11 +9,12 @@ Sampling algorithm (fixed, so batches reproduce bit for bit per seed):
    combination index (lexicographic over parties) as they are made;
 3. uniforms, one per round, pick the joint outcome by inverse CDF over
    the Born distribution of that round's setting combination.  They are
-   drawn ``_DRAW_CHUNK_ROUNDS`` (2**14) at a time with ``random``, which
+   drawn ``_DRAW_CHUNK_ROUNDS`` (2**13) at a time with ``random``, which
    gives the same stream as one draw of all of them, so the draw's scratch
-   stays near 0.4 MB whatever the rounds.  Every round of a chunk is
+   stays near 0.2 MB whatever the rounds.  Every round of a chunk is
    bisected at once in the flat table of CDF rows, ``2**n`` entries each,
-   which gives exactly the number of CDF entries below its uniform.
+   to its flat key ``c * 2**n + o``: ``o``, the number of CDF entries below
+   its uniform, is the key's low ``n`` bits, and the keys are bincounted.
 
 Joint outcome probabilities are expectations of products of local
 spectral projectors ``(I +- X)/2``: one contraction of every party's
@@ -60,9 +61,12 @@ __all__ = list(_EXPORTS["montecarlo"])
 
 # Rounds per chunk of uniforms drawn and bisected at once, so the draw's
 # scratch (intp keys, float values, a bool mask and the chunk's uniforms,
-# about 25 bytes a round) does not grow with the rounds.  2**14 holds 0.4 MB;
-# a smaller chunk saves little more memory and pays for it in numpy calls.
-_DRAW_CHUNK_ROUNDS = 1 << 14
+# about 25 bytes a round) does not grow with the rounds.  2**13 holds 0.2 MB.
+# With the buffers made per chunk, 2**14 raised the fresh-process peak of a
+# 10**6-round mk-ghz(6) sample by 0.16 MB over one shared 2**14 scratch; 2**13
+# lowered it by 0.14 MB and that of a 10**6-round chsh sample by 0.42 MB
+# (median wait4 peaks of 12 runs, 2 cores, numpy 2.4.6).
+_DRAW_CHUNK_ROUNDS = 1 << 13
 
 
 class UndersampledError(ValueError):
@@ -188,12 +192,11 @@ def simulate_rounds(
         combo_idx += rng.integers(0, s, size=rounds, dtype=np.min_scalar_type(s - 1))
     outcome_idx = np.empty(rounds, dtype=np.min_scalar_type(2**n - 1))
     flat = np.zeros(cdfs.size, dtype=np.int64)
-    chunk = min(rounds, _DRAW_CHUNK_ROUNDS)
-    scratch = (np.empty(chunk, dtype=np.intp), np.empty(chunk), np.empty(chunk, dtype=bool))
-    for lo in range(0, rounds, chunk):
-        combos = combo_idx[lo : lo + chunk]
-        outcome_idx[lo : lo + chunk] = _inverse_cdf(cdfs, combos, rng.random(len(combos)), scratch)
-        flat += np.bincount(scratch[0][: len(combos)], minlength=cdfs.size)
+    for lo in range(0, rounds, _DRAW_CHUNK_ROUNDS):
+        hi = min(lo + _DRAW_CHUNK_ROUNDS, rounds)
+        keys = _inverse_cdf(cdfs, combo_idx[lo:hi], rng.random(hi - lo))
+        np.bitwise_and(keys, 2**n - 1, out=outcome_idx[lo:hi], casting="unsafe")
+        flat += np.bincount(keys, minlength=cdfs.size)
 
     return SampleBatch(
         family=family,
@@ -206,29 +209,24 @@ def simulate_rounds(
     )
 
 
-def _inverse_cdf(
-    cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray, scratch=None
-) -> np.ndarray:
-    """Outcome index per round: how many entries of its combination's CDF row lie below its uniform.
+def _inverse_cdf(cdfs: np.ndarray, combo_idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Flat intp key ``c * 2**n + o`` per round, ``o`` CDF entries of row ``c`` below its uniform.
 
-    Every round is bisected at once: from ``pos = c * 2**n`` in the flat CDF
-    table, each ``step = 2**(n-1) .. 1`` adds ``step`` where ``flat[pos +
+    Every round is bisected at once: from ``key = c * 2**n`` in the flat CDF
+    table, each ``step = 2**(n-1) .. 1`` adds ``step`` where ``flat[key +
     step - 1] < u``, which counts exactly the entries ``< u`` (every ``u <
     1``), also at ties, at ``u == 0`` and on a last 1.0 below a predecessor
-    rounded above 1.  ``scratch``, optional (intp, float, bool) buffers at
-    least as long as ``uniforms``, ends with ``pos`` in its first.  No step
-    makes a temporary: spent floats take the increments, ``take`` clips (as
-    ``"raise"`` copies ``out``), and the result takes the narrowest unsigned dtype.
+    rounded above 1.  No step makes a temporary: spent floats take the
+    increments, and ``take`` clips (as ``"raise"`` copies ``out``).
     """
-    m, width = len(uniforms), cdfs.shape[1]
-    keys, values, below = scratch or (np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, bool))
-    keys, values, below = keys[:m], values[:m], below[:m]
-    np.multiply(combo_idx, width, out=keys, dtype=np.intp)
+    width = cdfs.shape[1]
+    keys = np.multiply(combo_idx, width, dtype=np.intp)
+    values, below = np.empty(len(keys)), np.empty(len(keys), dtype=bool)
     step = width
     while step := step // 2:
         np.take(cdfs.ravel()[step - 1 :], keys, out=values, mode="clip")
         keys += np.multiply(np.less(values, uniforms, out=below), step, out=values.view(np.intp))
-    return np.bitwise_and(keys, width - 1, dtype=np.min_scalar_type(width - 1), casting="unsafe")
+    return keys
 
 
 def _outcome_signs(n: int) -> np.ndarray:

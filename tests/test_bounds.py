@@ -20,6 +20,7 @@ from bellvar.bounds import (
     SLACK_FLOOR,
     TSIRELSON_CHSH,
     BellReport,
+    SaturationFlags,
     _bell_report,
     _blocks,
     chained_report,
@@ -192,6 +193,12 @@ def test_saturation_flags_all_true_at_optimum():
     assert flags.operator_relation is True
     assert flags.overlap_orthogonal is True
     assert flags.all_true()
+
+
+def test_saturation_flags_default_to_indeterminate():
+    flags = SaturationFlags()
+    assert dataclasses.astuple(flags) == (None,) * 5
+    assert not flags.all_true()
 
 
 def test_saturation_flags_indeterminate_when_everything_is_sharp():

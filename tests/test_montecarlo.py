@@ -413,7 +413,10 @@ def _instance(name):
 
 
 # rounds per seed: inside one chunk, at its edge, and across one, two and three boundaries
-_DRAW_ROUNDS = (1, 17, 2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 3, 3 * 2**14 + 5, 40_000)
+_DRAW_ROUNDS = (
+    *(1, 17, _DRAW_CHUNK_ROUNDS - 1, _DRAW_CHUNK_ROUNDS, _DRAW_CHUNK_ROUNDS + 1),
+    *(2 * _DRAW_CHUNK_ROUNDS + 3, 3 * _DRAW_CHUNK_ROUNDS + 5, 40_000),
+)
 
 
 @pytest.mark.parametrize(
@@ -438,9 +441,10 @@ def test_simulate_rounds_matches_row_compare_reference(name):
     )
     uniforms = np.minimum(uniforms, np.nextafter(1.0, 0.0))
     combo_idx = np.concatenate([combo_idx, combo_idx, combo_idx, np.arange(len(cdfs))])
-    np.testing.assert_array_equal(
-        _inverse_cdf(cdfs, combo_idx, uniforms), _row_compare(cdfs, combo_idx, uniforms)
-    )
+    keys = _inverse_cdf(cdfs, combo_idx, uniforms)
+    assert keys.dtype == np.intp
+    want = combo_idx * cdfs.shape[1] + _row_compare(cdfs, combo_idx, uniforms)
+    np.testing.assert_array_equal(keys, want)
 
 
 def _assert_matches_rounds_reference(name, rounds, seed):
@@ -501,17 +505,11 @@ def test_inverse_cdf_matches_row_compare(seed, width_exp, n_combos, plateaus, ov
     combo_idx = np.concatenate([rows, rows, rows, [0, n_combos - 1]])
     combo_idx = combo_idx.astype(np.min_scalar_type(n_combos - 1))
 
-    want = _row_compare(cdfs, combo_idx, uniforms)
+    # the flat keys c * width + o, o the row-compare outcome index
+    want = combo_idx.astype(np.intp) * width + _row_compare(cdfs, combo_idx, uniforms)
     got = _inverse_cdf(cdfs, combo_idx, uniforms)
-    assert got.dtype == np.min_scalar_type(width - 1)
+    assert got.dtype == np.intp
     np.testing.assert_array_equal(got, want)
-
-    # with longer scratch buffers, as the sampler passes them: the first holds the flat keys
-    m = len(uniforms) + 3
-    scratch = (np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool))
-    np.testing.assert_array_equal(_inverse_cdf(cdfs, combo_idx, uniforms, scratch), want)
-    keys = combo_idx.astype(np.intp) * width + want
-    np.testing.assert_array_equal(scratch[0][: len(uniforms)], keys)
 
 
 def test_simulate_rounds_memory():
@@ -525,9 +523,24 @@ def test_simulate_rounds_memory():
         finally:
             tracemalloc.stop()
         # one byte a round for each of combo_idx and outcome_idx (1.9 MiB) and the
-        # draw scratch of one chunk of 2**14 rounds: 2.53 MiB for mk-ghz 6 and
-        # 2.37 MiB for chsh (3.70 and 3.55 MiB with chunks of 2**16 rounds)
+        # draw scratch of one chunk of 2**13 rounds: 2.39 MiB for mk-ghz 6 and
+        # 2.23 MiB for chsh (3.70 and 3.55 MiB with chunks of 2**16 rounds)
         assert peak < 3 * 2**20, f"{name}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_simulate_rounds_draw_scratch_is_one_small_chunk():
+    family, scenario, state = _instance("chsh-optimal")
+    simulate_rounds(family, scenario, state, rounds=1000, seed=0)  # first-call caches stay out
+    tracemalloc.start()
+    try:
+        batch = simulate_rounds(family, scenario, state, rounds=10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the two per-round index arrays: 0.33 MiB with chunks of 2**13 rounds
+    # and buffers made per chunk, 0.46 MiB with 2**14 and buffers shared across chunks
+    scratch = peak - batch.combo_idx.nbytes - batch.outcome_idx.nbytes
+    assert scratch < 0.4 * 2**20, f"draw scratch {scratch / 2**20:.3f} MiB"
 
 
 # rounds per preset: at the edges of the 10**4-round chunks, inside a chunk, and at

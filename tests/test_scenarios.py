@@ -17,7 +17,6 @@ from bellvar.linalg import (
     as_hermitian,
     as_ket,
     haar_random_ket,
-    tensor_product,
 )
 from bellvar.scenarios import (
     LHV_ENUMERATION_CAP_BITS,
@@ -63,7 +62,7 @@ def _kron_sum_operator(coeff, observables):
         c = coeff[idx]
         if c == 0:
             continue
-        out += float(c) * tensor_product([observables[p][s] for p, s in enumerate(idx)])
+        out += float(c) * functools.reduce(np.kron, [observables[p][s] for p, s in enumerate(idx)])
     return out
 
 
