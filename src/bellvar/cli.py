@@ -304,7 +304,7 @@ def _cmd_report(args, family, scenario, state) -> int:
 
 
 def _cmd_optimize(args, family, *_) -> int:
-    from .optimize import seesaw_max
+    from .optimize import CONVERGENCE_EPS, seesaw_max
 
     if args.seeds < 1:
         raise ValueError(f"seeds must be positive, got {args.seeds}")
@@ -312,9 +312,10 @@ def _cmd_optimize(args, family, *_) -> int:
         seesaw_max(family, seed, max_iters=args.max_iters)
         for seed in range(args.seed, args.seed + args.seeds)
     ]
-    # best is the first seed that reaches the largest value: seeds equal to the
-    # last bit report the lowest of them, so a near-tie can turn on last-bit noise
-    best = max(results, key=lambda r: r.value)
+    # best is the first seed within the see-saw's own convergence step of the largest
+    # value, so last-bit noise between seeds that reach the same optimum cannot move it
+    top = max(r.value for r in results)
+    best = next(r for r in results if top - r.value <= CONVERGENCE_EPS * max(1.0, abs(top)))
     doc = {
         "runs": [
             {"seed": r.seed, "value": r.value, "iterations": r.iterations, "converged": r.converged}

@@ -30,6 +30,10 @@ _IMAG_ATOL = 1e-10
 _EIG_RESIDUAL_ATOL = 1e-10
 _DICHOTOMY_ATOL = 1e-10
 _PHASE_ATOL = 1e-12
+# The shifted power iteration stops once its residual is at most this times
+# the shift, or after this many steps; neither stop lowers the Rayleigh quotient.
+_POWER_RESIDUAL_RTOL = 1e-13
+_POWER_ITERS = 10_000
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,8 +130,8 @@ def _fix_global_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first nonzero amplitude is real positive.
 
     The first amplitude with modulus above 1e-12 (in basis order) sets the
-    phase.  ``top_eigenpair`` fixes its eigenvector's phase this way; the
-    zero vector is returned unchanged.
+    phase.  ``top_eigenpair`` and ``_shifted_power_state`` fix their
+    eigenvectors' phase this way; the zero vector is returned unchanged.
     """
     for amp in vec:
         if abs(amp) > _PHASE_ATOL:
@@ -151,6 +155,30 @@ def top_eigenpair(op: np.ndarray) -> tuple[float, np.ndarray]:
     if residual > _EIG_RESIDUAL_ATOL * max(1.0, abs(w)):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} above tolerance")
     return w, v
+
+
+def _shifted_power_state(op: np.ndarray, start: np.ndarray, shift: float) -> np.ndarray:
+    """Top eigenvector of Hermitian ``op`` by power iteration on ``op + shift I`` from ``start``.
+
+    ``shift`` must bound ``||op||``.  Then ``op + shift I`` is positive
+    semidefinite, so no step lowers the Rayleigh quotient and the iteration
+    cannot settle on a most negative eigenvalue of larger modulus.  It stops
+    once ``||op v - <v|op|v> v|| <= 1e-13 shift`` or after ``_POWER_ITERS``
+    steps, whichever comes first: a start that is already a top eigenvector
+    takes no step.  A non-finite iterate raises ``ArithmeticError``.
+    """
+    shifted = as_hermitian(op) + shift * np.eye(op.shape[0])
+    vec = start
+    for _ in range(_POWER_ITERS):
+        image = shifted @ vec
+        gap = image - np.vdot(vec, image).real * vec
+        residual = math.sqrt(np.vdot(gap, gap).real)
+        if not math.isfinite(residual):
+            raise ArithmeticError("power iteration reached a non-finite iterate")
+        if residual <= _POWER_RESIDUAL_RTOL * shift:
+            break
+        vec = image / math.sqrt(np.vdot(image, image).real)
+    return _fix_global_phase(vec)
 
 
 def haar_random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

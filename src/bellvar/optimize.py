@@ -3,7 +3,13 @@
 The see-saw alternates two exact coordinate maximizations:
 
 * state step: the state becomes the top eigenvector of the current Bell
-  operator;
+  operator ``B``, by power iteration on ``B + s I`` with ``s = sum |c|``.
+  Every term is a product of +-1 unitaries, so ``||B|| <= s`` and the
+  shifted operator is positive semidefinite: no step lowers the value.
+  The first sweep starts from a Haar-random state drawn right after the
+  settings; each later sweep starts from the previous sweep's state, which
+  is a top eigenvector already or close to one, and takes few steps or none
+  (``linalg._shifted_power_state``);
 * setting step: party by party, each single-qubit observable becomes
   ``g . sigma / |g|``.  ``g_j`` is the state's expectation of the terms
   that contain that setting, with that observable replaced by
@@ -16,9 +22,10 @@ The see-saw alternates two exact coordinate maximizations:
   builds one density and folds each updated party into a shared prefix.
 
 Both steps can only increase the objective, so the recorded history is
-nondecreasing up to rounding.  All randomness (initial settings, scan
-instances) comes from numpy's Philox generator, a counter-based stream
-that reproduces across platforms for a given integer seed.
+nondecreasing up to rounding.  All randomness (initial settings and
+state, scan instances) comes from numpy's Philox generator, a
+counter-based stream that reproduces across platforms for a given
+integer seed.
 
 ``random_scan`` and ``ScanSummary`` are defined in ``_kernel``, next to
 the kernel pass the scan drives, and exported from here.
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import _EXPORTS
 from ._kernel import _PAULIS, ScanSummary, random_scan
-from .linalg import _real, top_eigenpair
+from .linalg import _real, _shifted_power_state, haar_random_ket
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -107,13 +114,16 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     rng = _philox(seed)
     start = random_scenario(family, rng)
+    state = haar_random_ket(2**family.n_parties, rng)
     observables = [list(row) for row in start.observables]
     coeff = coefficient_tensor(family)
+    # every term is a product of +-1 unitaries, so ||B|| <= sum |c|
+    shift = float(np.abs(coeff).sum())
 
     history: list[float] = []
     stall = 0
     for _ in range(max_iters):
-        _, state = top_eigenpair(operator_from_tensor(coeff, observables))
+        state = _shifted_power_state(operator_from_tensor(coeff, observables), state, shift)
         prefix = _density(state, family.n_parties)
         for p in range(family.n_parties):
             others = [q for q in range(family.n_parties) if q != p]

@@ -199,8 +199,26 @@ def test_optimize_stdout_rows(capsys):
     assert lines[0] == "family  mk (n=3)"
     for seed, line in zip((4, 5), lines[1:3], strict=True):
         assert re.fullmatch(rf"seed {seed}  value  8  iters \d+  converged True", line)
-    assert re.fullmatch(r"best    seed [45]  value  8", lines[3])
+    assert re.fullmatch(r"best    seed 4  value  8", lines[3])
     assert len(lines) == 4
+
+
+def test_optimize_best_is_the_first_seed_within_the_convergence_step(monkeypatch, tmp_path):
+    # 8 - 1e-11 is further below the top than CONVERGENCE_EPS * 8; 8 - 4e-15 is last-bit noise
+    from bellvar import optimize
+
+    values = {3: 8.0 - 1e-11, 4: 8.0 - 4e-15, 5: 8.0}
+    real = optimize.seesaw_max
+
+    def seesaw_max(family, seed, max_iters):
+        return dataclasses.replace(real(family, seed, max_iters), value=values[seed])
+
+    monkeypatch.setattr(optimize, "seesaw_max", seesaw_max)
+    out = tmp_path / "o.json"
+    argv = ["optimize", "--family", "mk", "--n", "3", "--seed", "3", "--seeds", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    best = json.loads(out.read_text(encoding="utf-8"))["best"]
+    assert (best["seed"], best["value"]) == (4, values[4])
 
 
 # subcommand argv -> the top-level keys of its --out JSON

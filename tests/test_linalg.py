@@ -23,6 +23,7 @@ from bellvar.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _fix_global_phase,
+    _shifted_power_state,
     as_hermitian,
     as_ket,
     expectation,
@@ -220,6 +221,42 @@ def test_top_eigenpair_agrees_with_eigvalsh(seed, dim_exp):
 def test_top_eigenpair_rejects_non_hermitian():
     with pytest.raises(ValueError):
         top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _led_by_its_bottom(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A 4 x 4 Hermitian operator with spectrum (-3, 2, 1, 0), and its eigenbasis."""
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    basis, _ = np.linalg.qr(raw)
+    op = (basis * [-3.0, 2.0, 1.0, 0.0]) @ basis.conj().T
+    return (op + op.conj().T) / 2.0, basis
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shifted_power_state_finds_the_top_of_a_spectrum_led_by_its_bottom(seed):
+    # -3 has the largest modulus: with no shift the iteration settles on its eigenvector
+    rng = np.random.default_rng(seed)
+    op, basis = _led_by_its_bottom(rng)
+    vec = _shifted_power_state(op, haar_random_ket(4, rng), 3.0)
+    assert abs(np.vdot(basis[:, 1], vec)) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(op, vec) == pytest.approx(2.0, abs=1e-12)
+    assert vec[0].real > 0.0 and abs(vec[0].imag) <= 1e-15
+
+
+def test_shifted_power_state_takes_no_step_from_a_top_eigenvector(monkeypatch):
+    op, basis = _led_by_its_bottom(np.random.default_rng(0))
+    start = basis[:, 1]
+    monkeypatch.setattr(linalg, "_POWER_ITERS", 0)
+    unstepped = _shifted_power_state(op, start, 3.0)
+    np.testing.assert_array_equal(unstepped, _fix_global_phase(start))
+    monkeypatch.setattr(linalg, "_POWER_ITERS", 1)
+    np.testing.assert_array_equal(_shifted_power_state(op, start, 3.0), unstepped)
+
+
+def test_shifted_power_state_fails_closed():
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        _shifted_power_state(SIGMA_Z, np.array([np.nan, 1.0], dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        _shifted_power_state(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1.0)
 
 
 def test_haar_random_ket_is_deterministic_and_normalized():

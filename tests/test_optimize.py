@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellvar import _kernel, optimize
+from bellvar import _kernel, linalg, optimize
 from bellvar.avdecomp import av_decompose
 from bellvar.bounds import SLACK_FLOOR, chained_report, chsh_report, report_for
+from bellvar.cli import main
 from bellvar.linalg import ID2, haar_random_ket, top_eigenpair
 from bellvar.optimize import (
     CONVERGENCE_EPS,
@@ -141,12 +142,16 @@ def _seesaw_reference(family, seed, max_iters=300):
 
     Returns ``(value, history, iterations, converged, state, observables)``.
     """
-    start = random_scenario(family, _philox(seed))
+    rng = _philox(seed)
+    start = random_scenario(family, rng)
+    state = haar_random_ket(2**family.n_parties, rng)
     observables = [list(row) for row in start.observables]
     coeff = coefficient_tensor(family)
+    shift = float(np.abs(coeff).sum())
     history, prev, stall, converged = [], -np.inf, 0, False
     for _ in range(max_iters):
-        _, state = top_eigenpair(operator_from_tensor(coeff, observables))
+        op = operator_from_tensor(coeff, observables)
+        state = linalg._shifted_power_state(op, state, shift)
         for p in range(family.n_parties):
             others = [q for q in range(family.n_parties) if q != p]
             stacks = observables[:p] + [optimize._PAULIS] + observables[p + 1 :]
@@ -195,6 +200,71 @@ def test_seesaw_matches_reference_when_the_budget_runs_out():
     assert not result.converged and not converged
     assert (result.value, result.history, result.iterations) == (value, history, iterations)
     assert result.state.tobytes() == state.tobytes()
+
+
+def _eigh_state(op, start, shift):
+    """The state step as LAPACK's ``eigh`` takes it: the top eigenvector, no warm start."""
+    return top_eigenpair(op)[1]
+
+
+def _first_stall_parting(history, other):
+    """First sweep, with both runs' improvements, at which the stall rule decides differently."""
+    for k in range(1, min(len(history), len(other))):
+        step, other_step = history[k] - max(history[:k]), other[k] - max(other[:k])
+        if (step < CONVERGENCE_EPS) != (other_step < CONVERGENCE_EPS):
+            return k, step, other_step
+    return None
+
+
+_EIGH_FAMILIES = [
+    chsh_family(),
+    *(chained_family(n) for n in range(2, 13)),
+    *(mk_family(n) for n in range(2, 9)),
+]
+
+
+@pytest.mark.parametrize("family", _EIGH_FAMILIES, ids=repr)
+def test_seesaw_matches_the_eigh_state_step(monkeypatch, family):
+    # the two state steps agree to rounding, so the sweep counts agree unless the stall
+    # rule parts the runs on an improvement within last-bit noise of its threshold
+    for seed in range(4):
+        result = seesaw_max(family, seed)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_shifted_power_state", _eigh_state)
+            ref = seesaw_max(family, seed)
+        assert result.value == pytest.approx(ref.value, rel=1e-10)
+        for got, want in zip(result.history, ref.history):
+            assert got == pytest.approx(want, rel=1e-10)
+        parting = _first_stall_parting(result.history, ref.history)
+        if parting is None:
+            assert (result.iterations, result.converged) == (ref.iterations, ref.converged)
+        else:
+            k, step, ref_step = parting
+            assert abs(step - ref_step) <= 32 * np.spacing(ref.history[k]), (seed, k)
+
+
+def test_seesaw_and_optimize_command_run_no_lapack_eigensolver(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert seesaw_max(mk_family(4), seed=0).value == pytest.approx(2.0**4.5, rel=1e-12)
+    assert main(["optimize", "--family", "chained", "--n", "3", "--seeds", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("best    seed 0  value")
+
+
+@pytest.mark.parametrize(
+    "family", [chsh_family(), mk_family(3), chained_family(4)], ids=["chsh", "mk3", "chained4"]
+)
+def test_seesaw_ascends_with_one_power_step_per_sweep(monkeypatch, family):
+    # B + sum|c| I is positive semidefinite, so even one step never lowers the value
+    monkeypatch.setattr(linalg, "_POWER_ITERS", 1)
+    for seed in range(4):
+        result = seesaw_max(family, seed)
+        assert np.all(np.diff(result.history) >= -CONVERGENCE_EPS)
+        if family.name == "chsh":
+            assert result.value == pytest.approx(TWO_SQRT2, abs=1e-9)
 
 
 def test_seesaw_builds_one_density_per_sweep(monkeypatch):

@@ -8,7 +8,8 @@ so are the rules that ``operator_from_tensor`` is never called once per
 instance, that the report kernel takes images only, never an operator, and
 that the sampler's inverse-CDF draw neither sorts, searches nor loops over
 combinations.  The see-saw folds through ``scenarios._contract`` only, never
-refolding the density with ``_expectations`` nor multiplying on its own.
+refolding the density with ``_expectations`` nor multiplying on its own, and
+its state step calls no LAPACK eigensolver.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds no operator at all: it writes its GHZ state in
 closed form and runs no eigensolver.  Every report takes one path: one
@@ -153,6 +154,18 @@ def test_seesaw_shares_the_one_fold():
     }
     assert "_expectations" not in called
     assert "_contract" in called
+
+
+def test_seesaw_calls_no_lapack_eigensolver():
+    # the state step is linalg's shifted power iteration; top_eigenpair stays a test reference
+    assert _names(PACKAGE / "optimize.py") & {"top_eigenpair", "eigh"} == set()
+
+
+def test_distribution_is_the_package_by_name_and_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert (project["name"], project["version"]) == ("bellvar", bellvar.__version__)
+    assert project["scripts"] == {"bellvar": "bellvar.cli:main"}
 
 
 def _names(path: Path) -> set[str]:
