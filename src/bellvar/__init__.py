@@ -7,17 +7,18 @@ maximizes expressions by see-saw, and samples measurement rounds from
 the Born rule for empirical cross-checks.
 
 ``import bellvar`` loads no submodule.  Each public name is looked up in
-``_EXPORTS`` on first attribute access (PEP 562) and comes from its
-defining submodule, imported then; ``bellvar.preset`` is the same object
-as ``bellvar.presets.preset``.  A short command line run therefore pays
-only for the layers it uses.
+``_EXPORTS`` on first attribute access (PEP 562) and read from its row's
+submodule, imported then, which defines it or, for the five names of
+``_kernel`` (see its docstring), re-exports it; ``bellvar.preset`` is the
+same object as ``bellvar.presets.preset``.  A short command line run
+therefore pays only for the layers it uses.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# defining submodule -> the public names it exports; each module reads its __all__ from here
+# exporting submodule -> the public names it exports; each module reads its __all__ from here
 _EXPORTS = {
     "avdecomp": (
         "SPREAD_EPS",

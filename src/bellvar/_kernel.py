@@ -124,9 +124,10 @@ def _draw(rng: np.random.Generator, m: int, shape: tuple[int, int], dim: int):
     Instance i consumes the Philox stream exactly as ``random_scenario``
     followed by ``haar_random_ket`` would: three normals per setting,
     party by party, each triple normalized to a Bloch vector, then the
-    real and the imaginary parts of the state.  A Gaussian triple of norm
-    at most 1e-12, which ``uniform_bloch`` would redraw, raises
-    ``ArithmeticError`` (probability below 1e-36).
+    real and the imaginary parts of the state; instance 0 is
+    ``seesaw_max``'s start.  A Gaussian triple of norm at most 1e-12, which
+    ``uniform_bloch`` would redraw, raises ``ArithmeticError`` (probability
+    below 1e-36).
     """
     n_bloch = 3 * shape[0] * shape[1]
     normals = rng.standard_normal((m, n_bloch + 2 * dim))

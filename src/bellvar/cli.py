@@ -304,7 +304,7 @@ def _cmd_report(args, family, scenario, state) -> int:
 
 
 def _cmd_optimize(args, family, *_) -> int:
-    from .optimize import CONVERGENCE_EPS, seesaw_max
+    from .optimize import _no_gain, seesaw_max
 
     if args.seeds < 1:
         raise ValueError(f"seeds must be positive, got {args.seeds}")
@@ -312,10 +312,9 @@ def _cmd_optimize(args, family, *_) -> int:
         seesaw_max(family, seed, max_iters=args.max_iters)
         for seed in range(args.seed, args.seed + args.seeds)
     ]
-    # best is the first seed within the see-saw's own convergence step of the largest
-    # value, so last-bit noise between seeds that reach the same optimum cannot move it
+    # best is the first seed that the largest value is no gain over: last-bit noise cannot move it
     top = max(r.value for r in results)
-    best = next(r for r in results if top - r.value <= CONVERGENCE_EPS * max(1.0, abs(top)))
+    best = next(r for r in results if _no_gain(top, r.value))
     doc = {
         "runs": [
             {"seed": r.seed, "value": r.value, "iterations": r.iterations, "converged": r.converged}

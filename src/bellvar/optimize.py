@@ -6,9 +6,9 @@ The see-saw alternates two exact coordinate maximizations:
   operator ``B``, by power iteration on ``B + s I`` with ``s = sum |c|``.
   Every term is a product of +-1 unitaries, so ``||B|| <= s`` and the
   shifted operator is positive semidefinite: no step lowers the value.
-  The first sweep starts from a Haar-random state drawn right after the
-  settings; each later sweep starts from the previous sweep's state, which
-  is a top eigenvector already or close to one, and takes few steps or none
+  The first sweep starts from the scan's instance 0 (``_kernel._draw``);
+  each later sweep starts from the previous sweep's state, which is a top
+  eigenvector already or close to one, and takes few steps or none
   (``linalg._shifted_power_state``);
 * setting step: party by party, each single-qubit observable becomes
   ``g . sigma / |g|``.  ``g_j`` is the state's expectation of the terms
@@ -22,10 +22,11 @@ The see-saw alternates two exact coordinate maximizations:
   builds one density and folds each updated party into a shared prefix.
 
 Both steps can only increase the objective, so the recorded history is
-nondecreasing up to rounding.  All randomness (initial settings and
-state, scan instances) comes from numpy's Philox generator, a
-counter-based stream that reproduces across platforms for a given
-integer seed.
+nondecreasing up to rounding.  A sweep is no gain when it rises at most
+``CONVERGENCE_EPS * max(1, |best|)`` above the best so far (``_no_gain``,
+which also picks the command line's best seed).  All randomness comes
+from numpy's Philox generator, a counter-based stream that reproduces
+across platforms for a given integer seed.
 
 ``random_scan`` and ``ScanSummary`` are defined in ``_kernel``, next to
 the kernel pass the scan drives, and exported from here.
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from ._kernel import _PAULIS, ScanSummary, random_scan
-from .linalg import _real, _shifted_power_state, haar_random_ket
+from ._kernel import _PAULIS, ScanSummary, _draw, random_scan
+from .linalg import _real, _shifted_power_state
 from .scenarios import (
     FamilySpec,
     Scenario,
@@ -54,15 +55,19 @@ from .scenarios import (
     coefficient_tensor,
     from_bloch_table,
     operator_from_tensor,
-    random_scenario,
 )
 
 __all__ = list(_EXPORTS["optimize"])
 
-# An improvement below this, three sweeps running, counts as converged.
+# A rise of at most this, relative to max(1, |best|), is no gain; three sweeps running converge.
 CONVERGENCE_EPS = 1e-12
 _STALL_SWEEPS = 3
 _GRADIENT_EPS = 1e-12
+
+
+def _no_gain(value: float, best: float) -> bool:
+    """Whether ``value`` rises no more than ``CONVERGENCE_EPS * max(1, |best|)`` above ``best``."""
+    return value - best <= CONVERGENCE_EPS * max(1.0, abs(best))
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,16 @@ class StationarityReport:
 def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> OptimizationResult:
     """Alternating state/setting maximization from a seeded random start.
 
-    Deterministic for a given seed.  Convergence means the per-sweep
-    improvement stayed below 1e-12 for three consecutive sweeps before
+    Starts from instance 0 of ``random_scan`` with the same seed.  Convergence
+    means three consecutive sweeps were no gain (``_no_gain``) before
     ``max_iters`` ran out; otherwise ``converged=False``.  Either way the
     last iterate comes back, with the history's best value.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
-    rng = _philox(seed)
-    start = random_scenario(family, rng)
-    state = haar_random_ket(2**family.n_parties, rng)
-    observables = [list(row) for row in start.observables]
+    parties = family.n_parties
+    stacks, states = _draw(_philox(seed), 1, (parties, family.settings_per_party[0]), 2**parties)
+    observables, state = [list(row) for row in stacks[0]], states[0]
     coeff = coefficient_tensor(family)
     # every term is a product of +-1 unitaries, so ||B|| <= sum |c|
     shift = float(np.abs(coeff).sum())
@@ -136,7 +140,7 @@ def seesaw_max(family: FamilySpec, seed: int, max_iters: int = 300) -> Optimizat
                 observables[p][s] = bloch_observable(g / norm)
             prefix = _contract(prefix, [_flat(observables[p])])
         value = float(np.sum(coeff * _real(prefix)))
-        stall = stall + 1 if history and value - max(history) < CONVERGENCE_EPS else 0
+        stall = stall + 1 if history and _no_gain(value, max(history)) else 0
         history.append(value)
         if stall >= _STALL_SWEEPS:
             break

@@ -9,7 +9,8 @@ instance, that the report kernel takes images only, never an operator, and
 that the sampler's inverse-CDF draw neither sorts, searches nor loops over
 combinations.  The see-saw folds through ``scenarios._contract`` only, never
 refolding the density with ``_expectations`` nor multiplying on its own, and
-its state step calls no LAPACK eigensolver.
+its state step calls no LAPACK eigensolver.  One helper, ``optimize._no_gain``,
+reads ``CONVERGENCE_EPS``, and the command line imports it, not the constant.
 ``operator_from_tensor`` is the one fold that makes an operator, and the
 ``mk-ghz`` preset builds no operator at all: it writes its GHZ state in
 closed form and runs no eigensolver.  Every report takes one path: one
@@ -159,6 +160,23 @@ def test_seesaw_shares_the_one_fold():
 def test_seesaw_calls_no_lapack_eigensolver():
     # the state step is linalg's shifted power iteration; top_eigenpair stays a test reference
     assert _names(PACKAGE / "optimize.py") & {"top_eigenpair", "eigh"} == set()
+
+
+def test_one_convergence_rule():
+    # the see-saw's stall rule and the command line's best seed both ask optimize._no_gain,
+    # the one reader of CONVERGENCE_EPS
+    assert [p.stem for p in PACKAGE.glob("*.py") if "CONVERGENCE_EPS" in _names(p)] == ["optimize"]
+    assert "_no_gain" in _names(PACKAGE / "cli.py")
+    tree = ast.parse((PACKAGE / "optimize.py").read_text(encoding="utf-8"))
+    (rule,) = [node for node in tree.body if getattr(node, "name", None) == "_no_gain"]
+
+    def reads(root):
+        return sum(
+            getattr(node, "id", None) == "CONVERGENCE_EPS" and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(root)
+        )
+
+    assert reads(tree) == reads(rule) == 1
 
 
 def test_distribution_is_the_package_by_name_and_version():
